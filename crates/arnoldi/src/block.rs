@@ -223,7 +223,7 @@ pub fn block_shift_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::single_shift::{build_shift_invert_op, single_shift_iteration};
+    use crate::single_shift::{build_shift_invert_op, single_shift_iteration_recycled_with};
     use pheig_model::generator::{generate_case, CaseSpec};
 
     #[test]
@@ -262,12 +262,14 @@ mod tests {
             &mut |l, r| results[l] = Some(r),
         );
         for (i, &w) in omegas.iter().enumerate() {
-            let solo = single_shift_iteration(
+            let solo = single_shift_iteration_recycled_with(
                 &ss,
                 w,
                 0.8,
                 scale,
                 &SingleShiftOptions::new().with_seed(7 + i as u64),
+                &mut ArnoldiWorkspace::new(),
+                &[],
             );
             let got = results[i].take().expect("lane completed");
             match (solo, got) {

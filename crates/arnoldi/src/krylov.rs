@@ -317,33 +317,14 @@ impl ArnoldiFactorization {
     }
 }
 
-/// Builds an Arnoldi factorization of `op` from `start`, deflating the
-/// `locked` orthonormal set.
+/// Rebuilds `fact` as an Arnoldi factorization of `op` from `start`,
+/// deflating the `locked` orthonormal set.
 ///
 /// `start` does not need to be normalized; it is orthogonalized against
-/// `locked` first. Returns a factorization with `steps <= max_steps`
-/// (shorter on breakdown).
-///
-/// # Panics
-///
-/// Panics if `start.len() != op.dim()` or any locked vector has the wrong
-/// length.
-pub fn arnoldi(
-    op: &dyn CLinearOp,
-    start: &[C64],
-    locked: &[Vec<C64>],
-    max_steps: usize,
-) -> ArnoldiFactorization {
-    let mut fact = ArnoldiFactorization::empty();
-    arnoldi_into(op, start, locked, max_steps, &mut fact);
-    fact
-}
-
-/// Rebuilds `fact` as an Arnoldi factorization of `op` from `start`,
-/// deflating the `locked` orthonormal set. Identical to [`arnoldi`] except
-/// that it reuses `fact`'s basis and Hessenberg storage: after the first
-/// call at a given size, rebuilding performs no heap allocations (beyond
-/// whatever `op.apply_into` does).
+/// `locked` first. The result has `steps <= max_steps` (shorter on
+/// breakdown). `fact`'s basis and Hessenberg storage are reused: after the
+/// first call at a given size, rebuilding performs no heap allocations
+/// (beyond whatever `op.apply_into` does).
 ///
 /// # Panics
 ///
@@ -395,7 +376,8 @@ mod tests {
             .map(|i| C64::new(i as f64 + 1.0, (i % 3) as f64))
             .collect();
         let op = diag_op(&d);
-        let fact = arnoldi(&op, &rand_start(n, 1), &[], 6);
+        let mut fact = ArnoldiFactorization::empty();
+        arnoldi_into(&op, &rand_start(n, 1), &[], 6, &mut fact);
         assert_eq!(fact.steps, 6);
         for j in 0..fact.steps {
             let av = op.matvec(&fact.basis[j]);
@@ -416,7 +398,8 @@ mod tests {
             .map(|i| C64::new((i as f64).sin() * 3.0, i as f64 * 0.2))
             .collect();
         let op = diag_op(&d);
-        let fact = arnoldi(&op, &rand_start(n, 2), &[], 10);
+        let mut fact = ArnoldiFactorization::empty();
+        arnoldi_into(&op, &rand_start(n, 2), &[], 10, &mut fact);
         for i in 0..fact.basis.len() {
             for j in 0..fact.basis.len() {
                 let g = dot(&fact.basis[i], &fact.basis[j]);
@@ -435,7 +418,8 @@ mod tests {
         let d = [C64::from_real(2.0), C64::from_real(3.0)];
         let op = diag_op(&d);
         let start = vec![C64::one(), C64::zero()];
-        let fact = arnoldi(&op, &start, &[], 2);
+        let mut fact = ArnoldiFactorization::empty();
+        arnoldi_into(&op, &start, &[], 2, &mut fact);
         assert!(fact.breakdown);
         assert_eq!(fact.steps, 1);
         assert!((fact.projected()[(0, 0)] - C64::from_real(2.0)).abs() < 1e-12);
@@ -450,7 +434,8 @@ mod tests {
         let op = diag_op(&d);
         let mut e0 = vec![C64::zero(); n];
         e0[0] = C64::one();
-        let fact = arnoldi(&op, &rand_start(n, 3), &[e0], n - 1);
+        let mut fact = ArnoldiFactorization::empty();
+        arnoldi_into(&op, &rand_start(n, 3), &[e0], n - 1, &mut fact);
         let hm = fact.projected();
         let eigs = pheig_linalg::eig::eig_complex(&hm).unwrap();
         for z in eigs {
@@ -466,7 +451,8 @@ mod tests {
         // Start inside the locked span -> degenerate factorization signal.
         let op = diag_op(&[C64::from_real(1.0), C64::from_real(2.0)]);
         let q = vec![C64::one(), C64::zero()];
-        let fact = arnoldi(&op, &[C64::one(), C64::zero()], &[q], 2);
+        let mut fact = ArnoldiFactorization::empty();
+        arnoldi_into(&op, &[C64::one(), C64::zero()], &[q], 2, &mut fact);
         assert!(fact.breakdown);
         assert_eq!(fact.steps, 0);
     }
@@ -476,7 +462,8 @@ mod tests {
         let n = 10;
         let d: Vec<C64> = (0..n).map(|i| C64::new(i as f64, 1.0)).collect();
         let op = diag_op(&d);
-        let fact = arnoldi(&op, &rand_start(n, 5), &[], 4);
+        let mut fact = ArnoldiFactorization::empty();
+        arnoldi_into(&op, &rand_start(n, 5), &[], 4, &mut fact);
         let y = vec![C64::new(0.5, 0.1); fact.steps];
         let v = fact.lift(&y);
         assert!((nrm2(&v) - 1.0).abs() < 1e-12);

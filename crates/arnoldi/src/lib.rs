@@ -36,6 +36,6 @@ pub use error::ArnoldiError;
 pub use options::SingleShiftOptions;
 pub use recycle::{RecyclePool, RecycledPair};
 pub use single_shift::{
-    build_shift_invert_op, single_shift_iteration, single_shift_iteration_recycled_with,
-    single_shift_iteration_with, ArnoldiWorkspace, ConvergedEigenpair, SingleShiftOutcome,
+    build_shift_invert_op, single_shift_iteration_recycled_with, ArnoldiWorkspace,
+    ConvergedEigenpair, SingleShiftOutcome,
 };

@@ -2,7 +2,7 @@
 
 use crate::control::SweepControl;
 
-/// Options for [`crate::single_shift_iteration`].
+/// Options for [`crate::single_shift_iteration_recycled_with`].
 ///
 /// Defaults match the paper: Krylov subspace capped at `d = 60`, a small
 /// number `n_theta = 5` of eigenvalues per shift ("typically 4–6",

@@ -63,7 +63,7 @@ impl RitzPair {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::krylov::arnoldi;
+    use crate::krylov::{arnoldi_into, ArnoldiFactorization};
     use pheig_linalg::Matrix;
 
     #[test]
@@ -76,7 +76,8 @@ mod tests {
         let start: Vec<C64> = (0..n)
             .map(|i| C64::new(1.0, (i as f64 * 0.37).sin()))
             .collect();
-        let fact = arnoldi(&op, &start, &[], 25);
+        let mut fact = ArnoldiFactorization::empty();
+        arnoldi_into(&op, &start, &[], 25, &mut fact);
         let pairs = ritz_pairs(&fact).unwrap();
         // Top Ritz value approximates 30 (the dominant eigenvalue). With a
         // 25-step space over a 30-point spectrum the residual is small but
@@ -98,7 +99,8 @@ mod tests {
             .collect();
         let op = Matrix::from_diag(&d);
         let start: Vec<C64> = (0..n).map(|i| C64::new((i as f64).cos(), 0.3)).collect();
-        let fact = arnoldi(&op, &start, &[], 8);
+        let mut fact = ArnoldiFactorization::empty();
+        arnoldi_into(&op, &start, &[], 8, &mut fact);
         let pairs = ritz_pairs(&fact).unwrap();
         for p in pairs.iter().take(3) {
             let v = fact.lift(&p.y);
@@ -122,7 +124,8 @@ mod tests {
         let d: Vec<C64> = (0..n).map(|i| C64::from_real((i as f64) - 6.0)).collect();
         let op = Matrix::from_diag(&d);
         let start: Vec<C64> = (0..n).map(|i| C64::new(1.0, i as f64 * 0.11)).collect();
-        let fact = arnoldi(&op, &start, &[], 10);
+        let mut fact = ArnoldiFactorization::empty();
+        arnoldi_into(&op, &start, &[], 10, &mut fact);
         let pairs = ritz_pairs(&fact).unwrap();
         for w in pairs.windows(2) {
             assert!(w[0].mu.abs() >= w[1].mu.abs() - 1e-12);
@@ -149,7 +152,8 @@ mod tests {
     fn empty_factorization_gives_no_pairs() {
         let op = Matrix::from_diag(&[C64::one()]);
         let q = vec![C64::one()];
-        let fact = arnoldi(&op, &[C64::one()], &[q], 1);
+        let mut fact = ArnoldiFactorization::empty();
+        arnoldi_into(&op, &[C64::one()], &[q], 1, &mut fact);
         assert!(ritz_pairs(&fact).unwrap().is_empty());
     }
 }

@@ -17,9 +17,10 @@ use rand::{Rng, SeedableRng};
 /// factorization storage plus the restart vectors.
 ///
 /// One workspace serves one worker; passing the same workspace to
-/// successive [`single_shift_on_op_with`] / [`single_shift_iteration_with`]
-/// calls reuses all of its allocations (the paper's drivers run thousands
-/// of shifts per sweep, so per-shift allocation churn is measurable).
+/// successive [`single_shift_on_op_with`] /
+/// [`single_shift_iteration_recycled_with`] calls reuses all of its
+/// allocations (a sweep runs thousands of shifts, so per-shift allocation
+/// churn is measurable).
 #[derive(Debug, Default)]
 pub struct ArnoldiWorkspace {
     fact: ArnoldiFactorization,
@@ -84,38 +85,16 @@ pub struct SingleShiftOutcome {
 /// (`lambda = theta + 1/mu` for shift-invert). `scale` sets the absolute
 /// eigenvalue tolerance `opts.tol * scale` (use the band magnitude).
 ///
+/// The workspace's Krylov basis, Hessenberg storage, and restart vectors
+/// are reused across restarts *and* across calls, so a worker processing
+/// many shifts incurs no steady-state allocation churn from the iteration
+/// itself.
+///
 /// # Errors
 ///
 /// * [`ArnoldiError::NoConvergence`] if nothing converges within the
 ///   restart budget;
 /// * [`ArnoldiError::Linalg`] on projected eigensolver failure.
-pub fn single_shift_on_op(
-    op: &dyn CLinearOp,
-    map: &dyn Fn(C64) -> C64,
-    theta: C64,
-    rho0: f64,
-    scale: f64,
-    opts: &SingleShiftOptions,
-) -> Result<SingleShiftOutcome, ArnoldiError> {
-    single_shift_on_op_with(
-        op,
-        map,
-        theta,
-        rho0,
-        scale,
-        opts,
-        &mut ArnoldiWorkspace::new(),
-    )
-}
-
-/// [`single_shift_on_op`] with caller-owned scratch: the workspace's
-/// Krylov basis, Hessenberg storage, and restart vectors are reused across
-/// restarts *and* across calls, so a worker processing many shifts incurs
-/// no steady-state allocation churn from the iteration itself.
-///
-/// # Errors
-///
-/// Same as [`single_shift_on_op`].
 pub fn single_shift_on_op_with(
     op: &dyn CLinearOp,
     map: &dyn Fn(C64) -> C64,
@@ -299,30 +278,8 @@ impl<'a> ShiftCore<'a> {
                     .locked_lambdas
                     .iter()
                     .any(|&l| (l - lambda).abs() <= 100.0 * self.tol_abs + 1e-10 * dist);
-                // Mirror the Gram-Schmidt coefficients onto the cached
-                // operator image: Op(v - sum c_q q) = w - sum c_q (Op q),
-                // so the deflation copy's image costs no new application.
-                let mut w = lifted.clone();
-                let mut image_exact = true;
-                for (q, qw) in self.locked_vecs.iter().zip(&self.locked_opq) {
-                    let c = dot(q, comb);
-                    axpy(-c, q, comb);
-                    match qw {
-                        Some(qw) => axpy(-c, qw, &mut w),
-                        None => image_exact = false,
-                    }
-                }
-                let nrm = normalize(comb);
-                if nrm < 1e-8 {
-                    continue; // direction already inside the locked span
-                }
-                let inv = C64::from_real(1.0 / nrm);
-                for x in w.iter_mut() {
-                    *x *= inv;
-                }
-                self.locked_vecs.push(comb.clone());
-                self.locked_opq.push(image_exact.then_some(w));
-                if !duplicate {
+                let (v, img) = (comb.clone(), lifted.clone());
+                if self.lock(v, img) && !duplicate {
                     self.locked_lambdas.push(lambda);
                     self.warm_pre_locked += 1;
                 }
@@ -333,6 +290,35 @@ impl<'a> ShiftCore<'a> {
         if self.warm_pre_locked > 0 && self.locked_lambdas.len() >= self.collect_target {
             self.probe_budget = 3;
         }
+    }
+
+    /// Orthogonalizes `v` against the locked set, mirroring the
+    /// Gram-Schmidt coefficients onto its operator image `img`
+    /// (`Op(v - sum c_q q) = img - sum c_q (Op q)`, so the deflation copy's
+    /// image costs no new application), and locks the normalized pair.
+    /// Returns `false`, locking nothing, when the direction already lies
+    /// inside the locked span.
+    fn lock(&mut self, mut v: Vec<C64>, mut img: Vec<C64>) -> bool {
+        let mut image_exact = true;
+        for (q, qw) in self.locked_vecs.iter().zip(&self.locked_opq) {
+            let c = dot(q, &v);
+            axpy(-c, q, &mut v);
+            match qw {
+                Some(qw) => axpy(-c, qw, &mut img),
+                None => image_exact = false,
+            }
+        }
+        let nrm = normalize(&mut v);
+        if nrm < 1e-8 {
+            return false;
+        }
+        let inv = C64::from_real(1.0 / nrm);
+        for x in img.iter_mut() {
+            *x *= inv;
+        }
+        self.locked_vecs.push(v);
+        self.locked_opq.push(image_exact.then_some(img));
+        true
     }
 
     /// `true` while more Arnoldi rounds are warranted: the collect target
@@ -488,31 +474,9 @@ impl<'a> ShiftCore<'a> {
                 for x in img.iter_mut() {
                     *x *= inv;
                 }
-                // Re-orthogonalize against the locked set, mirroring the
-                // coefficients onto the image; a vanishing projection
-                // means we re-found a locked direction.
-                let mut image_exact = true;
-                for (q, qw) in self.locked_vecs.iter().zip(&self.locked_opq) {
-                    let c = dot(q, &v);
-                    axpy(-c, q, &mut v);
-                    match qw {
-                        Some(qw) => axpy(-c, qw, &mut img),
-                        None => image_exact = false,
-                    }
-                }
-                let nrm = normalize(&mut v);
-                if nrm < 1e-8 {
-                    continue;
-                }
-                let inv = C64::from_real(1.0 / nrm);
-                for x in img.iter_mut() {
-                    *x *= inv;
-                }
-                // The vector moves into the deflation set (no clone): the
-                // refinement below recovers eigenvectors from that set.
-                self.locked_vecs.push(v);
-                self.locked_opq.push(image_exact.then_some(img));
-                if !duplicate {
+                // The vector moves into the deflation set: the refinement
+                // recovers eigenvectors from that set.
+                if self.lock(v, img) && !duplicate {
                     self.locked_lambdas.push(lambda);
                     newly += 1;
                 }
@@ -779,33 +743,9 @@ impl<'a> ShiftCore<'a> {
                     d_ext = d_ext.max(d);
                 }
             }
-            if std::env::var_os("PHEIG_DEBUG_EXT").is_some() {
-                eprintln!(
-                    "ext theta={:.4} d_m={d_m:.4} d_full={:.4} d_ext={d_ext:.4} cap_next={cap_next:.4} ext_cap={:.4} base={radius:.4} ext={:.4}",
-                    self.theta.im,
-                    dist(&refined[refined.len() - 1]),
-                    self.ext_cap,
-                    bracket(d_ext, cap_ext)
-                );
-            }
             radius = radius.max(bracket(d_ext, cap_ext));
         }
         let radius = radius.max(0.0);
-        if radius <= 0.0 && std::env::var_os("PHEIG_DEBUG_RADIUS").is_some() {
-            eprintln!(
-                "radius collapse at theta={theta}: d_m={d_m:.3e} d_next={d_next:.3e} \
-                 gap_tol={gap_tol:.3e} refined={} near={} doubtful={}",
-                refined.len(),
-                self.near_estimates.len(),
-                doubtful_dists.len()
-            );
-            let mut ds: Vec<f64> = refined.iter().map(dist).collect();
-            ds.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            eprintln!("  refined dists: {:?}", &ds[..ds.len().min(8)]);
-            let mut ne = self.near_estimates.clone();
-            ne.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            eprintln!("  near: {:?}", &ne[..ne.len().min(8)]);
-        }
 
         let all_converged: Vec<C64> = refined.iter().map(|e| e.lambda).collect();
         // `refined` is already sorted by distance; keep the disk's interior
@@ -826,44 +766,6 @@ impl<'a> ShiftCore<'a> {
             refine_dim: mq,
         })
     }
-}
-
-/// Runs the single-shift iteration on a macromodel at shift
-/// `theta = j omega`, building the Sherman–Morrison–Woodbury operator
-/// internally. Shifts that coincide with an eigenvalue are automatically
-/// nudged by a relative epsilon.
-///
-/// # Errors
-///
-/// * [`ArnoldiError::Hamiltonian`] if the operator cannot be built (e.g.
-///   `sigma_max(D) >= 1`);
-/// * [`ArnoldiError::NoConvergence`] if nothing converges.
-pub fn single_shift_iteration(
-    ss: &StateSpace,
-    omega: f64,
-    rho0: f64,
-    scale: f64,
-    opts: &SingleShiftOptions,
-) -> Result<SingleShiftOutcome, ArnoldiError> {
-    single_shift_iteration_with(ss, omega, rho0, scale, opts, &mut ArnoldiWorkspace::new())
-}
-
-/// [`single_shift_iteration`] with caller-owned scratch (see
-/// [`single_shift_on_op_with`]); the multi-shift drivers hand each worker
-/// one persistent workspace that survives across shifts.
-///
-/// # Errors
-///
-/// Same as [`single_shift_iteration`].
-pub fn single_shift_iteration_with(
-    ss: &StateSpace,
-    omega: f64,
-    rho0: f64,
-    scale: f64,
-    opts: &SingleShiftOptions,
-    ws: &mut ArnoldiWorkspace,
-) -> Result<SingleShiftOutcome, ArnoldiError> {
-    single_shift_iteration_recycled_with(ss, omega, rho0, scale, opts, ws, &[])
 }
 
 /// Builds the shift-invert operator at `theta = j omega`, nudging the
@@ -896,17 +798,25 @@ pub fn build_shift_invert_op(
     }
 }
 
-/// [`single_shift_iteration_with`] with Krylov recycling: `warm` carries
-/// eigenpairs donated by already-completed nearby shifts (see
-/// [`crate::recycle::RecyclePool`]). Each candidate is validated at one
-/// operator application; converged survivors seed the deflation set, so
-/// the iteration starts from a thick, already-converged subspace instead
-/// of a random vector. An empty `warm` slice reproduces the cold
-/// iteration exactly.
+/// Runs the single-shift iteration on a macromodel at shift
+/// `theta = j omega`, building the Sherman–Morrison–Woodbury operator
+/// internally. Shifts that coincide with an eigenvalue are automatically
+/// nudged by a relative epsilon. `ws` is caller-owned scratch (see
+/// [`single_shift_on_op_with`]); the sweep driver hands each worker one
+/// persistent workspace that survives across shifts.
+///
+/// Krylov recycling: `warm` carries eigenpairs donated by
+/// already-completed nearby shifts (see [`crate::recycle::RecyclePool`]).
+/// Each candidate is validated at one operator application; converged
+/// survivors seed the deflation set, so the iteration starts from a
+/// thick, already-converged subspace instead of a random vector. An empty
+/// `warm` slice is the cold iteration.
 ///
 /// # Errors
 ///
-/// Same as [`single_shift_iteration`].
+/// * [`ArnoldiError::Hamiltonian`] if the operator cannot be built (e.g.
+///   `sigma_max(D) >= 1`);
+/// * [`ArnoldiError::NoConvergence`] if nothing converges.
 pub fn single_shift_iteration_recycled_with(
     ss: &StateSpace,
     omega: f64,
@@ -1004,12 +914,14 @@ mod tests {
         let oracle = dense_spectrum(&ss);
         let scale = oracle.iter().map(|z| z.abs()).fold(0.0, f64::max);
         let omega = 3.0;
-        let out = single_shift_iteration(
+        let out = single_shift_iteration_recycled_with(
             &ss,
             omega,
             1.0,
             scale,
             &SingleShiftOptions::new().with_seed(4),
+            &mut ArnoldiWorkspace::new(),
+            &[],
         )
         .unwrap();
         assert!(out.radius > 0.0);
@@ -1050,9 +962,16 @@ mod tests {
         let ss = model.realize();
         let m_dense = dense_hamiltonian(&ss).unwrap().to_c64();
         let scale = m_dense.max_abs();
-        let out =
-            single_shift_iteration(&ss, 2.0, 1.0, 10.0, &SingleShiftOptions::new().with_seed(1))
-                .unwrap();
+        let out = single_shift_iteration_recycled_with(
+            &ss,
+            2.0,
+            1.0,
+            10.0,
+            &SingleShiftOptions::new().with_seed(1),
+            &mut ArnoldiWorkspace::new(),
+            &[],
+        )
+        .unwrap();
         for e in &out.in_disk {
             let av = m_dense.matvec(&e.vector);
             let mut resid = 0.0f64;
@@ -1071,7 +990,16 @@ mod tests {
     fn shift_at_zero_frequency_works() {
         let model = generate_case(&CaseSpec::new(14, 2).with_seed(7)).unwrap();
         let ss = model.realize();
-        let out = single_shift_iteration(&ss, 0.0, 1.0, 12.0, &SingleShiftOptions::new()).unwrap();
+        let out = single_shift_iteration_recycled_with(
+            &ss,
+            0.0,
+            1.0,
+            12.0,
+            &SingleShiftOptions::new(),
+            &mut ArnoldiWorkspace::new(),
+            &[],
+        )
+        .unwrap();
         assert!(!out.in_disk.is_empty());
         // Spectrum symmetry: at theta = 0 the found set should be closed
         // under negation (lambda and -lambda are equidistant).
@@ -1103,8 +1031,26 @@ mod tests {
         let model = generate_case(&CaseSpec::new(10, 2).with_seed(2)).unwrap();
         let ss = model.realize();
         let opts = SingleShiftOptions::new().with_seed(99);
-        let a = single_shift_iteration(&ss, 1.5, 0.5, 10.0, &opts).unwrap();
-        let b = single_shift_iteration(&ss, 1.5, 0.5, 10.0, &opts).unwrap();
+        let a = single_shift_iteration_recycled_with(
+            &ss,
+            1.5,
+            0.5,
+            10.0,
+            &opts,
+            &mut ArnoldiWorkspace::new(),
+            &[],
+        )
+        .unwrap();
+        let b = single_shift_iteration_recycled_with(
+            &ss,
+            1.5,
+            0.5,
+            10.0,
+            &opts,
+            &mut ArnoldiWorkspace::new(),
+            &[],
+        )
+        .unwrap();
         assert_eq!(a.radius, b.radius);
         assert_eq!(a.in_disk.len(), b.in_disk.len());
         for (x, y) in a.in_disk.iter().zip(&b.in_disk) {
@@ -1122,10 +1068,12 @@ mod tests {
         let scale = 12.0;
         let opts = SingleShiftOptions::new().with_seed(5);
         let mut ws = ArnoldiWorkspace::new();
-        let donor = single_shift_iteration_with(&ss, 2.0, 1.0, scale, &opts, &mut ws).unwrap();
+        let donor = single_shift_iteration_recycled_with(&ss, 2.0, 1.0, scale, &opts, &mut ws, &[])
+            .unwrap();
         let mut pool = crate::recycle::RecyclePool::new();
         pool.record(2.0, &donor);
-        let cold = single_shift_iteration_with(&ss, 2.4, 1.0, scale, &opts, &mut ws).unwrap();
+        let cold = single_shift_iteration_recycled_with(&ss, 2.4, 1.0, scale, &opts, &mut ws, &[])
+            .unwrap();
         let warm = pool.gather(C64::from_imag(2.4), 2.0, 8);
         assert!(!warm.is_empty(), "donor disk should donate candidates");
         let recycled =
@@ -1183,12 +1131,26 @@ mod tests {
         let model =
             generate_case(&CaseSpec::new(16, 2).with_seed(17).with_target_crossings(2)).unwrap();
         let ss = model.realize();
-        let a =
-            single_shift_iteration(&ss, 2.5, 1.0, 12.0, &SingleShiftOptions::new().with_seed(1))
-                .unwrap();
-        let b =
-            single_shift_iteration(&ss, 2.5, 1.0, 12.0, &SingleShiftOptions::new().with_seed(2))
-                .unwrap();
+        let a = single_shift_iteration_recycled_with(
+            &ss,
+            2.5,
+            1.0,
+            12.0,
+            &SingleShiftOptions::new().with_seed(1),
+            &mut ArnoldiWorkspace::new(),
+            &[],
+        )
+        .unwrap();
+        let b = single_shift_iteration_recycled_with(
+            &ss,
+            2.5,
+            1.0,
+            12.0,
+            &SingleShiftOptions::new().with_seed(2),
+            &mut ArnoldiWorkspace::new(),
+            &[],
+        )
+        .unwrap();
         // Compare the sets of eigenvalues found inside the *smaller* disk.
         let r = a.radius.min(b.radius) * 0.999;
         let sa: Vec<C64> = a

@@ -13,7 +13,7 @@
 //!    implementation detail, not a semantic choice. Pinned by comparing
 //!    against a local reference MGS on the same operator and start.
 
-use pheig_arnoldi::krylov::{arnoldi, ArnoldiFactorization};
+use pheig_arnoldi::krylov::{arnoldi_into, ArnoldiFactorization};
 use pheig_hamiltonian::CLinearOp;
 use pheig_linalg::vector::{axpy, dot, normalize, nrm2};
 use pheig_linalg::{Matrix, C64};
@@ -96,7 +96,8 @@ fn clustered_spectrum_stays_orthonormal() {
     // Tighter and tighter clusters; orthonormality must not degrade.
     for &gap in &[1e-3, 1e-6, 1e-9] {
         let op = clustered_diag(6, 4, gap);
-        let fact = arnoldi(&op, &rand_start(24, 3), &[], 20);
+        let mut fact = ArnoldiFactorization::empty();
+        arnoldi_into(&op, &rand_start(24, 3), &[], 20, &mut fact);
         assert_eq!(fact.steps, 20);
         let dev = max_gram_deviation(&fact);
         assert!(dev < 1e-12, "gap={gap:e}: gram deviation {dev:e}");
@@ -115,7 +116,8 @@ fn clustered_spectrum_with_deflation_stays_orthonormal() {
         e[k] = C64::one();
         locked.push(e);
     }
-    let fact = arnoldi(&op, &rand_start(n, 5), &locked, 15);
+    let mut fact = ArnoldiFactorization::empty();
+    arnoldi_into(&op, &rand_start(n, 5), &locked, 15, &mut fact);
     assert!(max_gram_deviation(&fact) < 1e-12);
     for q in &locked {
         for v in &fact.basis {
@@ -131,7 +133,8 @@ fn cgs2_matches_mgs_factorization_on_clustered_spectrum() {
     let n = 15;
     let steps = 10;
     let start = rand_start(n, 11);
-    let fact = arnoldi(&op, &start, &[], steps);
+    let mut fact = ArnoldiFactorization::empty();
+    arnoldi_into(&op, &start, &[], steps, &mut fact);
     let (basis_ref, h_ref) = mgs_arnoldi(&op, &start, steps);
     assert_eq!(fact.steps, steps);
     assert_eq!(basis_ref.len(), steps + 1);

@@ -26,9 +26,7 @@
 use crate::characterization::{characterize, PassivityReport};
 use crate::error::SolverError;
 use crate::exec::SweepOrigin;
-use crate::solver::{
-    find_imaginary_eigenvalues_tagged, SolverOptions, SolverOutcome, SolverWorkspace,
-};
+use crate::solver::{sweep, SolverOptions, SolverOutcome, SolverWorkspace};
 use crate::spectrum::ImaginaryEigenpair;
 use pheig_hamiltonian::build::port_coupling_inverses;
 use pheig_linalg::{Lu, Matrix, C64};
@@ -48,8 +46,6 @@ pub struct EnforcementOptions {
     pub max_halvings: usize,
     /// Eigensolver configuration used for re-characterization.
     pub solver: SolverOptions,
-    /// Emit per-iteration diagnostics on stderr.
-    pub trace: bool,
 }
 
 impl EnforcementOptions {
@@ -67,7 +63,6 @@ impl EnforcementOptions {
             regularization: 1e-10,
             max_halvings: 5,
             solver: SolverOptions::default(),
-            trace: false,
         }
     }
 }
@@ -372,12 +367,7 @@ fn enforce_once(
     let (mut outcome, initial_report) = match seed {
         Some((outcome, report)) => (outcome.clone(), report.clone()),
         None => {
-            let outcome = find_imaginary_eigenvalues_tagged(
-                &current,
-                &opts.solver,
-                solver_ws,
-                SweepOrigin::Enforcement,
-            )?;
+            let outcome = sweep(&current, &opts.solver, solver_ws, SweepOrigin::Enforcement)?;
             recycle.absorb(&outcome.stats);
             let report = characterize(&current, &outcome.frequencies)?;
             (outcome, report)
@@ -392,24 +382,6 @@ fn enforce_once(
     let mut boost = 1.0f64;
 
     for iteration in 0..opts.max_iterations {
-        if opts.trace {
-            eprintln!(
-                "enforce[{iteration}]: {} crossings, {} bands, severity {:.4e}, max sigma {:.7}",
-                outcome.frequencies.len(),
-                report.bands.len(),
-                report.total_severity(),
-                report.max_sigma()
-            );
-            for b in &report.bands {
-                eprintln!(
-                    "  band [{:.8}, {:.8}] width {:.3e} peak {:.7}",
-                    b.lo,
-                    b.hi,
-                    b.width(),
-                    b.peak_sigma
-                );
-            }
-        }
         if report.is_passive() {
             let delta = (&current.c().clone() - &c0).frobenius_norm();
             return Ok(EnforcementOutcome {
@@ -552,11 +524,6 @@ fn enforce_once(
             }
             eps *= 100.0;
         };
-        if opts.trace {
-            let dc_norm = delta_c_flat.iter().map(|x| x * x).sum::<f64>().sqrt();
-            let c_norm = current.c().frobenius_norm();
-            eprintln!("  step: {m} rows, |dC| = {dc_norm:.3e} (|C| = {c_norm:.3e})");
-        }
 
         // Line search: accept the largest step that reduces the violation.
         let severity = violation_metrics(&report);
@@ -572,24 +539,9 @@ fn enforce_once(
                     }
                 }
             }
-            let trial_outcome = find_imaginary_eigenvalues_tagged(
-                &trial,
-                &opts.solver,
-                solver_ws,
-                SweepOrigin::Enforcement,
-            )?;
+            let trial_outcome = sweep(&trial, &opts.solver, solver_ws, SweepOrigin::Enforcement)?;
             recycle.absorb(&trial_outcome.stats);
             let trial_report = characterize(&trial, &trial_outcome.frequencies)?;
-            if opts.trace {
-                eprintln!(
-                    "  trial eta={eta:.4}: {} crossings, metrics {:.4e}/{:.4e} (current {:.4e}/{:.4e})",
-                    trial_outcome.frequencies.len(),
-                    violation_metrics(&trial_report).0,
-                    violation_metrics(&trial_report).1,
-                    severity.0,
-                    severity.1
-                );
-            }
             if trial_report.is_passive() || is_progress(violation_metrics(&trial_report), severity)
             {
                 accepted = Some((trial, trial_outcome, trial_report));
@@ -708,6 +660,31 @@ mod tests {
             check.frequencies.is_empty(),
             "residual crossings {:?}",
             check.frequencies
+        );
+    }
+
+    #[test]
+    fn serial_resweeps_are_tagged_and_counted_on_the_executor() {
+        // A `T = 1` sweep is a cohort of one on the zero-worker pool, so
+        // its enforcement re-sweeps must show up in that pool's telemetry
+        // (other tests may add to the same pool concurrently, hence `>=`).
+        let ss = generate_case(
+            &CaseSpec::new(16, 2)
+                .with_seed(5)
+                .with_target_crossings(2)
+                .with_damping(0.02, 0.09),
+        )
+        .unwrap()
+        .realize();
+        let pool = crate::exec::Executor::pool(0);
+        let before = pool.stats().enforcement_sweeps;
+        let out = enforce_passivity(&ss, &EnforcementOptions::default()).unwrap();
+        assert!(out.recycle.sweeps > 0);
+        let counted = pool.stats().enforcement_sweeps - before;
+        assert!(
+            counted >= out.recycle.sweeps as u64,
+            "{counted} enforcement sweeps counted, {} run",
+            out.recycle.sweeps
         );
     }
 

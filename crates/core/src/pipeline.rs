@@ -31,9 +31,9 @@ use crate::enforcement::EnforcementOptions;
 use crate::error::SolverError;
 use crate::exec::{Executor, Task, TaskContext};
 use crate::fault::FaultPlan;
-use crate::scheduler::SchedulerStats;
 use crate::solver::{
-    find_imaginary_eigenvalues_with, RecycleCounters, ShiftRecord, SolverOptions, SolverWorkspace,
+    find_imaginary_eigenvalues_with, RecycleCounters, ShiftRecord, SolverOptions, SolverStats,
+    SolverWorkspace,
 };
 use parking_lot::Mutex;
 use pheig_model::touchstone::{read_touchstone, read_touchstone_path};
@@ -122,22 +122,14 @@ pub struct SweepDiagnostics {
     pub crossings: usize,
     /// The search band covered.
     pub band: (f64, f64),
-    /// Scheduler counters (processed / deleted / trimmed / split).
-    pub scheduler: SchedulerStats,
-    /// Total operator applications across all shifts.
-    pub total_matvecs: usize,
     /// Per-shift telemetry in deterministic (frequency) order.
     pub shift_log: Vec<ShiftRecord>,
-    /// Recycling telemetry of this stage's sweep.
-    pub recycle: RecycleCounters,
-    /// Shifts the sweep's degradation ladder quarantined (0 on a healthy
-    /// run; see [`crate::solver::SolverOutcome::quarantined`]).
-    pub shifts_quarantined: usize,
     /// Fraction of the band covered by certified disks (`1.0` healthy).
     pub covered_fraction: f64,
-    /// Faults the armed fault plan fired during this sweep.
-    pub faults_injected: u64,
-    /// Wall-clock time of the sweep.
+    /// The sweep's own statistics (scheduler counters, matvecs, recycling,
+    /// quarantined shifts, injected faults).
+    pub stats: SolverStats,
+    /// Wall-clock time of the stage (sweep plus characterization).
     pub wall: Duration,
 }
 
@@ -202,9 +194,9 @@ impl fmt::Display for PipelineReport {
             self.sweep.band.0,
             self.sweep.band.1,
             self.sweep.shift_log.len(),
-            self.sweep.total_matvecs,
-            self.sweep.recycle.warm_started_shifts,
-            self.sweep.scheduler.deleted_tentative,
+            self.sweep.stats.total_matvecs,
+            self.sweep.stats.warm_started_shifts,
+            self.sweep.stats.scheduler.deleted_tentative,
             self.sweep.wall.as_secs_f64() * 1e3
         )?;
         writeln!(
@@ -371,17 +363,9 @@ impl Pipeline {
         let sweep_diag = SweepDiagnostics {
             crossings: outcome.frequencies.len(),
             band: outcome.band,
-            scheduler: outcome.stats.scheduler,
-            total_matvecs: outcome.stats.total_matvecs,
             shift_log: outcome.shift_log.clone(),
-            recycle: {
-                let mut r = RecycleCounters::default();
-                r.absorb(&outcome.stats);
-                r
-            },
-            shifts_quarantined: outcome.stats.shifts_quarantined,
             covered_fraction: outcome.covered_fraction,
-            faults_injected: outcome.stats.faults_injected,
+            stats: outcome.stats.clone(),
             wall: t_sweep.elapsed(),
         };
 

@@ -16,9 +16,8 @@
 //! DESIGN.md ("Scheduler refinement") for why this departs from a literal
 //! reading of Eq. (24).
 //!
-//! This type is pure state (no threads, no numerics): the serial driver,
-//! the thread-parallel driver, and the virtual-time simulator all share it,
-//! which is what makes the simulated Table I / Fig. 6 reproductions
+//! This type is pure state (no threads, no numerics): the sweep driver (at
+//! any thread count) and the virtual-time simulator share it, which is what makes the simulated Table I / Fig. 6 reproductions
 //! faithful to the real implementation.
 
 use std::collections::HashMap;

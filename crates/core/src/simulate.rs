@@ -24,7 +24,7 @@
 use crate::band::estimate_band;
 use crate::error::SolverError;
 use crate::scheduler::{Scheduler, SchedulerStats, ShiftTask};
-use crate::solver::{cost_units, run_shift, SolverOptions};
+use crate::solver::{cost_units, crossings, pole_scale, run_shift, SolverOptions};
 use crate::spectrum;
 use pheig_arnoldi::single_shift::SingleShiftOutcome;
 use pheig_arnoldi::SweepControl;
@@ -115,7 +115,7 @@ pub fn simulate_parallel(
         Some(b) => b,
         None => estimate_band(ss, &opts.arnoldi)?,
     };
-    let scale = crate::solver::pole_scale(ss);
+    let scale = pole_scale(ss);
     let mut scheduler = match mode {
         ScheduleMode::Dynamic => {
             Scheduler::new(band, (opts.kappa.max(2) * threads).max(4), opts.alpha)
@@ -176,9 +176,7 @@ pub fn simulate_parallel(
     }
     debug_assert!(scheduler.is_done());
 
-    let axis_tol = crate::solver::axis_tolerance(opts, scale);
-    let eigs = spectrum::extract_imaginary(&all_pairs, axis_tol);
-    let eigenpairs = spectrum::dedupe(eigs, axis_tol.max(1e-12 * scale));
+    let eigenpairs = crossings(&all_pairs, opts, scale);
     Ok(SimulatedRun {
         threads,
         makespan: clock,

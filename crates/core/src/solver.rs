@@ -1,13 +1,13 @@
-//! Serial and thread-parallel multi-shift drivers.
+//! The multi-shift sweep driver.
 //!
-//! Both drivers run the same [`Scheduler`] state machine and the same
-//! single-shift Arnoldi iterations; the parallel driver maps idle worker
-//! threads onto [`Scheduler::next_shift`] exactly as Sec. IV.C prescribes.
-//! The workers are not spawned here: the parallel driver submits a
-//! [`Task::ShiftSweep`](crate::exec::Task) cohort to the persistent
-//! [`Executor`] and joins it as one member, so
-//! repeated sweeps (the enforcement loop, batches of models) reuse one
-//! long-lived pool instead of respawning scoped threads per sweep.
+//! One loop serves every thread count: idle cohort members pull
+//! [`Scheduler::next_shift`] exactly as Sec. IV.C prescribes, and the
+//! paper's serial algorithm is that loop at `T = 1`. The workers are not
+//! spawned here: a sweep submits a [`Task::ShiftSweep`](crate::exec::Task)
+//! cohort of `T - 1` extra members to the persistent [`Executor`] and
+//! joins it as the first member, so repeated sweeps (the enforcement loop,
+//! batches of models) reuse one long-lived pool instead of respawning
+//! scoped threads per sweep.
 
 use crate::band::estimate_band;
 use crate::error::SolverError;
@@ -16,16 +16,14 @@ use crate::fault::{self, ActiveFaults, FaultPlan};
 use crate::scheduler::{Scheduler, SchedulerStats, ShiftTask};
 use crate::spectrum::{self, ImaginaryEigenpair};
 use parking_lot::{Condvar, Mutex};
-use pheig_arnoldi::single_shift::SingleShiftOutcome;
 use pheig_arnoldi::{
     block_shift_sweep, build_shift_invert_op, single_shift_iteration_recycled_with, ArnoldiError,
-    ArnoldiWorkspace, BlockLaneSpec, CancelToken, RecyclePool, RecycledPair, SingleShiftOptions,
-    SweepControl,
+    ArnoldiWorkspace, BlockLaneSpec, CancelToken, ConvergedEigenpair, RecyclePool, RecycledPair,
+    SingleShiftOptions, SingleShiftOutcome, SweepControl,
 };
 use pheig_hamiltonian::MultiShiftInvertOp;
 use pheig_linalg::C64;
 use pheig_model::StateSpace;
-use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -325,6 +323,29 @@ pub(crate) fn cost_units(out: &SingleShiftOutcome) -> u64 {
     (out.matvecs + 3 * out.restarts) as u64 + (out.refine_dim as u64).div_ceil(2)
 }
 
+/// Start-vector seed of attempt `attempt` at `task`. A cold block lane
+/// uses attempt 0, which is what makes it bitwise identical to the solo
+/// iteration's first attempt.
+fn shift_seed(opts: &SolverOptions, task: &ShiftTask, attempt: usize) -> u64 {
+    opts.seed
+        .wrapping_add((task.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add(attempt as u64)
+}
+
+/// Tolerances must track the *local* magnitude: the global spectral
+/// radius of M can exceed the pole band by orders of magnitude (large
+/// real eigenvalues from strong residues), and tying eigenvalue
+/// resolution to it would swallow genuine crossing separations.
+fn shift_scale(task: &ShiftTask, scale_floor: f64) -> f64 {
+    task.omega.abs().max(scale_floor)
+}
+
+/// A certified radius at or below this is "below resolution" at `scale`:
+/// the shift made no progress and must be retried.
+fn min_radius(scale: f64) -> f64 {
+    1e-12 * scale.max(1.0)
+}
+
 /// Runs one shift task with reseeded retries.
 ///
 /// Retries also *nudge* the shift frequency by a small fraction of the
@@ -342,27 +363,21 @@ pub(crate) fn run_shift(
     warm: &[RecycledPair],
     control: &SweepControl,
 ) -> Result<SingleShiftOutcome, SolverError> {
-    // Tolerances must track the *local* magnitude: the global spectral
-    // radius of M can exceed the pole band by orders of magnitude (large
-    // real eigenvalues from strong residues), and tying eigenvalue
-    // resolution to it would swallow genuine crossing separations.
-    let scale = task.omega.abs().max(scale_floor);
-    let min_radius = 1e-12 * scale.max(1.0);
+    let scale = shift_scale(task, scale_floor);
     let mut last = String::from("no attempts made");
     for attempt in 0..opts.max_shift_retries.max(1) {
         if control.should_stop() {
             last = String::from("sweep stopped (cancelled or budget exhausted)");
             break;
         }
-        let seed = opts
-            .seed
-            .wrapping_add((task.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-            .wrapping_add(attempt as u64);
         // Later attempts enlarge the Krylov subspace and restart budget:
         // dense pole clusters (hundreds of log-spaced poles per column)
         // produce nearly-degenerate eigenvalue shells that a 60-vector
         // space cannot always split.
-        let mut aopts = opts.arnoldi.clone().with_seed(seed);
+        let mut aopts = opts
+            .arnoldi
+            .clone()
+            .with_seed(shift_seed(opts, task, attempt));
         aopts.control = control.clone();
         aopts.max_subspace += 30 * attempt;
         aopts.max_restarts += 8 * attempt;
@@ -384,7 +399,7 @@ pub(crate) fn run_shift(
             ws,
             attempt_warm,
         ) {
-            Ok(out) if out.radius > min_radius => return Ok(out),
+            Ok(out) if out.radius > min_radius(scale) => return Ok(out),
             Ok(out) => last = format!("radius {} below resolution", out.radius),
             Err(e) => last = e.to_string(),
         }
@@ -410,52 +425,54 @@ fn gather_warm(pool: &RecyclePool, task: &ShiftTask, opts: &SolverOptions) -> Ve
     pool.gather(C64::from_imag(task.omega), reach, cap)
 }
 
-/// Classification tolerance for "purely imaginary": a safety factor above
-/// the Arnoldi eigenvalue tolerance, scaled by the pole band (crossings
-/// cannot occur beyond the model's resonances).
-pub(crate) fn axis_tolerance(opts: &SolverOptions, pole_scale: f64) -> f64 {
-    1e3 * opts.arnoldi.tol * pole_scale.max(f64::MIN_POSITIVE)
-}
-
 /// The frequency scale on which crossings live: the fastest pole resonance.
 pub(crate) fn pole_scale(ss: &StateSpace) -> f64 {
     ss.a().max_natural_frequency().max(f64::MIN_POSITIVE)
 }
 
-/// Assembles the outcome from completed shifts.
+/// Converged in-disk eigenpairs of every completed shift -> the deduped
+/// crossings. "Purely imaginary" is classified with a safety factor above
+/// the Arnoldi eigenvalue tolerance, scaled by the pole band `scale`
+/// ([`pole_scale`]; crossings cannot occur beyond the model's resonances).
+pub(crate) fn crossings(
+    pairs: &[ConvergedEigenpair],
+    opts: &SolverOptions,
+    scale: f64,
+) -> Vec<ImaginaryEigenpair> {
+    let axis_tol = 1e3 * opts.arnoldi.tol * scale.max(f64::MIN_POSITIVE);
+    let eigs = spectrum::extract_imaginary(pairs, axis_tol);
+    spectrum::dedupe(eigs, axis_tol.max(1e-12 * scale))
+}
+
+/// Assembles the outcome from a finished sweep's shared state.
 fn assemble(
     band: (f64, f64),
-    axis_scale: f64,
-    sweep: SweepOutput,
+    scale: f64,
+    state: SharedState,
     opts: &SolverOptions,
     faults_injected: u64,
     wall: Duration,
 ) -> SolverOutcome {
-    let SweepOutput {
-        mut completions,
-        stats: sched_stats,
-        gaps,
-        quarantined,
-    } = sweep;
+    let sched_stats = state.scheduler.stats();
+    let gaps = state.scheduler.coverage_gaps();
+    let mut completions = state.completions;
     // Under `threads > 1` completions land in mutex-acquisition order,
     // which varies run to run; sort by shift frequency (radius as the
     // tie-break) so `shift_log` and everything derived from it is
     // deterministic for a given completion set.
     completions.sort_by(|a, b| {
-        a.1.theta
+        a.0.theta
             .im
-            .total_cmp(&b.1.theta.im)
-            .then(a.1.radius.total_cmp(&b.1.radius))
+            .total_cmp(&b.0.theta.im)
+            .then(a.0.radius.total_cmp(&b.0.radius))
     });
-    let scale = axis_scale;
-    let axis_tol = axis_tolerance(opts, scale);
     let mut all_pairs = Vec::new();
     let mut shift_log = Vec::with_capacity(completions.len());
     let mut total_matvecs = 0usize;
     let mut warm_started_shifts = 0usize;
     let mut recycle_candidates = 0usize;
     let mut recycle_hits = 0usize;
-    for (_task, out, shift_wall) in completions {
+    for (out, shift_wall) in completions {
         total_matvecs += out.matvecs;
         warm_started_shifts += usize::from(out.warm_candidates > 0);
         recycle_candidates += out.warm_candidates;
@@ -472,8 +489,7 @@ fn assemble(
         });
         all_pairs.extend(out.in_disk);
     }
-    let eigs = spectrum::extract_imaginary(&all_pairs, axis_tol);
-    let mut eigenpairs = spectrum::dedupe(eigs, axis_tol.max(1e-12 * scale));
+    let mut eigenpairs = crossings(&all_pairs, opts, scale);
     // Certified disks may extend well past the requested band —
     // warm-started certificates especially, since donated far pairs
     // widen them — and everything inside a disk is a true eigenvalue.
@@ -493,7 +509,7 @@ fn assemble(
         eigenpairs,
         band,
         shift_log,
-        quarantined,
+        quarantined: state.quarantined,
         coverage_gaps: gaps,
         covered_fraction,
         stats: SolverStats {
@@ -512,7 +528,8 @@ fn assemble(
 /// Locates all purely imaginary Hamiltonian eigenvalues of a macromodel.
 ///
 /// With `opts.threads == 1` this is the paper's serial bisection sweep;
-/// with `T > 1` it runs the dynamic parallel scheduler on `T` OS threads.
+/// with `T > 1` the same loop runs the dynamic parallel scheduler on `T`
+/// OS threads.
 ///
 /// # Errors
 ///
@@ -563,14 +580,17 @@ pub fn find_imaginary_eigenvalues_with(
     opts: &SolverOptions,
     ws: &mut SolverWorkspace,
 ) -> Result<SolverOutcome, SolverError> {
-    find_imaginary_eigenvalues_tagged(ss, opts, ws, SweepOrigin::Characterization)
+    sweep(ss, opts, ws, SweepOrigin::Characterization)
 }
 
-/// [`find_imaginary_eigenvalues_with`] with an explicit executor-telemetry
-/// tag: the enforcement loop marks its re-characterization sweeps as
-/// [`SweepOrigin::Enforcement`] so pool statistics show which layer the
-/// sweep work serves.
-pub(crate) fn find_imaginary_eigenvalues_tagged(
+/// The one sweep driver: a cohort of `opts.threads` memberships of
+/// [`SweepShare::run`] on the persistent executor — this thread plus
+/// `threads - 1` pool members (none at `T = 1`, where the cohort is the
+/// inline, uncontended membership). Inside a pool already (a batch job
+/// fanning out its sweep) the cohort lands on that same pool instead of a
+/// nested one. `origin` tags the executor telemetry: the enforcement loop
+/// marks its re-characterization sweeps [`SweepOrigin::Enforcement`].
+pub(crate) fn sweep(
     ss: &StateSpace,
     opts: &SolverOptions,
     ws: &mut SolverWorkspace,
@@ -617,18 +637,42 @@ pub(crate) fn find_imaginary_eigenvalues_tagged(
         None => estimate_band(ss, &opts.arnoldi)?,
     };
     let n_intervals = (opts.kappa.max(2) * opts.threads.max(1)).max(4);
-    let scheduler = Scheduler::new(band, n_intervals, opts.alpha);
     let scale = pole_scale(ss);
-
-    let sweep = if opts.threads <= 1 {
-        run_serial(ss, scheduler, scale, opts, ws, &control, &faults)?
-    } else {
-        run_parallel(ss, scheduler, scale, opts, ws, origin, &control, &faults)?
+    let shared = Mutex::new(SharedState {
+        scheduler: Scheduler::new(band, n_intervals, opts.alpha),
+        pool: RecyclePool::new(),
+        completions: Vec::new(),
+        quarantined: Vec::new(),
+    });
+    let share = SweepShare {
+        ss,
+        scale,
+        opts,
+        shared: &shared,
+        cv: &Condvar::new(),
+        origin,
+        control: &control,
+        faults: &faults,
     };
+    let extra = opts.threads.saturating_sub(1);
+    let run = Executor::current_or_pool(extra).run_cohort_caught(
+        Task::ShiftSweep(&share),
+        extra,
+        &mut TaskContext::new(ws),
+    );
+    let state = shared.into_inner();
+    // A panic payload only becomes an error when the sweep did not
+    // finish: an injected worker panic whose siblings still completed the
+    // band is a *contained* fault, not a failure.
+    if let Err(payload) = run {
+        if !state.scheduler.is_done() {
+            return Err(SolverError::from_panic(payload.as_ref()));
+        }
+    }
     Ok(assemble(
         band,
         scale,
-        sweep,
+        state,
         opts,
         faults.faults_injected(),
         t0.elapsed(),
@@ -650,99 +694,31 @@ fn validate_options(opts: &SolverOptions) -> Result<(), SolverError> {
     Ok(())
 }
 
-type Completions = Vec<(ShiftTask, SingleShiftOutcome, Duration)>;
-
-/// What a sweep driver hands back: completions plus the partial-coverage
-/// record (quarantined shifts and the gaps they left).
-struct SweepOutput {
-    completions: Completions,
-    stats: SchedulerStats,
-    gaps: Vec<(f64, f64)>,
-    quarantined: Vec<QuarantinedShift>,
-}
-
-/// Converts a finished [`SharedState`] (plus any contained panic payload)
-/// into a driver result. A panic payload only becomes an error when the
-/// sweep did not finish: an injected worker panic whose siblings still
-/// completed the band is a *contained* fault, not a failure.
-fn finish_state(
-    state: SharedState,
-    payload: Option<Box<dyn Any + Send>>,
-) -> Result<SweepOutput, SolverError> {
-    if let Some(e) = state.error {
-        return Err(e);
-    }
-    if let Some(p) = payload {
-        if !state.scheduler.is_done() {
-            return Err(SolverError::from_panic(p.as_ref()));
-        }
-    }
-    let stats = state.scheduler.stats();
-    let gaps = state.scheduler.coverage_gaps();
-    Ok(SweepOutput {
-        completions: state.completions,
-        stats,
-        gaps,
-        quarantined: state.quarantined,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_serial(
-    ss: &StateSpace,
-    scheduler: Scheduler,
-    scale: f64,
-    opts: &SolverOptions,
-    ws: &mut SolverWorkspace,
-    control: &SweepControl,
-    faults: &ActiveFaults,
-) -> Result<SweepOutput, SolverError> {
-    // The serial driver is one inline membership of the same sweep loop
-    // the parallel cohort runs: identical batching, recycling, and
-    // cancellation logic, with the mutex never contended.
-    let shared = Mutex::new(SharedState::new(scheduler));
-    let cv = Condvar::new();
-    let share = SweepShare {
-        ss,
-        scale,
-        opts,
-        shared: &shared,
-        cv: &cv,
-        origin: SweepOrigin::Characterization,
-        control,
-        faults,
-    };
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        share.run(&mut TaskContext::new(ws));
-    }));
-    let state = shared.into_inner();
-    finish_state(state, run.err())
-}
-
+/// Everything a sweep's members share behind one lock.
 struct SharedState {
     scheduler: Scheduler,
     pool: RecyclePool,
-    completions: Completions,
+    /// Certified shifts with their wall time, in completion order.
+    completions: Vec<(SingleShiftOutcome, Duration)>,
     quarantined: Vec<QuarantinedShift>,
-    error: Option<SolverError>,
 }
 
 impl SharedState {
-    fn new(scheduler: Scheduler) -> Self {
-        SharedState {
-            scheduler,
-            pool: RecyclePool::new(),
-            completions: Vec::new(),
-            quarantined: Vec::new(),
-            error: None,
-        }
+    /// Gives up on `task`: its interval becomes a reported coverage gap.
+    fn quarantine(&mut self, task: &ShiftTask, reason: SolverError) {
+        self.scheduler.quarantine(task);
+        self.quarantined.push(QuarantinedShift {
+            omega: task.omega,
+            interval: task.interval,
+            reason,
+        });
     }
 }
 
 /// Shared state of one multi-shift sweep cohort: the scheduler (and its
 /// completion log) behind one lock, plus everything a member needs to run
 /// shifts. Public only as a [`Task::ShiftSweep`] payload; constructed and
-/// owned by the parallel driver, which joins the cohort itself.
+/// owned by the sweep driver, which joins the cohort itself.
 pub struct SweepShare<'a> {
     ss: &'a StateSpace,
     scale: f64,
@@ -760,10 +736,9 @@ impl SweepShare<'_> {
     }
 
     /// One cohort membership: pull batches of shifts until the scheduler
-    /// is done or an error is recorded. This is Sec. IV.C's idle-worker
-    /// loop; a member finding the queue momentarily empty *waits*
-    /// (another member's completion may split intervals and refill it)
-    /// and wakes on every completion.
+    /// is done. This is Sec. IV.C's idle-worker loop; a member finding the
+    /// queue momentarily empty *waits* (another member's completion may
+    /// split intervals and refill it) and wakes on every completion.
     ///
     /// Each pull takes up to `block_size` pending shifts in one lock
     /// acquisition, together with their recycled warm-start candidates,
@@ -781,7 +756,7 @@ impl SweepShare<'_> {
             let (batch, warms) = {
                 let mut guard = self.shared.lock();
                 loop {
-                    if guard.error.is_some() || guard.scheduler.is_done() {
+                    if guard.scheduler.is_done() {
                         self.cv.notify_all();
                         return;
                     }
@@ -847,13 +822,23 @@ impl SweepShare<'_> {
                     "sweep budget exhausted before this shift ran".to_string()
                 },
             };
-            state.scheduler.quarantine(&t);
-            state.quarantined.push(QuarantinedShift {
-                omega: t.omega,
-                interval: t.interval,
-                reason,
-            });
+            state.quarantine(&t, reason);
         }
+    }
+
+    /// [`run_shift`] with a panicking iteration contained per shift, so it
+    /// feeds the same degradation ladder as an ordinary failure.
+    fn attempt(
+        &self,
+        task: &ShiftTask,
+        opts: &SolverOptions,
+        ws: &mut ArnoldiWorkspace,
+        warm: &[RecycledPair],
+    ) -> Result<SingleShiftOutcome, SolverError> {
+        catch_unwind(AssertUnwindSafe(|| {
+            run_shift(self.ss, task, self.scale, opts, ws, warm, self.control)
+        }))
+        .unwrap_or_else(|p| Err(SolverError::from_panic(p.as_ref())))
     }
 
     /// Runs one shift solo (with retries) and records the result.
@@ -862,16 +847,9 @@ impl SweepShare<'_> {
     /// completion time the work is already spent, and a certified disk is
     /// always sound to hand the scheduler — cancellation only pays when
     /// it aborts a shift early (the block driver's round-boundary polls).
-    ///
-    /// A panicking iteration is contained here, per shift, and fed into
-    /// the same degradation ladder as an ordinary failure.
     fn run_solo(&self, task: &ShiftTask, warm: &[RecycledPair], ws: &mut ArnoldiWorkspace) {
         let started = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_shift(self.ss, task, self.scale, self.opts, ws, warm, self.control)
-        }))
-        .unwrap_or_else(|p| Err(SolverError::from_panic(p.as_ref())));
-        match result {
+        match self.attempt(task, self.opts, ws, warm) {
             Ok(out) => self.record(task, out, started),
             Err(first) => self.degrade(task, ws, started, first),
         }
@@ -884,9 +862,7 @@ impl SweepShare<'_> {
         if self.opts.recycling {
             guard.pool.record(out.theta.im, &out);
         }
-        guard
-            .completions
-            .push((task.clone(), out, started.elapsed()));
+        guard.completions.push((out, started.elapsed()));
         drop(guard);
         self.cv.notify_all();
     }
@@ -910,23 +886,12 @@ impl SweepShare<'_> {
             cold.max_shift_retries = 1;
             cold.recycling = false;
             cold.seed ^= 0xC01D_C01D;
-            let retried = catch_unwind(AssertUnwindSafe(|| {
-                run_shift(self.ss, task, self.scale, &cold, ws, &[], self.control)
-            }))
-            .unwrap_or_else(|p| Err(SolverError::from_panic(p.as_ref())));
-            if let Ok(out) = retried {
+            if let Ok(out) = self.attempt(task, &cold, ws, &[]) {
                 self.record(task, out, started);
                 return;
             }
         }
-        let mut guard = self.shared.lock();
-        guard.scheduler.quarantine(task);
-        guard.quarantined.push(QuarantinedShift {
-            omega: task.omega,
-            interval: task.interval,
-            reason: first,
-        });
-        drop(guard);
+        self.shared.lock().quarantine(task, first);
         self.cv.notify_all();
     }
 
@@ -963,9 +928,6 @@ impl SweepShare<'_> {
             let task = &batch[l];
             let warm = {
                 let mut guard = self.shared.lock();
-                if guard.error.is_some() {
-                    return;
-                }
                 // A sibling's completion may have covered this lane while
                 // the block ran; drop the redundant retry.
                 if guard.scheduler.should_cancel(task.id) {
@@ -992,59 +954,39 @@ impl SweepShare<'_> {
         let started = Instant::now();
         let mut lane_ops = Vec::with_capacity(batch.len());
         for task in batch {
-            let lane_scale = task.omega.abs().max(self.scale);
-            lane_ops.push(build_shift_invert_op(self.ss, task.omega, lane_scale).ok()?);
+            let scale = shift_scale(task, self.scale);
+            lane_ops.push(build_shift_invert_op(self.ss, task.omega, scale).ok()?);
         }
         let block = MultiShiftInvertOp::from_ops(lane_ops);
         let specs: Vec<BlockLaneSpec> = batch
             .iter()
             .zip(warms)
-            .map(|(task, warm)| {
-                // First-attempt seed of `run_shift`'s retry loop: a cold
-                // block lane is bitwise identical to solo attempt 0.
-                let seed = self
+            .map(|(task, warm)| BlockLaneSpec {
+                rho0: task.rho0,
+                scale: shift_scale(task, self.scale),
+                opts: self
                     .opts
-                    .seed
-                    .wrapping_add((task.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                BlockLaneSpec {
-                    rho0: task.rho0,
-                    scale: task.omega.abs().max(self.scale),
-                    opts: self
-                        .opts
-                        .arnoldi
-                        .clone()
-                        .with_seed(seed)
-                        .with_control(self.control.clone()),
-                    warm,
-                }
+                    .arnoldi
+                    .clone()
+                    .with_seed(shift_seed(self.opts, task, 0))
+                    .with_control(self.control.clone()),
+                warm,
             })
             .collect();
         let mut failed: Vec<usize> = Vec::new();
         let mut should_cancel = |l: usize| self.shared.lock().scheduler.should_cancel(batch[l].id);
         let mut on_complete = |l: usize, res: Result<SingleShiftOutcome, ArnoldiError>| {
             let task = &batch[l];
-            let mut guard = self.shared.lock();
             match res {
-                Ok(out) => {
-                    let lane_scale = task.omega.abs().max(self.scale);
-                    let min_radius = 1e-12 * lane_scale.max(1.0);
-                    if out.radius > min_radius {
-                        guard.scheduler.complete(task, out.theta.im, out.radius);
-                        if self.opts.recycling {
-                            guard.pool.record(out.theta.im, &out);
-                        }
-                        guard
-                            .completions
-                            .push((task.clone(), out, started.elapsed()));
-                    } else {
-                        failed.push(l);
-                    }
+                Ok(out) if out.radius > min_radius(shift_scale(task, self.scale)) => {
+                    self.record(task, out, started)
                 }
-                Err(ArnoldiError::Cancelled) => guard.scheduler.cancel(task),
-                Err(_) => failed.push(l),
+                Err(ArnoldiError::Cancelled) => {
+                    self.shared.lock().scheduler.cancel(task);
+                    self.cv.notify_all();
+                }
+                _ => failed.push(l),
             }
-            drop(guard);
-            self.cv.notify_all();
         };
         block_shift_sweep(
             &block,
@@ -1055,39 +997,6 @@ impl SweepShare<'_> {
         );
         Some(failed)
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn run_parallel(
-    ss: &StateSpace,
-    scheduler: Scheduler,
-    scale: f64,
-    opts: &SolverOptions,
-    ws: &mut SolverWorkspace,
-    origin: SweepOrigin,
-    control: &SweepControl,
-    faults: &ActiveFaults,
-) -> Result<SweepOutput, SolverError> {
-    let shared = Mutex::new(SharedState::new(scheduler));
-    let cv = Condvar::new();
-    let share = SweepShare {
-        ss,
-        scale,
-        opts,
-        shared: &shared,
-        cv: &cv,
-        origin,
-        control,
-        faults,
-    };
-    // T-way sweep = T-1 pool members + this thread. When already inside a
-    // pool (a batch job fanning out its sweep), the cohort lands on that
-    // same pool instead of spawning a nested one.
-    let members = opts.threads.saturating_sub(1);
-    let exec = Executor::current_or_pool(members);
-    let run = exec.run_cohort_caught(Task::ShiftSweep(&share), members, &mut TaskContext::new(ws));
-    let state = shared.into_inner();
-    finish_state(state, run.err())
 }
 
 #[cfg(test)]
@@ -1416,37 +1325,6 @@ mod tests {
             fresh.shift_log.len(),
             "workspace reuse changed the shift schedule"
         );
-    }
-
-    #[test]
-    #[ignore = "diagnostic probe"]
-    fn recycling_probe() {
-        let ss = generate_case(&CaseSpec::new(96, 3).with_seed(7).with_target_crossings(4))
-            .unwrap()
-            .realize();
-        for (recycling, block) in [(false, 1), (true, 1), (true, 4)] {
-            let opts = SolverOptions::default()
-                .with_recycling(recycling)
-                .with_block_size(block);
-            let out = find_imaginary_eigenvalues(&ss, &opts).unwrap();
-            println!(
-                "recycling={recycling} block={block}: matvecs={} shifts={} crossings={} \
-                 warm_started={} candidates={} hits={} cancelled={}",
-                out.stats.total_matvecs,
-                out.shift_log.len(),
-                out.frequencies.len(),
-                out.stats.warm_started_shifts,
-                out.stats.recycle_candidates,
-                out.stats.recycle_hits,
-                out.stats.scheduler.cancelled_in_flight,
-            );
-            for r in &out.shift_log {
-                println!(
-                    "  omega={:.4} radius={:.4} matvecs={} restarts={} warm={}/{}",
-                    r.omega, r.radius, r.matvecs, r.restarts, r.warm_pre_locked, r.warm_candidates
-                );
-            }
-        }
     }
 
     #[test]
