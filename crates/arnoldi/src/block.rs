@@ -1,24 +1,22 @@
-//! Batched multi-shift block solves.
+//! Lockstep multi-shift block solves.
 //!
 //! Runs the single-shift iteration for `k` nearby shifts *in lockstep*:
-//! each lane advances its own restarted, deflated Arnoldi process
-//! (byte-for-byte the serial algorithm, via
-//! [`crate::single_shift::ShiftCore`]'s incremental stages), but the
-//! operator applications of all lanes that are mid-build are gathered into
-//! one batched [`BlockShiftOp::apply_block`] call per Krylov step. With
-//! the Sherman–Morrison–Woodbury operator this sweeps the state-space
-//! kernels (`C`/`B^T`/`B`/`C^T` and their gemv cores) once per superstep
-//! across all right-hand sides instead of once per shift — the
-//! memory-bound plane reads amortize over the block.
+//! each lane is an independent single-shift state machine (the same
+//! `start`/`step` entry the solo drivers loop over), and the block driver
+//! steps the live lanes round-robin, one Krylov-step operator application
+//! per lane per superstep. A block is therefore a *schedule* — which
+//! shifts are pulled together and in what order their lanes complete —
+//! not a kernel: lanes share no arithmetic, no scratch and no operator
+//! state.
 //!
-//! Lanes are independent: per-lane RNG, per-lane workspace, per-lane
-//! outcome. A lane finishing early (convergence, failure, cancellation)
-//! simply drops out of subsequent supersteps; its result is reported
-//! through `on_complete` immediately, so a scheduler can react (e.g.
-//! cancel a sibling whose interval became covered) while the rest of the
-//! block keeps running. Results are bitwise identical to running each
-//! lane alone, regardless of block composition or thread count — pinned
-//! by `block_sweep_matches_solo_iterations`.
+//! Per-lane RNG, per-lane workspace, per-lane outcome. A lane finishing
+//! early (convergence, failure, cancellation) simply drops out of
+//! subsequent supersteps; its result is reported through `on_complete`
+//! immediately, so a scheduler can react (e.g. cancel a sibling whose
+//! interval became covered) while the rest of the block keeps running.
+//! Results are bitwise identical to running each lane alone, regardless
+//! of block composition or thread count — pinned by
+//! `block_sweep_matches_solo_iterations`.
 
 use crate::error::ArnoldiError;
 use crate::options::SingleShiftOptions;
@@ -26,45 +24,6 @@ use crate::recycle::RecycledPair;
 use crate::single_shift::{ArnoldiWorkspace, ShiftCore, SingleShiftOutcome};
 use pheig_hamiltonian::MultiShiftInvertOp;
 use pheig_linalg::C64;
-
-/// A batch of shift-inverted operators sharing one model: the operator
-/// boundary the block driver runs against.
-pub trait BlockShiftOp {
-    /// Common operator dimension (`2n`).
-    fn dim(&self) -> usize;
-    /// Number of lanes (shifts) in the batch.
-    fn lanes(&self) -> usize;
-    /// The (possibly nudged) shift of a lane.
-    fn theta(&self, lane: usize) -> C64;
-    /// Maps a lane's operator eigenvalue back to a Hamiltonian eigenvalue.
-    fn lane_map(&self, lane: usize, mu: C64) -> C64;
-    /// Single-lane application `y = Op_lane x`.
-    fn apply_lane(&self, lane: usize, x: &[C64], y: &mut [C64]);
-    /// Batched application `ys[i] = Op_{lanes[i]} xs[i]`, bitwise identical
-    /// per lane to [`Self::apply_lane`].
-    fn apply_block(&self, lanes: &[usize], xs: &[&[C64]], ys: &mut [&mut [C64]]);
-}
-
-impl BlockShiftOp for MultiShiftInvertOp<'_> {
-    fn dim(&self) -> usize {
-        MultiShiftInvertOp::dim(self)
-    }
-    fn lanes(&self) -> usize {
-        MultiShiftInvertOp::lanes(self)
-    }
-    fn theta(&self, lane: usize) -> C64 {
-        MultiShiftInvertOp::theta(self, lane)
-    }
-    fn lane_map(&self, lane: usize, mu: C64) -> C64 {
-        self.to_hamiltonian_eigenvalue(lane, mu)
-    }
-    fn apply_lane(&self, lane: usize, x: &[C64], y: &mut [C64]) {
-        self.apply_lane_into(lane, x, y)
-    }
-    fn apply_block(&self, lanes: &[usize], xs: &[&[C64]], ys: &mut [&mut [C64]]) {
-        self.apply_block_into(lanes, xs, ys)
-    }
-}
 
 /// Per-lane configuration of a block sweep.
 #[derive(Debug, Clone)]
@@ -79,50 +38,8 @@ pub struct BlockLaneSpec {
     pub warm: Vec<RecycledPair>,
 }
 
-/// Advances one lane through warm-up/bookkeeping stages until it either
-/// has an Arnoldi build open (`Ok(true)`), has nothing left to build
-/// (`Ok(false)` — run the finish stage), or fails.
-fn advance_lane(
-    lane: usize,
-    core: &mut ShiftCore<'_>,
-    op: &dyn BlockShiftOp,
-    should_cancel: &mut dyn FnMut(usize) -> bool,
-) -> Result<bool, ArnoldiError> {
-    loop {
-        if should_cancel(lane) {
-            return Err(ArnoldiError::Cancelled);
-        }
-        if !core.building() {
-            return Ok(false);
-        }
-        if core.begin_round() {
-            return Ok(true);
-        }
-        // Degenerate round (start inside the locked span): close it and
-        // let `building()`/the verdict decide what happens next.
-        let map = |mu: C64| op.lane_map(lane, mu);
-        if !core.finish_round(&map)? {
-            return Ok(false);
-        }
-    }
-}
-
-/// Runs the Rayleigh–Ritz refinement + radius certificate for a lane and
-/// reports the outcome.
-fn finish_lane(
-    lane: usize,
-    core: &mut ShiftCore<'_>,
-    op: &dyn BlockShiftOp,
-    on_complete: &mut dyn FnMut(usize, Result<SingleShiftOutcome, ArnoldiError>),
-) {
-    let mut apply = |x: &[C64], y: &mut [C64]| op.apply_lane(lane, x, y);
-    let map = |mu: C64| op.lane_map(lane, mu);
-    let res = core.finish(&mut apply, &map);
-    on_complete(lane, res);
-}
-
-/// Runs the single-shift iteration for every lane of `op`, batching the
-/// Krylov-step operator applications of concurrently-building lanes.
+/// Runs the single-shift iteration for every lane of `op`, stepping the
+/// live lanes round-robin in lane order.
 ///
 /// `specs[l]` configures lane `l`; `workspaces[l]` provides its scratch.
 /// `should_cancel(l)` is polled at lane round boundaries — returning
@@ -135,7 +52,7 @@ fn finish_lane(
 /// Panics if `specs.len() != op.lanes()` or fewer workspaces than lanes
 /// are supplied.
 pub fn block_shift_sweep(
-    op: &dyn BlockShiftOp,
+    op: &MultiShiftInvertOp<'_>,
     specs: &[BlockLaneSpec],
     workspaces: &mut [ArnoldiWorkspace],
     should_cancel: &mut dyn FnMut(usize) -> bool,
@@ -147,107 +64,95 @@ pub fn block_shift_sweep(
     let n = op.dim();
     let mut cores: Vec<ShiftCore<'_>> = workspaces
         .iter_mut()
-        .take(k)
+        .zip(specs)
         .enumerate()
-        .map(|(l, ws)| {
-            ShiftCore::new(
-                n,
-                op.theta(l),
-                specs[l].rho0,
-                specs[l].scale,
-                &specs[l].opts,
-                ws,
-            )
+        .map(|(l, (ws, spec))| {
+            ShiftCore::new(n, op.theta(l), spec.rho0, spec.scale, &spec.opts, ws)
         })
         .collect();
-    let mut building: Vec<bool> = vec![false; k];
-    // Warm validation + first build per lane (solo applies: these stages
-    // are a handful of matvecs each; only the Krylov builds batch).
-    for l in 0..k {
-        let core = &mut cores[l];
-        if !specs[l].warm.is_empty() {
-            let mut apply = |x: &[C64], y: &mut [C64]| op.apply_lane(l, x, y);
-            let map = |mu: C64| op.lane_map(l, mu);
-            core.warm_init(&specs[l].warm, &mut apply, &map);
-        }
-        match advance_lane(l, core, op, should_cancel) {
-            Ok(true) => building[l] = true,
-            Ok(false) => finish_lane(l, core, op, on_complete),
-            Err(e) => on_complete(l, Err(e)),
-        }
-    }
-    // Lockstep supersteps: one batched apply per Krylov step across every
-    // lane that is mid-build.
-    let mut ids: Vec<usize> = Vec::with_capacity(k);
-    loop {
-        ids.clear();
-        {
-            let mut xs: Vec<&[C64]> = Vec::with_capacity(k);
-            let mut ys: Vec<&mut [C64]> = Vec::with_capacity(k);
-            for (l, core) in cores.iter_mut().enumerate() {
-                if building[l] {
-                    let (v, w) = core.io_mut();
-                    ids.push(l);
-                    xs.push(v);
-                    ys.push(w);
+    // The first pass starts every lane (warm validation + first round);
+    // each later pass is one superstep. Within a pass lanes run in index
+    // order, and a lane's bookkeeping — round close, cancel poll,
+    // `on_complete` — finishes before the next lane is touched. Operator
+    // applications read neither the sweep control nor the scheduler, so
+    // where lane `l + 1`'s apply falls relative to lane `l`'s bookkeeping
+    // is unobservable.
+    let mut live: Vec<usize> = (0..k).collect();
+    let mut started = false;
+    while !live.is_empty() {
+        live.retain(|&l| {
+            let mut apply = |x: &[C64], y: &mut [C64]| op.apply_lane_into(l, x, y);
+            let map = |mu: C64| op.to_hamiltonian_eigenvalue(l, mu);
+            let mut cancelled = || should_cancel(l);
+            let done = if started {
+                cores[l].step(&mut apply, &map, &mut cancelled)
+            } else {
+                cores[l].start(&specs[l].warm, &mut apply, &map, &mut cancelled)
+            };
+            match done {
+                Some(outcome) => {
+                    on_complete(l, outcome);
+                    false
                 }
+                None => true,
             }
-            if ids.is_empty() {
-                break;
-            }
-            op.apply_block(&ids, &xs, &mut ys);
-        }
-        for &l in &ids {
-            cores[l].post_apply();
-            if cores[l].absorb_step() {
-                continue; // build continues next superstep
-            }
-            // Round complete: Ritz processing, then either open the next
-            // round or finish the lane.
-            let map = |mu: C64| op.lane_map(l, mu);
-            let verdict = cores[l].finish_round(&map);
-            building[l] = false;
-            match verdict {
-                Ok(true) => match advance_lane(l, &mut cores[l], op, should_cancel) {
-                    Ok(true) => building[l] = true,
-                    Ok(false) => finish_lane(l, &mut cores[l], op, on_complete),
-                    Err(e) => on_complete(l, Err(e)),
-                },
-                Ok(false) => finish_lane(l, &mut cores[l], op, on_complete),
-                Err(e) => on_complete(l, Err(e)),
-            }
-        }
+        });
+        started = true;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recycle::RecyclePool;
     use crate::single_shift::{build_shift_invert_op, single_shift_iteration_recycled_with};
     use pheig_model::generator::{generate_case, CaseSpec};
 
     #[test]
     fn block_sweep_matches_solo_iterations() {
-        // Cold block lanes must reproduce the solo iteration bitwise:
-        // same radii, same eigenvalues, same matvec counts.
+        // Block lanes — cold and warm — must reproduce the solo iteration
+        // bitwise: same radii, same eigenpairs, same work counts.
         let model =
             generate_case(&CaseSpec::new(16, 2).with_seed(13).with_target_crossings(2)).unwrap();
         let ss = model.realize();
         let scale = 12.0;
         let omegas = [1.0, 2.2, 3.0, 4.4];
+        let lane_opts = |i: usize| SingleShiftOptions::new().with_seed(7 + i as u64);
+        // The two middle lanes start warm from a completed neighbor's disk.
+        let donor = single_shift_iteration_recycled_with(
+            &ss,
+            2.6,
+            1.0,
+            scale,
+            &SingleShiftOptions::new().with_seed(5),
+            &mut ArnoldiWorkspace::new(),
+            &[],
+        )
+        .unwrap();
+        let mut pool = RecyclePool::new();
+        pool.record(2.6, &donor);
+        let warms: Vec<Vec<RecycledPair>> = omegas
+            .iter()
+            .enumerate()
+            .map(|(i, &w)| match i {
+                1 | 2 => pool.gather(C64::from_imag(w), 2.0, 8),
+                _ => Vec::new(),
+            })
+            .collect();
+        assert!(!warms[1].is_empty() && !warms[2].is_empty());
         let lane_ops: Vec<_> = omegas
             .iter()
             .map(|&w| build_shift_invert_op(&ss, w, scale).unwrap())
             .collect();
         let block = MultiShiftInvertOp::from_ops(lane_ops);
-        let specs: Vec<BlockLaneSpec> = omegas
+        let specs: Vec<BlockLaneSpec> = warms
             .iter()
             .enumerate()
-            .map(|(i, _)| BlockLaneSpec {
+            .map(|(i, warm)| BlockLaneSpec {
                 rho0: 0.8,
                 scale,
-                opts: SingleShiftOptions::new().with_seed(7 + i as u64),
-                warm: Vec::new(),
+                opts: lane_opts(i),
+                warm: warm.clone(),
             })
             .collect();
         let mut workspaces: Vec<ArnoldiWorkspace> =
@@ -267,9 +172,9 @@ mod tests {
                 w,
                 0.8,
                 scale,
-                &SingleShiftOptions::new().with_seed(7 + i as u64),
+                &lane_opts(i),
                 &mut ArnoldiWorkspace::new(),
-                &[],
+                &warms[i],
             );
             let got = results[i].take().expect("lane completed");
             match (solo, got) {
@@ -277,6 +182,12 @@ mod tests {
                     assert_eq!(a.radius, b.radius, "radius at omega {w}");
                     assert_eq!(a.matvecs, b.matvecs, "matvecs at omega {w}");
                     assert_eq!(a.restarts, b.restarts, "restarts at omega {w}");
+                    assert_eq!(a.warm_pre_locked, b.warm_pre_locked, "omega {w}");
+                    assert_eq!(
+                        b.warm_pre_locked > 0,
+                        !warms[i].is_empty(),
+                        "warm lanes pre-lock, cold lanes do not (omega {w})"
+                    );
                     assert_eq!(a.in_disk.len(), b.in_disk.len());
                     for (x, y) in a.in_disk.iter().zip(&b.in_disk) {
                         assert_eq!(x.lambda, y.lambda, "lambda at omega {w}");
@@ -291,16 +202,18 @@ mod tests {
 
     #[test]
     fn cancelled_lane_reports_cancellation_and_others_finish() {
+        // Lane 0 is cancelled before it starts, lane 2 at its second poll
+        // (the boundary after its first round); lane 1 runs to the end.
         let model = generate_case(&CaseSpec::new(12, 2).with_seed(3)).unwrap();
         let ss = model.realize();
         let scale = 10.0;
-        let omegas = [1.5, 2.5];
+        let omegas = [1.5, 2.5, 3.5];
         let lane_ops: Vec<_> = omegas
             .iter()
             .map(|&w| build_shift_invert_op(&ss, w, scale).unwrap())
             .collect();
         let block = MultiShiftInvertOp::from_ops(lane_ops);
-        let specs: Vec<BlockLaneSpec> = (0..2)
+        let specs: Vec<BlockLaneSpec> = (0..3)
             .map(|i| BlockLaneSpec {
                 rho0: 0.5,
                 scale,
@@ -308,16 +221,24 @@ mod tests {
                 warm: Vec::new(),
             })
             .collect();
-        let mut workspaces = vec![ArnoldiWorkspace::new(), ArnoldiWorkspace::new()];
-        let mut results: Vec<Option<Result<SingleShiftOutcome, ArnoldiError>>> = vec![None, None];
+        let mut workspaces: Vec<ArnoldiWorkspace> =
+            (0..3).map(|_| ArnoldiWorkspace::new()).collect();
+        let mut results: Vec<Option<Result<SingleShiftOutcome, ArnoldiError>>> =
+            vec![None, None, None];
+        let mut polls = [0usize; 3];
         block_shift_sweep(
             &block,
             &specs,
             &mut workspaces,
-            &mut |l| l == 0,
+            &mut |l| {
+                polls[l] += 1;
+                l == 0 || (l == 2 && polls[2] == 2)
+            },
             &mut |l, r| results[l] = Some(r),
         );
         assert!(matches!(results[0], Some(Err(ArnoldiError::Cancelled))));
         assert!(matches!(results[1], Some(Ok(_))));
+        assert!(matches!(results[2], Some(Err(ArnoldiError::Cancelled))));
+        assert_eq!((polls[0], polls[2]), (1, 2));
     }
 }

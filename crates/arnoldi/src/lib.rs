@@ -30,7 +30,7 @@ pub mod recycle;
 pub mod ritz;
 pub mod single_shift;
 
-pub use block::{block_shift_sweep, BlockLaneSpec, BlockShiftOp};
+pub use block::{block_shift_sweep, BlockLaneSpec};
 pub use control::{CancelToken, CorruptKind, FirePoint, SweepBudget, SweepControl};
 pub use error::ArnoldiError;
 pub use options::SingleShiftOptions;

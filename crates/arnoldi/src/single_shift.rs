@@ -106,32 +106,26 @@ pub fn single_shift_on_op_with(
 ) -> Result<SingleShiftOutcome, ArnoldiError> {
     let mut core = ShiftCore::new(op.dim(), theta, rho0, scale, opts, ws);
     let mut apply = |x: &[C64], y: &mut [C64]| op.apply_into(x, y);
-    core.run_to_completion(&mut apply, map)
+    core.run_to_completion(&[], &mut apply, map)
 }
 
-/// The single-shift iteration decomposed into resumable stages.
+/// The single-shift iteration as a resumable state machine.
 ///
 /// One `ShiftCore` owns all the per-shift state (locked eigenpairs, RNG,
 /// restart bookkeeping, statistics) while borrowing its heavy scratch from
-/// an [`ArnoldiWorkspace`]. The *operator applications* are externalized:
-/// every stage either takes an `apply` closure or exposes the
-/// [`Self::io_mut`]/[`Self::absorb_step`] boundary of the incremental
-/// Arnoldi build. This lets a block driver interleave the Krylov steps of
-/// several independent shifts into one batched multi-shift apply while the
-/// per-shift math stays byte-for-byte the serial algorithm.
+/// an [`ArnoldiWorkspace`]. The operator is externalized: [`Self::start`]
+/// validates warm candidates and opens the first round, and every
+/// [`Self::step`] after it performs exactly one Krylov-step operator
+/// application plus whatever bookkeeping that step completes (closing a
+/// round, opening the next, or the final Rayleigh–Ritz refinement and
+/// radius certificate). Both return `Some(outcome)` once the shift is done.
 ///
-/// The stages:
-///
-/// 1. [`Self::warm_init`] (optional) validates recycled eigenvector
-///    candidates at one matvec each and pre-locks the survivors;
-/// 2. while [`Self::building`]: [`Self::begin_round`], the
-///    `io_mut`/`apply`/`absorb_step` loop, then [`Self::finish_round`];
-/// 3. [`Self::finish`] runs the Rayleigh–Ritz refinement and the radius
-///    certificate.
-///
-/// A cold start (no `warm_init`) reproduces the original algorithm
-/// exactly — same RNG draws, same arithmetic, same results (pinned by
-/// `deterministic_given_seed`).
+/// The solo drivers loop over `step` until it yields; the block driver
+/// steps several cores round-robin. Either way the per-shift math is the
+/// same calls in the same order, so a lane's result does not depend on
+/// what it is interleaved with. A cold start reproduces the original
+/// algorithm exactly — same RNG draws, same arithmetic, same results
+/// (pinned by `deterministic_given_seed`).
 pub(crate) struct ShiftCore<'a> {
     ws: &'a mut ArnoldiWorkspace,
     opts: &'a SingleShiftOptions,
@@ -238,7 +232,7 @@ impl<'a> ShiftCore<'a> {
     /// [`crate::ritz::RitzPair::mapped_error_estimate`]. Converged
     /// survivors are pre-locked into the deflation set; "converging" ones
     /// cap the radius certificate via `warm_near`.
-    pub(crate) fn warm_init(
+    fn warm_init(
         &mut self,
         warm: &[RecycledPair],
         apply: &mut dyn FnMut(&[C64], &mut [C64]),
@@ -324,7 +318,7 @@ impl<'a> ShiftCore<'a> {
     /// `true` while more Arnoldi rounds are warranted: the collect target
     /// is unmet, or post-warm probe rounds remain — and the control plane
     /// has not cancelled the sweep or exhausted its budget.
-    pub(crate) fn building(&self) -> bool {
+    fn building(&self) -> bool {
         self.restarts < self.opts.max_restarts
             && (self.locked_lambdas.len() < self.collect_target || self.probe_budget > 0)
             && !self.opts.control.should_stop()
@@ -334,7 +328,7 @@ impl<'a> ShiftCore<'a> {
     /// for one round. Returns `false` when the round is degenerate (start
     /// fully inside the locked span) — skip straight to
     /// [`Self::finish_round`], which will report exhaustion.
-    pub(crate) fn begin_round(&mut self) -> bool {
+    fn begin_round(&mut self) -> bool {
         self.opts.control.maybe_stall();
         let steps = if self.locked_lambdas.len() >= self.collect_target {
             // Post-warm probe: a short deflated pass is enough to surface
@@ -369,21 +363,21 @@ impl<'a> ShiftCore<'a> {
 
     /// The operator boundary of the current Arnoldi step (see
     /// [`ArnoldiFactorization::io_mut`]).
-    pub(crate) fn io_mut(&mut self) -> (&[C64], &mut [C64]) {
+    fn io_mut(&mut self) -> (&[C64], &mut [C64]) {
         self.ws.fact.io_mut()
     }
 
     /// Absorbs the operator output of the current Arnoldi step; `false`
     /// when the round's build is finished.
-    pub(crate) fn absorb_step(&mut self) -> bool {
+    fn absorb_step(&mut self) -> bool {
         self.ws.fact.absorb()
     }
 
     /// Fault hook for the operator boundary: corrupts the pending apply
-    /// output when the control's corruption fire-point triggers. Called by
-    /// the drivers between `apply` and [`Self::absorb_step`]; a no-op for
-    /// an inert control.
-    pub(crate) fn post_apply(&mut self) {
+    /// output when the control's corruption fire-point triggers. Runs
+    /// between `apply` and [`Self::absorb_step`]; a no-op for an inert
+    /// control.
+    fn post_apply(&mut self) {
         if self.opts.control.corrupt_apply.is_some() {
             let (_, w) = self.ws.fact.io_mut();
             self.opts.control.corrupt(w);
@@ -394,7 +388,7 @@ impl<'a> ShiftCore<'a> {
     /// records near-estimates, and builds the explicit-restart vector.
     /// Returns `Ok(false)` when the shift should stop building (spectrum
     /// exhausted or stalled).
-    pub(crate) fn finish_round(&mut self, map: &dyn Fn(C64) -> C64) -> Result<bool, ArnoldiError> {
+    fn finish_round(&mut self, map: &dyn Fn(C64) -> C64) -> Result<bool, ArnoldiError> {
         self.matvecs += self.ws.fact.steps;
         self.restarts += 1;
         self.opts.control.charge_matvecs(self.ws.fact.steps);
@@ -530,33 +524,100 @@ impl<'a> ShiftCore<'a> {
         Ok(true)
     }
 
-    /// Drives the build loop serially with `apply` and runs [`Self::finish`].
-    pub(crate) fn run_to_completion(
+    /// Validates `warm` (if any) and opens the first round. `Some` means
+    /// the shift ended without a Krylov step to apply.
+    pub(crate) fn start(
+        &mut self,
+        warm: &[RecycledPair],
+        apply: &mut dyn FnMut(&[C64], &mut [C64]),
+        map: &dyn Fn(C64) -> C64,
+        cancelled: &mut dyn FnMut() -> bool,
+    ) -> Option<Result<SingleShiftOutcome, ArnoldiError>> {
+        if !warm.is_empty() {
+            self.warm_init(warm, apply, map);
+        }
+        self.open_round(apply, map, cancelled)
+    }
+
+    /// One operator application on the open round. When that closes the
+    /// round, its Ritz processing runs and the next round opens; `Some`
+    /// is the shift's final outcome.
+    pub(crate) fn step(
         &mut self,
         apply: &mut dyn FnMut(&[C64], &mut [C64]),
         map: &dyn Fn(C64) -> C64,
-    ) -> Result<SingleShiftOutcome, ArnoldiError> {
-        while self.building() {
-            if self.begin_round() {
-                loop {
-                    let (v, w) = self.io_mut();
-                    apply(v, w);
-                    self.post_apply();
-                    if !self.absorb_step() {
-                        break;
-                    }
-                }
+        cancelled: &mut dyn FnMut() -> bool,
+    ) -> Option<Result<SingleShiftOutcome, ArnoldiError>> {
+        let (v, w) = self.io_mut();
+        apply(v, w);
+        self.post_apply();
+        if self.absorb_step() {
+            return None;
+        }
+        self.close_round(apply, map)
+            .or_else(|| self.open_round(apply, map, cancelled))
+    }
+
+    /// Closes the current round; `Some` when that ends the shift.
+    fn close_round(
+        &mut self,
+        apply: &mut dyn FnMut(&[C64], &mut [C64]),
+        map: &dyn Fn(C64) -> C64,
+    ) -> Option<Result<SingleShiftOutcome, ArnoldiError>> {
+        match self.finish_round(map) {
+            Ok(true) => None,
+            Ok(false) => Some(self.finish(apply, map)),
+            Err(e) => Some(Err(e)),
+        }
+    }
+
+    /// Round boundary: polls `cancelled`, then opens the next Arnoldi
+    /// build (`None`) or ends the shift.
+    fn open_round(
+        &mut self,
+        apply: &mut dyn FnMut(&[C64], &mut [C64]),
+        map: &dyn Fn(C64) -> C64,
+        cancelled: &mut dyn FnMut() -> bool,
+    ) -> Option<Result<SingleShiftOutcome, ArnoldiError>> {
+        loop {
+            if cancelled() {
+                return Some(Err(ArnoldiError::Cancelled));
             }
-            if !self.finish_round(map)? {
-                break;
+            if !self.building() {
+                return Some(self.finish(apply, map));
+            }
+            if self.begin_round() {
+                return None;
+            }
+            // Degenerate round (start inside the locked span): close it and
+            // let `building()`/the verdict decide what happens next.
+            if let Some(ended) = self.close_round(apply, map) {
+                return Some(ended);
             }
         }
-        self.finish(apply, map)
+    }
+
+    /// Runs the shift alone: [`Self::start`], then [`Self::step`] until it
+    /// yields the outcome.
+    fn run_to_completion(
+        &mut self,
+        warm: &[RecycledPair],
+        apply: &mut dyn FnMut(&[C64], &mut [C64]),
+        map: &dyn Fn(C64) -> C64,
+    ) -> Result<SingleShiftOutcome, ArnoldiError> {
+        let mut never = || false;
+        let mut done = self.start(warm, apply, map, &mut never);
+        loop {
+            match done {
+                Some(outcome) => return outcome,
+                None => done = self.step(apply, map, &mut never),
+            }
+        }
     }
 
     /// Rayleigh–Ritz refinement on the locked subspace plus the radius
     /// certificate (paper Sec. III bullet 3).
-    pub(crate) fn finish(
+    fn finish(
         &mut self,
         apply: &mut dyn FnMut(&[C64], &mut [C64]),
         map: &dyn Fn(C64) -> C64,
@@ -841,10 +902,7 @@ pub fn single_shift_iteration_recycled_with(
     let map = |mu: C64| op.to_hamiltonian_eigenvalue(mu);
     let mut core = ShiftCore::new(op.dim(), theta, rho0, scale, opts, ws);
     let mut apply = |x: &[C64], y: &mut [C64]| op.apply_into(x, y);
-    if !warm.is_empty() {
-        core.warm_init(warm, &mut apply, &map);
-    }
-    core.run_to_completion(&mut apply, &map)
+    core.run_to_completion(warm, &mut apply, &map)
 }
 
 /// Estimates the largest eigenvalue magnitude of an operator by restarted

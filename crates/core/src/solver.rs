@@ -76,8 +76,8 @@ pub struct SolverOptions {
     /// vectors of completed disks warm-start nearby shifts (kill switch
     /// for A/B measurement; on by default).
     pub recycling: bool,
-    /// Maximum shifts batched into one lockstep block solve; `1` runs
-    /// every shift solo (the pre-batching behavior).
+    /// Maximum shifts pulled and stepped in lockstep by one worker; `1`
+    /// pulls and runs every shift on its own.
     pub block_size: usize,
     /// Cooperative cancellation: latch the token and the sweep winds down
     /// at the next restart boundaries, returning whatever is certified
@@ -127,7 +127,8 @@ impl SolverOptions {
         self
     }
 
-    /// Sets the block-solve batch width (`1` disables batching).
+    /// Sets how many shifts one pull takes and steps in lockstep (`1`
+    /// runs every shift on its own).
     pub fn with_block_size(mut self, block_size: usize) -> Self {
         self.block_size = block_size.max(1);
         self
@@ -742,7 +743,7 @@ impl SweepShare<'_> {
     ///
     /// Each pull takes up to `block_size` pending shifts in one lock
     /// acquisition, together with their recycled warm-start candidates,
-    /// then runs them as one lockstep block solve outside the lock.
+    /// then steps them in lockstep outside the lock.
     pub(crate) fn run(&self, ctx: &mut TaskContext<'_>) {
         let block_cap = self.opts.block_size.max(1);
         loop {
@@ -895,7 +896,7 @@ impl SweepShare<'_> {
         self.cv.notify_all();
     }
 
-    /// Runs a batch of shifts as one lockstep block solve; lanes that
+    /// Steps a batch of shifts in lockstep, one lane each; lanes that
     /// fail (below-resolution radius, Arnoldi failure) fall back to the
     /// solo retry path, and lanes whose interval a sibling's completion
     /// covered are cancelled at their next round boundary.
@@ -913,10 +914,10 @@ impl SweepShare<'_> {
             // Lane operator construction failed (irreparably singular
             // shift): run every lane through the solo retry path.
             Ok(None) => (0..batch.len()).collect(),
-            // The block solve panicked mid-superstep. `on_complete` may
-            // already have completed (or cancelled) some lanes before the
-            // unwind, so retry only the lanes still in flight — blindly
-            // retrying all of them would double-complete the scheduler.
+            // A lane panicked mid-superstep. `on_complete` may already
+            // have completed (or cancelled) some lanes before the unwind,
+            // so retry only the lanes still in flight — blindly retrying
+            // all of them would double-complete the scheduler.
             Err(_) => {
                 let guard = self.shared.lock();
                 (0..batch.len())
@@ -942,7 +943,7 @@ impl SweepShare<'_> {
         }
     }
 
-    /// Attempts the batched block solve proper. Returns the lanes needing
+    /// Attempts the lockstep run proper. Returns the lanes needing
     /// a solo fallback, or `None` when a lane operator could not be built
     /// (then *every* lane still needs running).
     fn try_block(
@@ -954,6 +955,11 @@ impl SweepShare<'_> {
         let started = Instant::now();
         let mut lane_ops = Vec::with_capacity(batch.len());
         for task in batch {
+            // Same fire-point the solo route consults before it factors: an
+            // injected singular shift is a construction failure here too.
+            if self.control.fire_singular() {
+                return None;
+            }
             let scale = shift_scale(task, self.scale);
             lane_ops.push(build_shift_invert_op(self.ss, task.omega, scale).ok()?);
         }

@@ -20,6 +20,7 @@ use pheig_model::generator::{generate_case, CaseSpec};
 use pheig_model::FrequencySamples;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
 struct CountingAllocator;
 
@@ -55,18 +56,38 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 fn executor_steady_state_spawns_no_threads_and_allocates_nothing_per_task() {
     const WORKERS: usize = 2;
     const EXTRA: usize = 4; // cohort members pushed to the pool per round
-    const WARMUP_ROUNDS: usize = 8;
+    const QUIET_ROUNDS: usize = 1000; // allocation-free rounds that end warm-up
+    const WARMUP_DEADLINE: Duration = Duration::from_secs(30);
     const MEASURED_ROUNDS: usize = 200;
 
     let exec = Executor::pool(WORKERS);
     let mut ws = SolverWorkspace::new();
 
     // Warm-up: first rounds settle worker TLS, the workspace checkout
-    // pool, and any lazy OS/runtime state.
-    for _ in 0..WARMUP_ROUNDS {
+    // pool, and any lazy OS/runtime state. A round takes microseconds, so
+    // a fixed handful can finish before the OS has run every freshly
+    // spawned worker, and that worker's one-time start-up allocation
+    // would land in the measured window. Warm up until the counter has
+    // held still for `QUIET_ROUNDS` consecutive rounds instead, yielding
+    // so a worker that has not started yet gets a CPU. An executor that
+    // really allocates per task never goes quiet and trips the deadline.
+    let deadline = Instant::now() + WARMUP_DEADLINE;
+    let mut quiet = 0;
+    while quiet < QUIET_ROUNDS {
+        assert!(
+            Instant::now() < deadline,
+            "executor machinery never stopped allocating during warm-up"
+        );
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
         let probe = ProbeShare::new();
         exec.run_cohort(Task::Probe(&probe), EXTRA, &mut TaskContext::new(&mut ws));
         assert_eq!(probe.hits(), EXTRA + 1, "cohort must run extra + 1 times");
+        quiet = if ALLOCATIONS.load(Ordering::Relaxed) == before {
+            quiet + 1
+        } else {
+            0
+        };
+        std::thread::yield_now();
     }
 
     // Steady state: no new threads, zero heap traffic per task. The

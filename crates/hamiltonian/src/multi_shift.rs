@@ -1,87 +1,26 @@
-//! Batched multi-shift Sherman–Morrison–Woodbury applies.
+//! A lane container for lockstep multi-shift solves.
 //!
-//! A [`MultiShiftInvertOp`] bundles `k` per-shift [`ShiftInvertOp`]s over
-//! one shared [`StateSpace`] and applies all of them to `k` independent
-//! right-hand sides in a single pass. The per-lane stages (the fused
-//! `(A - theta I)^{-1}` band solves and the `2p x 2p` Woodbury port
-//! solve) are unavoidably per shift, but the expensive dense stages —
-//! the `C` / `C^T` residue-matrix sweeps of stages 3 and 5 — read each
-//! matrix row **once per block** instead of once per shift via the
-//! `*_split_multi` kernels (`pheig_linalg::kernels::real_gemv_multi`
-//! and friends).
-//!
-//! Every lane's result is **bitwise identical** to a solo
-//! [`ShiftInvertOp::apply_into`] on that lane: the multi kernels keep the
-//! per-lane accumulation order exactly equal to the solo kernels (rows
-//! outer, lanes inner, same micro-kernel), and all per-lane stages run on
-//! the same `n`-length plane segments the solo pipeline uses. The block
-//! Arnoldi driver in `pheig-arnoldi` leans on this to keep batched sweeps
-//! deterministic and oracle-exact.
+//! A [`MultiShiftInvertOp`] bundles `k` independent [`ShiftInvertOp`]s
+//! over one shared [`StateSpace`]. Lanes share no kernel and no scratch:
+//! every application, single-lane or block, is that lane's solo
+//! [`ShiftInvertOp::apply_into`], so per-lane results are bitwise those
+//! of the solo operator by construction.
 
 use crate::error::HamiltonianError;
 use crate::op::CLinearOp;
-use crate::scratch::ScratchCell;
 use crate::shift_invert::ShiftInvertOp;
-use pheig_linalg::{kernels, C64};
+use pheig_linalg::C64;
 use pheig_model::StateSpace;
 
-/// Block scratch: lane-major strided planes, sized once for `k` lanes so
-/// steady-state block applies perform no heap allocations.
-#[derive(Debug)]
-struct BlockScratch {
-    /// Split inputs, one `2n` segment per lane.
-    xr: Vec<f64>,
-    xi: Vec<f64>,
-    /// `K x` halves, one `n` segment per lane.
-    w1r: Vec<f64>,
-    w1i: Vec<f64>,
-    w2r: Vec<f64>,
-    w2i: Vec<f64>,
-    /// Port planes, one `2p` segment per lane (`[t1; t2]`).
-    tr: Vec<f64>,
-    ti: Vec<f64>,
-    /// Interleaved port vectors for the per-lane LU solves.
-    t: Vec<C64>,
-    /// `U s` halves, one `n` segment per lane.
-    u1r: Vec<f64>,
-    u1i: Vec<f64>,
-    u2r: Vec<f64>,
-    u2i: Vec<f64>,
-}
-
-impl BlockScratch {
-    fn sized(n: usize, p: usize, k: usize) -> Self {
-        BlockScratch {
-            xr: vec![0.0; k * 2 * n],
-            xi: vec![0.0; k * 2 * n],
-            w1r: vec![0.0; k * n],
-            w1i: vec![0.0; k * n],
-            w2r: vec![0.0; k * n],
-            w2i: vec![0.0; k * n],
-            tr: vec![0.0; k * 2 * p],
-            ti: vec![0.0; k * 2 * p],
-            t: vec![C64::zero(); k * 2 * p],
-            u1r: vec![0.0; k * n],
-            u1i: vec![0.0; k * n],
-            u2r: vec![0.0; k * n],
-            u2i: vec![0.0; k * n],
-        }
-    }
-}
-
-/// `k` shift-inverted Hamiltonian operators over one model, applied as a
-/// block: `y_l = (M - theta_l I)^{-1} x_l` for every lane at once.
+/// `k` shift-inverted Hamiltonian operators over one model:
+/// `y_l = (M - theta_l I)^{-1} x_l` per lane.
 ///
 /// Build it from per-shift operators (which the caller typically
 /// constructs with its own singular-shift nudge policy) via
-/// [`MultiShiftInvertOp::from_ops`]. Single-lane applies are available
-/// through [`MultiShiftInvertOp::apply_lane_into`] for the tail phases of
-/// a block solve where only one lane remains active.
+/// [`MultiShiftInvertOp::from_ops`].
 #[derive(Debug)]
 pub struct MultiShiftInvertOp<'a> {
     ops: Vec<ShiftInvertOp<'a>>,
-    ss: &'a StateSpace,
-    scratch: ScratchCell<BlockScratch>,
 }
 
 impl<'a> MultiShiftInvertOp<'a> {
@@ -92,16 +31,14 @@ impl<'a> MultiShiftInvertOp<'a> {
     /// Panics if `ops` is empty or the operators disagree on the model.
     pub fn from_ops(ops: Vec<ShiftInvertOp<'a>>) -> Self {
         assert!(!ops.is_empty(), "block operator needs at least one lane");
-        let ss = ops[0].ss;
+        let ss = ops[0].state_space();
         for op in &ops[1..] {
             assert!(
-                std::ptr::eq(op.ss, ss),
+                std::ptr::eq(op.state_space(), ss),
                 "block lanes must share one state space"
             );
         }
-        let (n, p, k) = (ss.order(), ss.ports(), ops.len());
-        let scratch = ScratchCell::new(BlockScratch::sized(n, p, k));
-        MultiShiftInvertOp { ops, ss, scratch }
+        MultiShiftInvertOp { ops }
     }
 
     /// Builds the block operator for `thetas` directly.
@@ -121,7 +58,7 @@ impl<'a> MultiShiftInvertOp<'a> {
 
     /// Operator dimension `2n` (shared by every lane).
     pub fn dim(&self) -> usize {
-        2 * self.ss.order()
+        self.ops[0].dim()
     }
 
     /// Number of lanes `k`.
@@ -139,8 +76,7 @@ impl<'a> MultiShiftInvertOp<'a> {
         self.ops[l].to_hamiltonian_eigenvalue(mu)
     }
 
-    /// Solo apply on lane `l` (used for refinement matvecs and block
-    /// tails; bitwise identical to the block path on that lane).
+    /// Lane `l`'s solo apply.
     pub fn apply_lane_into(&self, l: usize, x: &[C64], y: &mut [C64]) {
         self.ops[l].apply_into(x, y);
     }
@@ -156,108 +92,17 @@ impl<'a> MultiShiftInvertOp<'a> {
     /// Panics if the slices disagree in length, a lane index is out of
     /// range, or a vector has the wrong dimension.
     pub fn apply_block_into(&self, lanes: &[usize], xs: &[&[C64]], ys: &mut [&mut [C64]]) {
-        let n = self.ss.order();
-        let p = self.ss.ports();
-        let k = lanes.len();
-        assert_eq!(xs.len(), k, "block apply slot mismatch");
-        assert_eq!(ys.len(), k, "block apply slot mismatch");
-        if k == 0 {
-            return;
-        }
+        let dim = self.dim();
+        assert_eq!(xs.len(), lanes.len(), "block apply slot mismatch");
+        assert_eq!(ys.len(), lanes.len(), "block apply slot mismatch");
         for (i, &l) in lanes.iter().enumerate() {
             assert!(l < self.ops.len(), "lane index out of range");
-            assert_eq!(xs[i].len(), 2 * n, "block apply length mismatch");
-            assert_eq!(ys[i].len(), 2 * n, "block apply output mismatch");
+            assert_eq!(xs[i].len(), dim, "block apply length mismatch");
+            assert_eq!(ys[i].len(), dim, "block apply output mismatch");
         }
-        self.scratch.with(
-            || BlockScratch::sized(n, p, self.ops.len()),
-            |s| {
-                // Stage 1 (per lane): split inputs into plane segments.
-                for (i, x) in xs.iter().enumerate() {
-                    kernels::split(
-                        x,
-                        &mut s.xr[i * 2 * n..(i + 1) * 2 * n],
-                        &mut s.xi[i * 2 * n..(i + 1) * 2 * n],
-                    );
-                }
-                // Stage 2 (per lane): w = K x via each lane's factors.
-                for (i, &l) in lanes.iter().enumerate() {
-                    let (x1r, x2r) = s.xr[i * 2 * n..(i + 1) * 2 * n].split_at(n);
-                    let (x1i, x2i) = s.xi[i * 2 * n..(i + 1) * 2 * n].split_at(n);
-                    let op = &self.ops[l];
-                    op.k1.apply_split(
-                        x1r,
-                        x1i,
-                        &mut s.w1r[i * n..(i + 1) * n],
-                        &mut s.w1i[i * n..(i + 1) * n],
-                    );
-                    op.k2.apply_split(
-                        x2r,
-                        x2i,
-                        &mut s.w2r[i * n..(i + 1) * n],
-                        &mut s.w2i[i * n..(i + 1) * n],
-                    );
-                }
-                // Stage 3 (shared): t = V w = [C w1; B^T w2] for all lanes
-                // in one residue-matrix sweep.
-                self.ss
-                    .apply_c_split_multi(k, &s.w1r, &s.w1i, n, &mut s.tr, &mut s.ti, 2 * p);
-                self.ss.apply_bt_split_multi(
-                    k,
-                    &s.w2r,
-                    &s.w2i,
-                    n,
-                    &mut s.tr[p..],
-                    &mut s.ti[p..],
-                    2 * p,
-                );
-                // Stage 4 (per lane): s = W_l^{-1} t, each lane's 2p x 2p
-                // LU solved on its own segment.
-                for (i, &l) in lanes.iter().enumerate() {
-                    let seg = i * 2 * p..(i + 1) * 2 * p;
-                    kernels::merge(
-                        &s.tr[seg.clone()],
-                        &s.ti[seg.clone()],
-                        &mut s.t[seg.clone()],
-                    );
-                    self.ops[l].w_lu.solve_in_place(&mut s.t[seg.clone()]);
-                    kernels::split(&s.t[seg.clone()], &mut s.tr[seg.clone()], &mut s.ti[seg]);
-                }
-                // Stage 5 (shared): u = U s = [B s1; C^T s2], again one
-                // sweep over the shared structure for all lanes.
-                self.ss
-                    .apply_b_split_multi(k, &s.tr, &s.ti, 2 * p, &mut s.u1r, &mut s.u1i, n);
-                self.ss.apply_ct_split_multi(
-                    k,
-                    &s.tr[p..],
-                    &s.ti[p..],
-                    2 * p,
-                    &mut s.u2r,
-                    &mut s.u2i,
-                    n,
-                );
-                // Stage 6 (per lane): y = w - K u, fused with the
-                // interleaved pack.
-                for (i, &l) in lanes.iter().enumerate() {
-                    let op = &self.ops[l];
-                    let (y1, y2) = ys[i].split_at_mut(n);
-                    op.k1.sub_merge_into(
-                        &s.w1r[i * n..(i + 1) * n],
-                        &s.w1i[i * n..(i + 1) * n],
-                        &s.u1r[i * n..(i + 1) * n],
-                        &s.u1i[i * n..(i + 1) * n],
-                        y1,
-                    );
-                    op.k2.sub_merge_into(
-                        &s.w2r[i * n..(i + 1) * n],
-                        &s.w2i[i * n..(i + 1) * n],
-                        &s.u2r[i * n..(i + 1) * n],
-                        &s.u2i[i * n..(i + 1) * n],
-                        y2,
-                    );
-                }
-            },
-        );
+        for (i, &l) in lanes.iter().enumerate() {
+            self.ops[l].apply_into(xs[i], ys[i]);
+        }
     }
 }
 

@@ -91,13 +91,13 @@ impl ApplyScratch {
 /// multiply-adds over split-complex planes — no complex divisions.
 #[derive(Debug)]
 pub struct ShiftInvertOp<'a> {
-    pub(crate) ss: &'a StateSpace,
+    ss: &'a StateSpace,
     theta: C64,
-    pub(crate) w_lu: Lu<C64>,
+    w_lu: Lu<C64>,
     /// `(A - theta I)^{-1}` as fused per-state factors.
-    pub(crate) k1: ShiftSolveFactors,
+    k1: ShiftSolveFactors,
     /// `-(A^T + theta I)^{-1}` as fused per-state factors.
-    pub(crate) k2: ShiftSolveFactors,
+    k2: ShiftSolveFactors,
     scratch: ScratchCell<ApplyScratch>,
 }
 

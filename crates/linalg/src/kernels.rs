@@ -9,7 +9,7 @@
 //!
 //! * plane conversions ([`split`] / [`merge`]);
 //! * fused single-pass BLAS-1 analogues ([`dot`], [`nrm2`], [`axpy`],
-//!   [`scal`], [`scal_real`]) with chunk-unrolled independent accumulators;
+//!   [`scal_real`]) with chunk-unrolled independent accumulators;
 //! * mixed real-matrix x complex-vector products ([`real_gemv`],
 //!   [`real_gemv_t_acc`]) — two real gemvs fused into one pass per row;
 //! * blocked multi-vector kernels against a basis ([`basis_dot`],
@@ -101,33 +101,6 @@ pub fn merge(xr: &[f64], xi: &[f64], y: &mut [C64]) {
         || {
             for ((v, r), i) in y.iter_mut().zip(xr.iter()).zip(xi.iter()) {
                 *v = C64::new(*r, *i);
-            }
-        },
-    );
-}
-
-/// Fused subtract-and-pack `y[i] = (w[i] - z[i])` from planes to
-/// interleaved storage.
-///
-/// A general building block for plane pipelines that end at an
-/// interleaved boundary; the Woodbury operator itself closes through the
-/// even-more-fused `ShiftSolveFactors::sub_merge_into` (solve + subtract
-/// + pack in one pass), so this kernel currently has only test callers.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn merge_sub(wr: &[f64], wi: &[f64], zr: &[f64], zi: &[f64], y: &mut [C64]) {
-    let n = y.len();
-    assert_eq!(wr.len(), n, "merge_sub length mismatch");
-    assert_eq!(wi.len(), n, "merge_sub length mismatch");
-    assert_eq!(zr.len(), n, "merge_sub length mismatch");
-    assert_eq!(zi.len(), n, "merge_sub length mismatch");
-    with_simd(
-        #[inline(always)]
-        || {
-            for i in 0..n {
-                y[i] = C64::new(wr[i] - zr[i], wi[i] - zi[i]);
             }
         },
     );
@@ -233,26 +206,6 @@ pub fn axpy(alpha: C64, xr: &[f64], xi: &[f64], yr: &mut [f64], yi: &mut [f64]) 
             {
                 *c += ar * a - ai * b;
                 *d += ar * b + ai * a;
-            }
-        },
-    );
-}
-
-/// `x *= alpha` over planes (complex scale).
-///
-/// # Panics
-///
-/// Panics if the plane lengths differ.
-pub fn scal(alpha: C64, xr: &mut [f64], xi: &mut [f64]) {
-    assert_eq!(xr.len(), xi.len(), "scal length mismatch");
-    let (ar, ai) = (alpha.re, alpha.im);
-    with_simd(
-        #[inline(always)]
-        || {
-            for (a, b) in xr.iter_mut().zip(xi.iter_mut()) {
-                let (r, i) = (*a, *b);
-                *a = ar * r - ai * i;
-                *b = ar * i + ai * r;
             }
         },
     );
@@ -364,163 +317,6 @@ pub fn real_gemv_t_acc(m: &Matrix<f64>, ur: &[f64], ui: &[f64], xr: &mut [f64], 
                 for ((a, b), c) in row.iter().zip(xr.iter_mut()).zip(xi.iter_mut()) {
                     *b += a * cr;
                     *c += a * ci;
-                }
-                i += 1;
-            }
-        },
-    );
-}
-
-/// Multi-RHS variant of [`real_gemv`]: `y_l = M x_l` for `lanes` split
-/// vectors stored back to back with the given strides (`x` planes at
-/// `l * x_stride`, `y` planes at `l * y_stride`).
-///
-/// Each matrix row is read once and swept across all lanes while it is
-/// hot in cache — the batched-block-solve memory win. The per-lane
-/// arithmetic is the *exact* [`real_gemv`] inner loop (same chunking,
-/// same accumulation order), so every lane's result is bitwise identical
-/// to a solo [`real_gemv`] call on that lane.
-///
-/// # Panics
-///
-/// Panics if any lane segment falls outside its plane or a stride is
-/// shorter than the required segment.
-#[allow(clippy::too_many_arguments)] // two split-complex planes per operand; a struct would obscure the stride contract
-pub fn real_gemv_multi(
-    m: &Matrix<f64>,
-    lanes: usize,
-    xr: &[f64],
-    xi: &[f64],
-    x_stride: usize,
-    yr: &mut [f64],
-    yi: &mut [f64],
-    y_stride: usize,
-) {
-    let cols = m.cols();
-    let rows = m.rows();
-    assert!(x_stride >= cols, "real_gemv_multi x stride too short");
-    assert!(y_stride >= rows, "real_gemv_multi y stride too short");
-    if lanes == 0 {
-        return;
-    }
-    assert!(
-        xr.len() >= (lanes - 1) * x_stride + cols && xi.len() >= (lanes - 1) * x_stride + cols,
-        "real_gemv_multi x planes too short"
-    );
-    assert!(
-        yr.len() >= (lanes - 1) * y_stride + rows && yi.len() >= (lanes - 1) * y_stride + rows,
-        "real_gemv_multi y planes too short"
-    );
-    with_simd(
-        #[inline(always)]
-        || {
-            for i in 0..rows {
-                let row = m.row(i);
-                for l in 0..lanes {
-                    let xr = &xr[l * x_stride..l * x_stride + cols];
-                    let xi = &xi[l * x_stride..l * x_stride + cols];
-                    let mut re = [0.0f64; 4];
-                    let mut im = [0.0f64; 4];
-                    let mut rc = row.chunks_exact(4);
-                    let mut xrc = xr.chunks_exact(4);
-                    let mut xic = xi.chunks_exact(4);
-                    for ((a, b), c) in (&mut rc).zip(&mut xrc).zip(&mut xic) {
-                        for k in 0..4 {
-                            re[k] += a[k] * b[k];
-                            im[k] += a[k] * c[k];
-                        }
-                    }
-                    let (mut sre, mut sim) = (re.iter().sum::<f64>(), im.iter().sum::<f64>());
-                    for ((a, b), c) in rc
-                        .remainder()
-                        .iter()
-                        .zip(xrc.remainder())
-                        .zip(xic.remainder())
-                    {
-                        sre += a * b;
-                        sim += a * c;
-                    }
-                    yr[l * y_stride + i] = sre;
-                    yi[l * y_stride + i] = sim;
-                }
-            }
-        },
-    );
-}
-
-/// Multi-RHS variant of [`real_gemv_t_acc`]: `x_l += M^T u_l` for `lanes`
-/// split vectors stored back to back with the given strides.
-///
-/// Row blocks are walked once and applied to every lane while cached; the
-/// per-lane accumulation order is the exact [`real_gemv_t_acc`] sequence
-/// (four-row blocks, then scalar tail rows), so each lane is bitwise
-/// identical to a solo call.
-///
-/// # Panics
-///
-/// Panics if any lane segment falls outside its plane or a stride is
-/// shorter than the required segment.
-#[allow(clippy::too_many_arguments)]
-pub fn real_gemv_t_acc_multi(
-    m: &Matrix<f64>,
-    lanes: usize,
-    ur: &[f64],
-    ui: &[f64],
-    u_stride: usize,
-    xr: &mut [f64],
-    xi: &mut [f64],
-    x_stride: usize,
-) {
-    let cols = m.cols();
-    let rows = m.rows();
-    assert!(u_stride >= rows, "real_gemv_t_acc_multi u stride too short");
-    assert!(x_stride >= cols, "real_gemv_t_acc_multi x stride too short");
-    if lanes == 0 {
-        return;
-    }
-    assert!(
-        ur.len() >= (lanes - 1) * u_stride + rows && ui.len() >= (lanes - 1) * u_stride + rows,
-        "real_gemv_t_acc_multi u planes too short"
-    );
-    assert!(
-        xr.len() >= (lanes - 1) * x_stride + cols && xi.len() >= (lanes - 1) * x_stride + cols,
-        "real_gemv_t_acc_multi x planes too short"
-    );
-    with_simd(
-        #[inline(always)]
-        || {
-            let mut i = 0;
-            while i + 4 <= rows {
-                let r0 = m.row(i);
-                let r1 = m.row(i + 1);
-                let r2 = m.row(i + 2);
-                let r3 = m.row(i + 3);
-                for l in 0..lanes {
-                    let ub = l * u_stride;
-                    let (c0r, c0i) = (ur[ub + i], ui[ub + i]);
-                    let (c1r, c1i) = (ur[ub + i + 1], ui[ub + i + 1]);
-                    let (c2r, c2i) = (ur[ub + i + 2], ui[ub + i + 2]);
-                    let (c3r, c3i) = (ur[ub + i + 3], ui[ub + i + 3]);
-                    let xr = &mut xr[l * x_stride..l * x_stride + cols];
-                    let xi = &mut xi[l * x_stride..l * x_stride + cols];
-                    for j in 0..cols {
-                        let (a0, a1, a2, a3) = (r0[j], r1[j], r2[j], r3[j]);
-                        xr[j] += a0 * c0r + a1 * c1r + a2 * c2r + a3 * c3r;
-                        xi[j] += a0 * c0i + a1 * c1i + a2 * c2i + a3 * c3i;
-                    }
-                }
-                i += 4;
-            }
-            while i < rows {
-                let row = m.row(i);
-                for l in 0..lanes {
-                    let (cr, ci) = (ur[l * u_stride + i], ui[l * u_stride + i]);
-                    let xr = &mut xr[l * x_stride..l * x_stride + cols];
-                    let xi = &mut xi[l * x_stride..l * x_stride + cols];
-                    for ((a, b), c) in row.iter().zip(xr.iter_mut()).zip(xi.iter_mut()) {
-                        *b += a * cr;
-                        *c += a * ci;
-                    }
                 }
                 i += 1;
             }
@@ -841,11 +637,6 @@ mod tests {
             for j in 0..n {
                 assert!((C64::new(yr[j], yi[j]) - y[j]).abs() < 1e-13);
             }
-            scal(alpha, &mut yr, &mut yi);
-            vector::scal(alpha, &mut y);
-            for j in 0..n {
-                assert!((C64::new(yr[j], yi[j]) - y[j]).abs() < 1e-13);
-            }
             scal_real(0.25, &mut yr, &mut yi);
             vector::scal(C64::from_real(0.25), &mut y);
             for j in 0..n {
@@ -876,82 +667,6 @@ mod tests {
             let want_t = m.to_c64().transpose().matvec(&u);
             for j in 0..cols {
                 assert!((C64::new(xr2[j], xi2[j]) - want_t[j]).abs() < 1e-13);
-            }
-        }
-    }
-
-    #[test]
-    fn multi_lane_gemv_is_bitwise_identical_to_solo() {
-        // The block-solve contract: every lane of the multi-RHS kernels
-        // must be *bitwise* equal to a solo call on that lane, for any
-        // lane count and for strided (padded) layouts.
-        for (rows, cols) in [(3usize, 5usize), (4, 4), (7, 9), (1, 11), (8, 8)] {
-            let m = Matrix::from_fn(rows, cols, |i, j| ((i * 5 + j) as f64 * 0.29).cos());
-            for lanes in [1usize, 2, 3, 4, 6] {
-                let x_stride = cols + 3; // padded: strides need not be tight
-                let y_stride = rows + 1;
-                let mut xr = vec![0.0; lanes * x_stride];
-                let mut xi = vec![0.0; lanes * x_stride];
-                for l in 0..lanes {
-                    let v = cvec(cols, 7 + l as u64);
-                    split(
-                        &v,
-                        &mut xr[l * x_stride..l * x_stride + cols],
-                        &mut xi[l * x_stride..l * x_stride + cols],
-                    );
-                }
-                let mut yr = vec![0.0; lanes * y_stride];
-                let mut yi = vec![0.0; lanes * y_stride];
-                real_gemv_multi(&m, lanes, &xr, &xi, x_stride, &mut yr, &mut yi, y_stride);
-                for l in 0..lanes {
-                    let mut sr = vec![0.0; rows];
-                    let mut si = vec![0.0; rows];
-                    real_gemv(
-                        &m,
-                        &xr[l * x_stride..l * x_stride + cols],
-                        &xi[l * x_stride..l * x_stride + cols],
-                        &mut sr,
-                        &mut si,
-                    );
-                    assert_eq!(&yr[l * y_stride..l * y_stride + rows], &sr[..], "lane {l}");
-                    assert_eq!(&yi[l * y_stride..l * y_stride + rows], &si[..], "lane {l}");
-                }
-                // Transposed accumulation (accumulates into nonzero state).
-                let u_stride = rows + 2;
-                let mut ur = vec![0.0; lanes * u_stride];
-                let mut ui = vec![0.0; lanes * u_stride];
-                for l in 0..lanes {
-                    let v = cvec(rows, 31 + l as u64);
-                    split(
-                        &v,
-                        &mut ur[l * u_stride..l * u_stride + rows],
-                        &mut ui[l * u_stride..l * u_stride + rows],
-                    );
-                }
-                let seed_plane = |l: usize, j: usize| ((l * 13 + j) as f64 * 0.11).sin();
-                let mut ar = vec![0.0; lanes * x_stride];
-                let mut ai = vec![0.0; lanes * x_stride];
-                for l in 0..lanes {
-                    for j in 0..cols {
-                        ar[l * x_stride + j] = seed_plane(l, j);
-                        ai[l * x_stride + j] = seed_plane(l, j + 100);
-                    }
-                }
-                let keep = (ar.clone(), ai.clone());
-                real_gemv_t_acc_multi(&m, lanes, &ur, &ui, u_stride, &mut ar, &mut ai, x_stride);
-                for l in 0..lanes {
-                    let mut sr = keep.0[l * x_stride..l * x_stride + cols].to_vec();
-                    let mut si = keep.1[l * x_stride..l * x_stride + cols].to_vec();
-                    real_gemv_t_acc(
-                        &m,
-                        &ur[l * u_stride..l * u_stride + rows],
-                        &ui[l * u_stride..l * u_stride + rows],
-                        &mut sr,
-                        &mut si,
-                    );
-                    assert_eq!(&ar[l * x_stride..l * x_stride + cols], &sr[..], "lane {l}");
-                    assert_eq!(&ai[l * x_stride..l * x_stride + cols], &si[..], "lane {l}");
-                }
             }
         }
     }

@@ -65,7 +65,7 @@ proptest! {
         prop_assert!((got - want).abs() <= 1e-13 * (1.0 + want));
     }
 
-    /// Plane axpy / scal == interleaved axpy / scal.
+    /// Plane axpy / scal_real == interleaved axpy / scal.
     #[test]
     fn axpy_scal_match_reference(
         (x, y) in sizes().prop_flat_map(|n| (cvec(n), cvec(n))),
@@ -80,22 +80,10 @@ proptest! {
         for j in 0..x.len() {
             prop_assert!(close(C64::new(yr[j], yi[j]), y_ref[j], 4.0));
         }
-        kernels::scal(alpha, &mut yr, &mut yi);
-        vector::scal(alpha, &mut y_ref);
+        kernels::scal_real(ar, &mut yr, &mut yi);
+        vector::scal(C64::from_real(ar), &mut y_ref);
         for j in 0..x.len() {
             prop_assert!(close(C64::new(yr[j], yi[j]), y_ref[j], 8.0));
-        }
-    }
-
-    /// merge_sub == elementwise (w - z) in interleaved space.
-    #[test]
-    fn merge_sub_matches_reference((w, z) in sizes().prop_flat_map(|n| (cvec(n), cvec(n)))) {
-        let (wr, wi) = planes(&w);
-        let (zr, zi) = planes(&z);
-        let mut out = vec![C64::zero(); w.len()];
-        kernels::merge_sub(&wr, &wi, &zr, &zi, &mut out);
-        for j in 0..w.len() {
-            prop_assert_eq!(out[j], w[j] - z[j]);
         }
     }
 

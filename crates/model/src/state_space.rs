@@ -352,152 +352,6 @@ impl StateSpace {
         kernels::real_gemv_t_acc(&self.c, yr, yi, xr, xi);
     }
 
-    /// Multi-lane [`StateSpace::apply_b_split`]: `x_l = B u_l` for `lanes`
-    /// split vectors stored with strides `u_stride` / `x_stride`.
-    ///
-    /// The sparse gain structure is walked once and scattered into every
-    /// lane while hot; per-lane arithmetic order matches the solo kernel
-    /// exactly (bitwise-identical lanes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a lane segment falls outside its plane.
-    #[allow(clippy::too_many_arguments)]
-    pub fn apply_b_split_multi(
-        &self,
-        lanes: usize,
-        ur: &[f64],
-        ui: &[f64],
-        u_stride: usize,
-        xr: &mut [f64],
-        xi: &mut [f64],
-        x_stride: usize,
-    ) {
-        let (n, p) = (self.order(), self.ports());
-        assert!(u_stride >= p, "apply_b_split_multi u stride too short");
-        assert!(x_stride >= n, "apply_b_split_multi x stride too short");
-        if lanes == 0 {
-            return;
-        }
-        assert!(
-            ur.len() >= (lanes - 1) * u_stride + p && ui.len() >= (lanes - 1) * u_stride + p,
-            "apply_b_split_multi u planes too short"
-        );
-        assert!(
-            xr.len() >= (lanes - 1) * x_stride + n && xi.len() >= (lanes - 1) * x_stride + n,
-            "apply_b_split_multi x planes too short"
-        );
-        for l in 0..lanes {
-            xr[l * x_stride..l * x_stride + n].fill(0.0);
-            xi[l * x_stride..l * x_stride + n].fill(0.0);
-        }
-        for (k, range) in self.col_blocks.iter().enumerate() {
-            for bi in range.clone() {
-                let o = self.a.offset(bi);
-                for (j, &g) in Self::block_gains(&self.a.blocks()[bi]).iter().enumerate() {
-                    if g != 0.0 {
-                        for l in 0..lanes {
-                            xr[l * x_stride + o + j] = ur[l * u_stride + k] * g;
-                            xi[l * x_stride + o + j] = ui[l * u_stride + k] * g;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Multi-lane [`StateSpace::apply_bt_split`]: `u_l = B^T x_l` for
-    /// `lanes` split vectors stored with strides `x_stride` / `u_stride`;
-    /// per-lane accumulation order matches the solo kernel exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a lane segment falls outside its plane.
-    #[allow(clippy::too_many_arguments)]
-    pub fn apply_bt_split_multi(
-        &self,
-        lanes: usize,
-        xr: &[f64],
-        xi: &[f64],
-        x_stride: usize,
-        ur: &mut [f64],
-        ui: &mut [f64],
-        u_stride: usize,
-    ) {
-        let (n, p) = (self.order(), self.ports());
-        assert!(x_stride >= n, "apply_bt_split_multi x stride too short");
-        assert!(u_stride >= p, "apply_bt_split_multi u stride too short");
-        if lanes == 0 {
-            return;
-        }
-        assert!(
-            xr.len() >= (lanes - 1) * x_stride + n && xi.len() >= (lanes - 1) * x_stride + n,
-            "apply_bt_split_multi x planes too short"
-        );
-        assert!(
-            ur.len() >= (lanes - 1) * u_stride + p && ui.len() >= (lanes - 1) * u_stride + p,
-            "apply_bt_split_multi u planes too short"
-        );
-        for (k, range) in self.col_blocks.iter().enumerate() {
-            for l in 0..lanes {
-                let xb = l * x_stride;
-                let mut accr = 0.0f64;
-                let mut acci = 0.0f64;
-                for bi in range.clone() {
-                    let o = self.a.offset(bi);
-                    for (j, &g) in Self::block_gains(&self.a.blocks()[bi]).iter().enumerate() {
-                        if g != 0.0 {
-                            accr += xr[xb + o + j] * g;
-                            acci += xi[xb + o + j] * g;
-                        }
-                    }
-                }
-                ur[l * u_stride + k] = accr;
-                ui[l * u_stride + k] = acci;
-            }
-        }
-    }
-
-    /// Multi-lane [`StateSpace::apply_c_split`]: `y_l = C x_l` over the
-    /// dense residue matrix, one row sweep shared by all lanes
-    /// ([`kernels::real_gemv_multi`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn apply_c_split_multi(
-        &self,
-        lanes: usize,
-        xr: &[f64],
-        xi: &[f64],
-        x_stride: usize,
-        yr: &mut [f64],
-        yi: &mut [f64],
-        y_stride: usize,
-    ) {
-        kernels::real_gemv_multi(&self.c, lanes, xr, xi, x_stride, yr, yi, y_stride);
-    }
-
-    /// Multi-lane [`StateSpace::apply_ct_split`]: `x_l = C^T y_l`, one
-    /// row-block sweep shared by all lanes
-    /// ([`kernels::real_gemv_t_acc_multi`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn apply_ct_split_multi(
-        &self,
-        lanes: usize,
-        yr: &[f64],
-        yi: &[f64],
-        y_stride: usize,
-        xr: &mut [f64],
-        xi: &mut [f64],
-        x_stride: usize,
-    ) {
-        let n = self.order();
-        assert!(x_stride >= n, "apply_ct_split_multi x stride too short");
-        for l in 0..lanes {
-            xr[l * x_stride..l * x_stride + n].fill(0.0);
-            xi[l * x_stride..l * x_stride + n].fill(0.0);
-        }
-        kernels::real_gemv_t_acc_multi(&self.c, lanes, yr, yi, y_stride, xr, xi, x_stride);
-    }
-
     /// Dense `B` (for validation and small-model tests only).
     pub fn b_dense(&self) -> Matrix<f64> {
         let mut b = Matrix::zeros(self.order(), self.ports());
@@ -680,62 +534,6 @@ mod tests {
         let (mut ctr, mut cti) = (vec![1.0; n], vec![1.0; n]); // stale values overwritten
         ss.apply_ct_split(&ur, &ui, &mut ctr, &mut cti);
         check(&ctr, &cti, &ss.apply_ct(&u), "C^T u");
-    }
-
-    #[test]
-    fn multi_lane_split_applies_are_bitwise_identical_to_solo() {
-        // Block-solve contract: every lane of the multi-lane scatter/
-        // gather/gemv applies must reproduce the solo split kernels bit
-        // for bit, including with padded strides.
-        let ss = small_ss();
-        let (n, p) = (ss.order(), ss.ports());
-        for lanes in [1usize, 2, 3, 5] {
-            let (xs, us) = (n + 2, p + 1);
-            let mut xr = vec![0.0; lanes * xs];
-            let mut xi = vec![0.0; lanes * xs];
-            let mut ur = vec![0.0; lanes * us];
-            let mut ui = vec![0.0; lanes * us];
-            for l in 0..lanes {
-                for j in 0..n {
-                    xr[l * xs + j] = ((l * 7 + j) as f64 * 0.3).sin();
-                    xi[l * xs + j] = ((l * 3 + j) as f64 * 0.7).cos();
-                }
-                for k in 0..p {
-                    ur[l * us + k] = (l + k) as f64 * 0.21 - 0.4;
-                    ui[l * us + k] = (l as f64 - k as f64) * 0.13;
-                }
-            }
-            let mut br = vec![0.0; lanes * xs];
-            let mut bi = vec![0.0; lanes * xs];
-            ss.apply_b_split_multi(lanes, &ur, &ui, us, &mut br, &mut bi, xs);
-            let mut btr = vec![0.0; lanes * us];
-            let mut bti = vec![0.0; lanes * us];
-            ss.apply_bt_split_multi(lanes, &xr, &xi, xs, &mut btr, &mut bti, us);
-            let mut cr = vec![0.0; lanes * us];
-            let mut ci = vec![0.0; lanes * us];
-            ss.apply_c_split_multi(lanes, &xr, &xi, xs, &mut cr, &mut ci, us);
-            let mut ctr = vec![0.0; lanes * xs];
-            let mut cti = vec![0.0; lanes * xs];
-            ss.apply_ct_split_multi(lanes, &ur, &ui, us, &mut ctr, &mut cti, xs);
-            for l in 0..lanes {
-                let (lxr, lxi) = (&xr[l * xs..l * xs + n], &xi[l * xs..l * xs + n]);
-                let (lur, lui) = (&ur[l * us..l * us + p], &ui[l * us..l * us + p]);
-                let (mut sr, mut si) = (vec![0.0; n], vec![0.0; n]);
-                ss.apply_b_split(lur, lui, &mut sr, &mut si);
-                assert_eq!(&br[l * xs..l * xs + n], &sr[..], "B lane {l}");
-                assert_eq!(&bi[l * xs..l * xs + n], &si[..], "B lane {l}");
-                let (mut tr, mut ti) = (vec![0.0; p], vec![0.0; p]);
-                ss.apply_bt_split(lxr, lxi, &mut tr, &mut ti);
-                assert_eq!(&btr[l * us..l * us + p], &tr[..], "B^T lane {l}");
-                assert_eq!(&bti[l * us..l * us + p], &ti[..], "B^T lane {l}");
-                ss.apply_c_split(lxr, lxi, &mut tr, &mut ti);
-                assert_eq!(&cr[l * us..l * us + p], &tr[..], "C lane {l}");
-                assert_eq!(&ci[l * us..l * us + p], &ti[..], "C lane {l}");
-                ss.apply_ct_split(lur, lui, &mut sr, &mut si);
-                assert_eq!(&ctr[l * xs..l * xs + n], &sr[..], "C^T lane {l}");
-                assert_eq!(&cti[l * xs..l * xs + n], &si[..], "C^T lane {l}");
-            }
-        }
     }
 
     #[test]

@@ -166,10 +166,14 @@ fn assert_trichotomy(tag: &str, result: Result<SolverOutcome, SolverError>, orac
     }
 }
 
-fn run_cell(tag: &str, ss: &StateSpace, oracle: &[f64], opts: SolverOptions) {
+/// Runs one cell and asserts the trichotomy; returns how many faults the
+/// sweep injected when it produced a result (`None` for a typed error).
+fn run_cell(tag: &str, ss: &StateSpace, oracle: &[f64], opts: SolverOptions) -> Option<u64> {
     let ss = ss.clone();
     let result = with_watchdog(tag, move || find_imaginary_eigenvalues(&ss, &opts));
+    let injected = result.as_ref().ok().map(|out| out.stats.faults_injected);
     assert_trichotomy(tag, result, oracle);
+    injected
 }
 
 #[test]
@@ -208,17 +212,21 @@ fn apply_corruption_at_every_stage() {
 fn singular_shift_and_stall_stages() {
     let ss = model();
     let oracle = oracle_crossings(&ss);
-    for stage in [0u64, 2] {
+    // `singular_shift=K` counts factorizations on both lane routes (solo
+    // attempts and lockstep block lanes), so at the default block size
+    // every small K fires, exactly once.
+    for stage in 0u64..4 {
         let plan = FaultPlan {
             singular_shift: Some(stage),
             ..FaultPlan::default()
         };
-        run_cell(
+        let injected = run_cell(
             &format!("singular_shift@{stage}"),
             &ss,
             &oracle,
             SolverOptions::default().with_fault_plan(plan),
         );
+        assert_eq!(injected, Some(1), "singular_shift@{stage}");
     }
     let plan = FaultPlan {
         stall: Some((1, Duration::from_millis(5))),
