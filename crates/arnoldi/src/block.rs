@@ -62,6 +62,13 @@ pub fn block_shift_sweep(
     assert_eq!(k, op.lanes(), "one lane spec per operator lane required");
     assert!(workspaces.len() >= k, "one workspace per lane required");
     let n = op.dim();
+    // Lanes never run concurrently and a round scratch holds nothing
+    // between calls, so one serves the whole block: lane 0's, handed back
+    // (still warm) when the block is done.
+    let mut round = workspaces
+        .first_mut()
+        .map(|ws| std::mem::take(ws.round_mut()))
+        .unwrap_or_default();
     let mut cores: Vec<ShiftCore<'_>> = workspaces
         .iter_mut()
         .zip(specs)
@@ -84,11 +91,13 @@ pub fn block_shift_sweep(
             let mut apply = |x: &[C64], y: &mut [C64]| op.apply_lane_into(l, x, y);
             let map = |mu: C64| op.to_hamiltonian_eigenvalue(l, mu);
             let mut cancelled = || should_cancel(l);
-            let done = if started {
-                cores[l].step(&mut apply, &map, &mut cancelled)
-            } else {
-                cores[l].start(&specs[l].warm, &mut apply, &map, &mut cancelled)
-            };
+            let done = cores[l].with_round(&mut round, |core| {
+                if started {
+                    core.step(&mut apply, &map, &mut cancelled)
+                } else {
+                    core.start(&specs[l].warm, &mut apply, &map, &mut cancelled)
+                }
+            });
             match done {
                 Some(outcome) => {
                     on_complete(l, outcome);
@@ -98,6 +107,10 @@ pub fn block_shift_sweep(
             }
         });
         started = true;
+    }
+    drop(cores);
+    if let Some(ws) = workspaces.first_mut() {
+        *ws.round_mut() = round;
     }
 }
 

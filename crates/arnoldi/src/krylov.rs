@@ -20,7 +20,6 @@
 
 use pheig_hamiltonian::CLinearOp;
 use pheig_linalg::kernels::{self, SplitBasis};
-use pheig_linalg::vector::{axpy, normalize};
 use pheig_linalg::{Matrix, C64};
 
 /// An Arnoldi factorization of length `m`.
@@ -33,8 +32,9 @@ use pheig_linalg::{Matrix, C64};
 #[derive(Debug, Clone)]
 pub struct ArnoldiFactorization {
     /// Orthonormal basis vectors `v_0 .. v_m` (`m + 1` of them),
-    /// interleaved — the layout the operator boundary (`apply_into`) and
-    /// the lifting consumers expect.
+    /// interleaved — the layout the operator boundary (`apply_into`)
+    /// expects. Everything that combines basis vectors reads the
+    /// split-plane mirror instead ([`Self::basis_split`]).
     pub basis: Vec<Vec<C64>>,
     /// The upper-Hessenberg projection (leading `(steps+1) x steps` block).
     pub h: Matrix<C64>,
@@ -55,7 +55,8 @@ pub struct ArnoldiFactorization {
     pool: Vec<Vec<C64>>,
     /// Split-complex mirror of `basis` for the blocked CGS2 kernels.
     split: SplitBasis,
-    /// Split-complex mirror of the deflation set (rebuilt per call).
+    /// The deflation set, split-complex: filled by [`Self::set_locked`] or
+    /// grown row by row through [`Self::push_locked`].
     locked_split: SplitBasis,
     /// Working-vector planes.
     wr: Vec<f64>,
@@ -131,45 +132,60 @@ impl ArnoldiFactorization {
     }
 
     /// Lifts a projected vector `y` (length `steps`) into the original
-    /// space: `V_m y`, normalized.
+    /// space: `V_m y`, normalized. A thin allocating wrapper over the
+    /// combine kernel ([`SplitBasis::combine_into`]).
     ///
     /// # Panics
     ///
     /// Panics if `y.len() != self.steps` or the factorization is empty.
     pub fn lift(&self, y: &[C64]) -> Vec<C64> {
+        assert_eq!(y.len(), self.steps, "lift coefficient length mismatch");
         assert!(!self.basis.is_empty(), "lift on an empty factorization");
-        let mut v = vec![C64::zero(); self.basis[0].len()];
-        self.lift_into(y, &mut v);
+        let n = self.basis[0].len();
+        let (mut vr, mut vi) = (vec![0.0; n], vec![0.0; n]);
+        self.split.combine_into(self.steps, y, &mut vr, &mut vi);
+        kernels::normalize_seq(&mut vr, &mut vi);
+        let mut v = vec![C64::zero(); n];
+        kernels::merge(&vr, &vi, &mut v);
         v
     }
 
-    /// Lifts a projected vector into a caller-provided buffer (no heap
-    /// allocation): `out = V_m y`, normalized.
+    /// The split-plane mirror of `basis` (row `j` is `v_j`).
+    pub fn basis_split(&self) -> &SplitBasis {
+        &self.split
+    }
+
+    /// The deflation set the next build projects out (row `q` pairs with
+    /// row `q` of `hl`).
+    pub fn locked(&self) -> &SplitBasis {
+        &self.locked_split
+    }
+
+    /// Replaces the deflation set with `locked` (vectors of length `n`).
     ///
     /// # Panics
     ///
-    /// Panics if `y.len() != self.steps`, the factorization is empty, or
-    /// `out.len()` is not the operator dimension.
-    pub fn lift_into(&self, y: &[C64], out: &mut [C64]) {
-        assert_eq!(y.len(), self.steps, "lift coefficient length mismatch");
-        assert!(!self.basis.is_empty(), "lift on an empty factorization");
-        assert_eq!(
-            out.len(),
-            self.basis[0].len(),
-            "lift output length mismatch"
-        );
-        out.fill(C64::zero());
-        for (j, yj) in y.iter().enumerate() {
-            axpy(*yj, &self.basis[j], out);
+    /// Panics if any locked vector has length `!= n`.
+    pub fn set_locked(&mut self, n: usize, locked: &[Vec<C64>]) {
+        self.locked_split.reset(n);
+        for q in locked {
+            self.locked_split.push_interleaved(q);
         }
-        normalize(out);
+    }
+
+    /// Appends one vector (split planes) to the deflation set. The caller
+    /// keeps the set orthonormal; the rows already there are untouched, so
+    /// a set that only grows is never re-split.
+    pub fn push_locked(&mut self, xr: &[f64], xi: &[f64]) {
+        self.locked_split.push_split(xr, xi);
     }
 
     /// Starts an incremental (caller-driven) rebuild of the factorization.
     ///
     /// Performs everything [`arnoldi_into`] does up to the first operator
-    /// application: storage setup, deflation of `start` against `locked`,
-    /// and normalization of `v_0`. Returns `false` when no operator
+    /// application: storage setup, deflation of `start` against the locked
+    /// set ([`Self::set_locked`] / [`Self::push_locked`]), and
+    /// normalization of `v_0`. Returns `false` when no operator
     /// applications are needed (degenerate start inside the locked span,
     /// or `max_steps == 0`) — the factorization is then already final.
     /// Otherwise the caller alternates [`Self::io_mut`] (apply the
@@ -183,28 +199,17 @@ impl ArnoldiFactorization {
     ///
     /// # Panics
     ///
-    /// Panics if `start.len() != n` or any locked vector has length `!= n`.
-    pub fn begin_build(
-        &mut self,
-        n: usize,
-        start: &[C64],
-        locked: &[Vec<C64>],
-        max_steps: usize,
-    ) -> bool {
+    /// Panics if `start.len() != n` or the locked set holds vectors of
+    /// another length.
+    pub fn begin_build(&mut self, n: usize, start: &[C64], max_steps: usize) -> bool {
         assert_eq!(start.len(), n, "start vector length mismatch");
-        for q in locked {
-            assert_eq!(q.len(), n, "locked vector length mismatch");
-        }
-        if self.h.rows() != max_steps + 1 || self.h.cols() != max_steps {
-            self.h = Matrix::zeros(max_steps + 1, max_steps);
-        } else {
-            self.h.fill(C64::zero());
-        }
-        if self.hl.rows() != locked.len().max(1) || self.hl.cols() != max_steps {
-            self.hl = Matrix::zeros(locked.len().max(1), max_steps);
-        } else {
-            self.hl.fill(C64::zero());
-        }
+        let locked = self.locked_split.rows();
+        assert!(
+            locked == 0 || self.locked_split.row_len() == n,
+            "locked vector length mismatch"
+        );
+        self.h.reset_zeros(max_steps + 1, max_steps);
+        self.hl.reset_zeros(locked.max(1), max_steps);
         // Plane scratch and the split mirrors (reused storage; grows only
         // to the high-water mark, then allocation-free across rebuilds).
         self.wr.clear();
@@ -212,12 +217,7 @@ impl ArnoldiFactorization {
         self.wi.clear();
         self.wi.resize(n, 0.0);
         self.coeff.clear();
-        self.coeff
-            .resize(locked.len().max(max_steps + 1), C64::zero());
-        self.locked_split.reset(n);
-        for q in locked {
-            self.locked_split.push_interleaved(q);
-        }
+        self.coeff.resize(locked.max(max_steps + 1), C64::zero());
         self.split.reset(n);
         self.ensure_slot(0, n);
         // v0 = start with the locked span batch-projected out; the second
@@ -337,7 +337,8 @@ pub fn arnoldi_into(
     max_steps: usize,
     fact: &mut ArnoldiFactorization,
 ) {
-    if !fact.begin_build(op.dim(), start, locked, max_steps) {
+    fact.set_locked(op.dim(), locked);
+    if !fact.begin_build(op.dim(), start, max_steps) {
         return;
     }
     loop {
@@ -353,7 +354,7 @@ pub fn arnoldi_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pheig_linalg::vector::{dot, nrm2};
+    use pheig_linalg::vector::{axpy, dot, nrm2};
 
     fn diag_op(d: &[C64]) -> Matrix<C64> {
         Matrix::from_diag(d)

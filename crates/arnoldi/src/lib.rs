@@ -13,9 +13,11 @@
 //! out of subsequent restarts). It returns every Hamiltonian eigenvalue
 //! inside a certified disk `C(theta, rho)` together with the final radius.
 //!
-//! * [`krylov`] — the Arnoldi factorization with modified Gram–Schmidt,
-//!   one full re-orthogonalization pass, and locked-vector deflation;
-//! * [`ritz`] — Ritz pair extraction and residual estimates;
+//! * [`krylov`] — the Arnoldi factorization with blocked CGS2 (classical
+//!   Gram–Schmidt plus one unconditional re-orthogonalization pass, both
+//!   batched over split-complex planes) and locked-vector deflation;
+//! * [`ritz`] — Ritz pair extraction (Hessenberg-aware) and residual
+//!   estimates;
 //! * [`single_shift`] — the restarted driver with the paper's radius
 //!   update logic;
 //! * [`options`] — tuning knobs (subspace size `d = 60`, eigenvalues per

@@ -5,34 +5,131 @@ use crate::error::ArnoldiError;
 use crate::krylov::{arnoldi_into, ArnoldiFactorization};
 use crate::options::SingleShiftOptions;
 use crate::recycle::RecycledPair;
-use crate::ritz::ritz_pairs;
+use crate::ritz::{ritz_pairs, RitzSet};
 use pheig_hamiltonian::{CLinearOp, ShiftInvertOp};
-use pheig_linalg::vector::{axpy, dot, normalize};
-use pheig_linalg::C64;
+use pheig_linalg::kernels::{self, SplitBasis};
+use pheig_linalg::vector::{dot, normalize};
+use pheig_linalg::{Matrix, C64};
 use pheig_model::StateSpace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Reusable scratch for the single-shift iteration: the Arnoldi
-/// factorization storage plus the restart vectors.
+/// factorization storage, the Ritz extraction, the locked set's operator
+/// images and the plane buffers every round-closing combination runs in.
 ///
 /// One workspace serves one worker; passing the same workspace to
 /// successive [`single_shift_on_op_with`] /
 /// [`single_shift_iteration_recycled_with`] calls reuses all of its
 /// allocations (a sweep runs thousands of shifts, so per-shift allocation
-/// churn is measurable).
+/// churn is measurable). After a warm-up shift, a shift allocates only the
+/// images of the pairs it locks, the eigenvectors it returns and a few
+/// small per-shift lists — nothing per round.
 #[derive(Debug, Default)]
 pub struct ArnoldiWorkspace {
+    /// The factorization; its locked set *is* the shift's deflation set.
     fact: ArnoldiFactorization,
+    /// Cached `Op q` for each locked vector, aligned with the rows of
+    /// `fact.locked()`. Warm validation already pays one operator
+    /// application per candidate, and round-locked Ritz vectors get their
+    /// image from the build identity `Op V = V H + beta v_m e_m^T + L HL`;
+    /// in both cases the deflation copy is a linear combination of vectors
+    /// with known images, so the Rayleigh-Ritz refinement never applies
+    /// the operator. One allocation pair per lock, freed with the shift:
+    /// images are only ever read a row at a time, and a contiguous store
+    /// held at its high-water mark in every lane's workspace costs more
+    /// resident memory than the shifts ever use at once.
+    locked_img: Vec<Planes>,
+    /// The next round's start vector.
     start: Vec<C64>,
-    comb: Vec<C64>,
-    lifted: Vec<C64>,
+    round: RoundScratch,
+}
+
+/// What closing a round (or validating a warm candidate) computes in:
+/// nothing here outlives the call that fills it, so the lanes of a block,
+/// which never run concurrently, take turns with one
+/// ([`ShiftCore::with_round`]).
+#[derive(Debug, Default)]
+pub(crate) struct RoundScratch {
+    ritz: RitzSet,
+    /// Warm candidate and its image: the operator boundary is interleaved.
+    cand: Vec<C64>,
+    cand_img: Vec<C64>,
+    /// A vector being lifted or locked, and its operator image.
+    v: Planes,
+    z: Planes,
+    /// The explicit-restart combination.
+    c: Planes,
+    coeff: Vec<C64>,
+    /// The Rayleigh-Ritz matrix `Q^H (Op Q)`.
+    t: Matrix<C64>,
 }
 
 impl ArnoldiWorkspace {
     /// An empty workspace; storage grows on first use and is then reused.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The round scratch, for a block driver to share among its lanes
+    /// through [`ShiftCore::with_round`] (hand it back when the block is
+    /// done so it stays warm).
+    pub(crate) fn round_mut(&mut self) -> &mut RoundScratch {
+        &mut self.round
+    }
+}
+
+/// One split-complex vector. Its arithmetic is *chain-order*: every
+/// element sees the operations, in the order, that the interleaved
+/// `vector::{axpy, dot, normalize}` chains this module used to run would
+/// apply (DESIGN.md, "Closing a round").
+#[derive(Debug, Clone, Default)]
+struct Planes {
+    re: Vec<f64>,
+    im: Vec<f64>,
+}
+
+impl Planes {
+    /// The zero vector of length `n`.
+    fn zero(&mut self, n: usize) {
+        for plane in [&mut self.re, &mut self.im] {
+            plane.clear();
+            plane.resize(n, 0.0);
+        }
+    }
+
+    /// Loads an interleaved vector.
+    fn load(&mut self, x: &[C64]) {
+        self.re.resize(x.len(), 0.0);
+        self.im.resize(x.len(), 0.0);
+        kernels::split(x, &mut self.re, &mut self.im);
+    }
+
+    /// `sum_{r < rows} c[r] q_r` over the rows of `basis`.
+    fn combine(&mut self, basis: &SplitBasis, rows: usize, c: &[C64]) {
+        self.zero(basis.row_len());
+        basis.combine_into(rows, c, &mut self.re, &mut self.im);
+    }
+
+    fn scale(&mut self, k: f64) {
+        kernels::scal_real(k, &mut self.re, &mut self.im);
+    }
+
+    /// Scales to unit norm and returns the original norm; a zero vector is
+    /// left untouched.
+    fn normalize(&mut self) -> f64 {
+        kernels::normalize_seq(&mut self.re, &mut self.im)
+    }
+
+    /// `||self - mu x||^2`, accumulated element by element.
+    fn residual_sq(&self, mu: C64, x: &Planes) -> f64 {
+        let mut r2 = 0.0f64;
+        for (((zr, zi), xr), xi) in self.re.iter().zip(&self.im).zip(&x.re).zip(&x.im) {
+            let dr = zr - (mu.re * xr - mu.im * xi);
+            let di = zi - (mu.re * xi + mu.im * xr);
+            r2 += dr * dr + di * di;
+        }
+        r2
     }
 }
 
@@ -138,16 +235,8 @@ pub(crate) struct ShiftCore<'a> {
     // radius certificate has a "next eigenvalue" distance to lean on.
     collect_target: usize,
     rng: StdRng,
-    locked_vecs: Vec<Vec<C64>>,
-    /// Cached `Op q` for each locked vector, aligned with `locked_vecs`.
-    /// Warm validation already pays one operator application per candidate,
-    /// and round-locked Ritz vectors get their image from the build
-    /// identity `Op V = V H + beta v_m e_m^T + L HL`; in both cases the
-    /// deflation copy is a linear combination of vectors with known
-    /// images, so the Rayleigh-Ritz refinement never re-applies the
-    /// operator. `None` marks the (defensive) fallback when a needed
-    /// image is missing — refinement then recomputes that one.
-    locked_opq: Vec<Option<Vec<C64>>>,
+    /// Eigenvalues of the distinct locked pairs (the locked *vectors* and
+    /// their images live in the workspace, split-complex).
     locked_lambdas: Vec<C64>,
     near_estimates: Vec<f64>,
     /// Distances of warm candidates that validated as "converging" but not
@@ -195,10 +284,8 @@ impl<'a> ShiftCore<'a> {
         let collect_target = opts.n_eigs + 1;
         ws.start.clear();
         ws.start.resize(n, C64::zero());
-        ws.comb.clear();
-        ws.comb.resize(n, C64::zero());
-        ws.lifted.clear();
-        ws.lifted.resize(n, C64::zero());
+        ws.fact.set_locked(n, &[]);
+        ws.locked_img.clear();
         ShiftCore {
             ws,
             opts,
@@ -209,8 +296,6 @@ impl<'a> ShiftCore<'a> {
             tol_abs,
             collect_target,
             rng,
-            locked_vecs: Vec::new(),
-            locked_opq: Vec::new(),
             locked_lambdas: Vec::new(),
             near_estimates: Vec::new(),
             warm_near: Vec::new(),
@@ -242,8 +327,17 @@ impl<'a> ShiftCore<'a> {
         for pair in warm.iter().take(cap) {
             assert_eq!(pair.vector.len(), self.n, "recycled vector length mismatch");
             self.warm_candidates += 1;
-            let ArnoldiWorkspace { comb, lifted, .. } = &mut *self.ws;
-            comb.copy_from_slice(&pair.vector);
+            let RoundScratch {
+                cand,
+                cand_img: img,
+                v,
+                z,
+                ..
+            } = &mut self.ws.round;
+            cand.clear();
+            cand.extend_from_slice(&pair.vector);
+            img.clear();
+            img.resize(self.n, C64::zero());
             // Validate the candidate *raw*: eigenvectors of a non-normal
             // operator are not mutually orthogonal, so projecting out the
             // already-locked directions first would destroy the very
@@ -251,18 +345,18 @@ impl<'a> ShiftCore<'a> {
             // (below) is orthogonalized — the locked *span* is what must
             // stay orthonormal, and the Rayleigh–Ritz refinement recovers
             // true eigenpairs from the span.
-            if normalize(comb) < 1e-8 {
+            if normalize(cand) < 1e-8 {
                 continue;
             }
             self.matvecs += 1;
             self.opts.control.charge_matvecs(1);
-            apply(comb, lifted);
-            self.opts.control.corrupt(lifted);
-            let mu = dot(comb, lifted);
+            apply(cand, img);
+            self.opts.control.corrupt(img);
+            let mu = dot(cand, img);
             let m2 = mu.abs_sq().max(f64::MIN_POSITIVE);
             let mut r2 = 0.0f64;
             for i in 0..self.n {
-                r2 += (lifted[i] - mu * comb[i]).abs_sq();
+                r2 += (img[i] - mu * cand[i]).abs_sq();
             }
             let err = r2.sqrt() / m2;
             let lambda = map(mu);
@@ -272,8 +366,9 @@ impl<'a> ShiftCore<'a> {
                     .locked_lambdas
                     .iter()
                     .any(|&l| (l - lambda).abs() <= 100.0 * self.tol_abs + 1e-10 * dist);
-                let (v, img) = (comb.clone(), lifted.clone());
-                if self.lock(v, img) && !duplicate {
+                v.load(cand);
+                z.load(img);
+                if self.lock() && !duplicate {
                     self.locked_lambdas.push(lambda);
                     self.warm_pre_locked += 1;
                 }
@@ -286,32 +381,85 @@ impl<'a> ShiftCore<'a> {
         }
     }
 
-    /// Orthogonalizes `v` against the locked set, mirroring the
-    /// Gram-Schmidt coefficients onto its operator image `img`
-    /// (`Op(v - sum c_q q) = img - sum c_q (Op q)`, so the deflation copy's
-    /// image costs no new application), and locks the normalized pair.
-    /// Returns `false`, locking nothing, when the direction already lies
-    /// inside the locked span.
-    fn lock(&mut self, mut v: Vec<C64>, mut img: Vec<C64>) -> bool {
-        let mut image_exact = true;
-        for (q, qw) in self.locked_vecs.iter().zip(&self.locked_opq) {
-            let c = dot(q, &v);
-            axpy(-c, q, &mut v);
-            match qw {
-                Some(qw) => axpy(-c, qw, &mut img),
-                None => image_exact = false,
-            }
+    /// Orthogonalizes the workspace's `v` against the locked set, mirroring
+    /// the Gram-Schmidt coefficients onto its operator image `z`
+    /// (`Op(v - sum c_q q) = z - sum c_q (Op q)`, so the deflation copy's
+    /// image costs no new application), and appends the normalized pair to
+    /// the locked set. Returns `false`, locking nothing, when the direction
+    /// already lies inside the locked span.
+    fn lock(&mut self) -> bool {
+        let ArnoldiWorkspace {
+            fact,
+            locked_img,
+            round: RoundScratch { v, z, .. },
+            ..
+        } = &mut *self.ws;
+        // Modified Gram-Schmidt: each coefficient is taken against the
+        // already-updated `v`, so this chain cannot be batched.
+        for (q, w) in locked_img.iter().enumerate() {
+            let (qr, qi) = fact.locked().row(q);
+            let c = kernels::dot_seq(qr, qi, &v.re, &v.im);
+            kernels::axpy(-c, qr, qi, &mut v.re, &mut v.im);
+            kernels::axpy(-c, &w.re, &w.im, &mut z.re, &mut z.im);
         }
-        let nrm = normalize(&mut v);
+        let nrm = v.normalize();
         if nrm < 1e-8 {
             return false;
         }
-        let inv = C64::from_real(1.0 / nrm);
-        for x in img.iter_mut() {
-            *x *= inv;
+        z.scale(1.0 / nrm);
+        fact.push_locked(&v.re, &v.im);
+        locked_img.push(z.clone());
+        true
+    }
+
+    /// Lifts the Ritz vector at `rank` into the workspace's `v` (unit
+    /// norm) and reconstructs its operator image into `z` from the build
+    /// identity `Op V = V H + beta v_m e_m^T + L HL`, where `L` is the
+    /// first `nl_build` locked vectors — the image then rides through
+    /// [`Self::lock`], so the Rayleigh-Ritz refinement never applies the
+    /// operator to this vector. Returns `false` for a null lift.
+    fn lift_with_image(&mut self, rank: usize, nl_build: usize) -> bool {
+        let ArnoldiWorkspace {
+            fact,
+            round: RoundScratch {
+                ritz, v, z, coeff, ..
+            },
+            ..
+        } = &mut *self.ws;
+        let (m, y) = (fact.steps, ritz.y(rank));
+        v.combine(fact.basis_split(), m, y);
+        let ny = v.normalize();
+        if ny == 0.0 {
+            return false;
         }
-        self.locked_vecs.push(v);
-        self.locked_opq.push(image_exact.then_some(img));
+        // `H y`, row by row; `H` is upper Hessenberg, so row `i` starts at
+        // column `i - 1`.
+        coeff.clear();
+        for i in 0..m {
+            let from = i.saturating_sub(1);
+            let mut hy = C64::zero();
+            for (&hij, &yj) in fact.h.row(i)[from..m].iter().zip(&y[from..]) {
+                hy += hij * yj;
+            }
+            coeff.push(hy);
+        }
+        let mut rows = m;
+        if !fact.breakdown && fact.basis.len() > m {
+            coeff.push(fact.h[(m, m - 1)] * y[m - 1]);
+            rows += 1;
+        }
+        z.combine(fact.basis_split(), rows, coeff);
+        coeff.clear();
+        for q in 0..nl_build {
+            let mut hy = C64::zero();
+            for (&hqj, &yj) in fact.hl.row(q)[..m].iter().zip(y) {
+                hy += hqj * yj;
+            }
+            coeff.push(hy);
+        }
+        fact.locked()
+            .combine_into(nl_build, coeff, &mut z.re, &mut z.im);
+        z.scale(1.0 / ny);
         true
     }
 
@@ -358,7 +506,7 @@ impl<'a> ShiftCore<'a> {
         }
         self.have_next_start = false;
         let ArnoldiWorkspace { fact, start, .. } = &mut *self.ws;
-        fact.begin_build(self.n, start, &self.locked_vecs, steps)
+        fact.begin_build(self.n, start, steps)
     }
 
     /// The operator boundary of the current Arnoldi step (see
@@ -397,15 +545,17 @@ impl<'a> ShiftCore<'a> {
             // Fully deflated: the reachable spectrum is exhausted.
             return Ok(false);
         }
-        let pairs = ritz_pairs(&self.ws.fact)?;
-        // Locked count at build time: `hl` columns decompose against
-        // exactly this prefix of the deflation set (vectors locked below
-        // grow the set past it).
-        let nl_build = self.locked_vecs.len();
+        let ArnoldiWorkspace { fact, round, .. } = &mut *self.ws;
+        round.ritz.extract(fact)?;
+        // Locked count at build time: `hl` rows decompose against exactly
+        // this prefix of the deflation set (vectors locked below grow the
+        // set past it).
+        let nl_build = fact.locked().rows();
         let mut newly = 0usize;
         self.near_estimates.clear();
         self.ext_cap = f64::INFINITY;
-        for pair in &pairs {
+        for rank in 0..self.ws.round.ritz.pairs().len() {
+            let pair = self.ws.round.ritz.pairs()[rank];
             let lambda = map(pair.mu);
             if !lambda.re.is_finite() || !lambda.im.is_finite() {
                 // Non-finite Ritz value (a corrupted apply or a broken
@@ -430,47 +580,9 @@ impl<'a> ShiftCore<'a> {
                     .locked_lambdas
                     .iter()
                     .any(|&l| (l - lambda).abs() <= 100.0 * self.tol_abs + 1e-10 * dist);
-                // Lift `V y` (tracking its norm) and reconstruct the
-                // operator image from the build identity
-                // `Op V = V H + beta v_m e_m^T + L HL` — the image then
-                // rides through the deflation update below, so the
-                // Rayleigh-Ritz refinement never re-applies the operator
-                // to this vector.
-                let fact = &self.ws.fact;
-                let m = fact.steps;
-                let mut v = vec![C64::zero(); self.n];
-                for (j, &yj) in pair.y.iter().enumerate() {
-                    axpy(yj, &fact.basis[j], &mut v);
-                }
-                let ny = normalize(&mut v);
-                if ny == 0.0 {
-                    continue;
-                }
-                let mut img = vec![C64::zero(); self.n];
-                for i in 0..m {
-                    let mut hy = C64::zero();
-                    for (j, &yj) in pair.y.iter().enumerate() {
-                        hy += fact.h[(i, j)] * yj;
-                    }
-                    axpy(hy, &fact.basis[i], &mut img);
-                }
-                if !fact.breakdown && fact.basis.len() > m {
-                    axpy(fact.h[(m, m - 1)] * pair.y[m - 1], &fact.basis[m], &mut img);
-                }
-                for (q, qv) in self.locked_vecs[..nl_build].iter().enumerate() {
-                    let mut hy = C64::zero();
-                    for (j, &yj) in pair.y.iter().enumerate() {
-                        hy += fact.hl[(q, j)] * yj;
-                    }
-                    axpy(hy, qv, &mut img);
-                }
-                let inv = C64::from_real(1.0 / ny);
-                for x in img.iter_mut() {
-                    *x *= inv;
-                }
                 // The vector moves into the deflation set: the refinement
                 // recovers eigenvectors from that set.
-                if self.lock(v, img) && !duplicate {
+                if self.lift_with_image(rank, nl_build) && self.lock() && !duplicate {
                     self.locked_lambdas.push(lambda);
                     newly += 1;
                 }
@@ -485,24 +597,26 @@ impl<'a> ShiftCore<'a> {
         let ArnoldiWorkspace {
             fact,
             start,
-            comb,
-            lifted,
+            round: RoundScratch { ritz, v, c, .. },
+            ..
         } = &mut *self.ws;
-        comb.fill(C64::zero());
+        c.zero(self.n);
         let mut used = 0usize;
-        for pair in &pairs {
+        for (rank, pair) in ritz.pairs().iter().enumerate() {
             if used >= self.opts.n_eigs {
                 break;
             }
             if pair.mapped_error_estimate() <= self.tol_abs {
                 continue; // already locked this round
             }
-            fact.lift_into(&pair.y, lifted);
-            axpy(C64::from_real(1.0 / (1.0 + used as f64)), lifted, comb);
+            v.combine(fact.basis_split(), fact.steps, ritz.y(rank));
+            v.normalize();
+            let weight = C64::from_real(1.0 / (1.0 + used as f64));
+            kernels::axpy(weight, &v.re, &v.im, &mut c.re, &mut c.im);
             used += 1;
         }
-        if used > 0 && normalize(comb) > 0.0 {
-            start.copy_from_slice(comb);
+        if used > 0 && c.normalize() > 0.0 {
+            kernels::merge(&c.re, &c.im, start);
             self.have_next_start = true;
         }
         if self.probing {
@@ -524,6 +638,20 @@ impl<'a> ShiftCore<'a> {
         Ok(true)
     }
 
+    /// Runs `f` with `round` standing in for this lane's own round scratch
+    /// (and hands it back afterwards), so a driver stepping several lanes
+    /// in turn keeps one scratch warm instead of one per lane.
+    pub(crate) fn with_round<R>(
+        &mut self,
+        round: &mut RoundScratch,
+        f: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        std::mem::swap(&mut self.ws.round, round);
+        let out = f(self);
+        std::mem::swap(&mut self.ws.round, round);
+        out
+    }
+
     /// Validates `warm` (if any) and opens the first round. `Some` means
     /// the shift ended without a Krylov step to apply.
     pub(crate) fn start(
@@ -536,7 +664,7 @@ impl<'a> ShiftCore<'a> {
         if !warm.is_empty() {
             self.warm_init(warm, apply, map);
         }
-        self.open_round(apply, map, cancelled)
+        self.open_round(map, cancelled)
     }
 
     /// One operator application on the open round. When that closes the
@@ -554,19 +682,18 @@ impl<'a> ShiftCore<'a> {
         if self.absorb_step() {
             return None;
         }
-        self.close_round(apply, map)
-            .or_else(|| self.open_round(apply, map, cancelled))
+        self.close_round(map)
+            .or_else(|| self.open_round(map, cancelled))
     }
 
     /// Closes the current round; `Some` when that ends the shift.
     fn close_round(
         &mut self,
-        apply: &mut dyn FnMut(&[C64], &mut [C64]),
         map: &dyn Fn(C64) -> C64,
     ) -> Option<Result<SingleShiftOutcome, ArnoldiError>> {
         match self.finish_round(map) {
             Ok(true) => None,
-            Ok(false) => Some(self.finish(apply, map)),
+            Ok(false) => Some(self.finish(map)),
             Err(e) => Some(Err(e)),
         }
     }
@@ -575,7 +702,6 @@ impl<'a> ShiftCore<'a> {
     /// build (`None`) or ends the shift.
     fn open_round(
         &mut self,
-        apply: &mut dyn FnMut(&[C64], &mut [C64]),
         map: &dyn Fn(C64) -> C64,
         cancelled: &mut dyn FnMut() -> bool,
     ) -> Option<Result<SingleShiftOutcome, ArnoldiError>> {
@@ -584,14 +710,14 @@ impl<'a> ShiftCore<'a> {
                 return Some(Err(ArnoldiError::Cancelled));
             }
             if !self.building() {
-                return Some(self.finish(apply, map));
+                return Some(self.finish(map));
             }
             if self.begin_round() {
                 return None;
             }
             // Degenerate round (start inside the locked span): close it and
             // let `building()`/the verdict decide what happens next.
-            if let Some(ended) = self.close_round(apply, map) {
+            if let Some(ended) = self.close_round(map) {
                 return Some(ended);
             }
         }
@@ -617,14 +743,20 @@ impl<'a> ShiftCore<'a> {
 
     /// Rayleigh–Ritz refinement on the locked subspace plus the radius
     /// certificate (paper Sec. III bullet 3).
-    fn finish(
-        &mut self,
-        apply: &mut dyn FnMut(&[C64], &mut [C64]),
-        map: &dyn Fn(C64) -> C64,
-    ) -> Result<SingleShiftOutcome, ArnoldiError> {
+    fn finish(&mut self, map: &dyn Fn(C64) -> C64) -> Result<SingleShiftOutcome, ArnoldiError> {
         let (theta, rho0, scale, tol_abs, n) =
             (self.theta, self.rho0, self.scale, self.tol_abs, self.n);
-        if self.locked_vecs.is_empty() {
+        let ArnoldiWorkspace {
+            fact,
+            locked_img,
+            round: RoundScratch { v, z, coeff, t, .. },
+            ..
+        } = &mut *self.ws;
+        // The images are read here for the last time: free them with this
+        // call rather than when the workspace's next shift starts.
+        let locked_img = std::mem::take(locked_img);
+        let locked = fact.locked();
+        if locked.is_empty() {
             return Err(ArnoldiError::NoConvergence {
                 restarts: self.restarts,
                 matvecs: self.matvecs,
@@ -635,23 +767,19 @@ impl<'a> ShiftCore<'a> {
         // i.e. the Q-orthogonal component of a true eigenvector. The span of
         // Q is (approximately) invariant, so projecting the operator onto Q
         // and solving the small eigenproblem recovers the true eigenpairs.
-        let mq = self.locked_vecs.len();
-        let mut opq: Vec<Vec<C64>> = Vec::with_capacity(mq);
-        for (q, cached) in self.locked_vecs.iter().zip(&self.locked_opq) {
-            match cached {
-                Some(w) => opq.push(w.clone()),
-                None => {
-                    let mut w = vec![C64::zero(); n];
-                    apply(q, &mut w);
-                    self.matvecs += 1;
-                    self.opts.control.charge_matvecs(1);
-                    opq.push(w);
-                }
+        // `T = Q^H (Op Q)`, one column (all rows of `Q` against one cached
+        // image) per batched pass.
+        let mq = locked.rows();
+        t.reset_zeros(mq, mq);
+        coeff.clear();
+        coeff.resize(mq, C64::zero());
+        for (j, w) in locked_img.iter().enumerate() {
+            locked.dot_seq_into(&w.re, &w.im, coeff);
+            for (i, &tij) in coeff.iter().enumerate() {
+                t[(i, j)] = tij;
             }
         }
-        let locked_vecs = &self.locked_vecs;
-        let t = pheig_linalg::Matrix::from_fn(mq, mq, |i, j| dot(&locked_vecs[i], &opq[j]));
-        let (mus, yv) = pheig_linalg::eig::eig_with_vectors(&t)?;
+        let (mus, yv) = pheig_linalg::eig::eig_with_vectors(t)?;
         let dedupe_tol = 100.0 * tol_abs;
         let mut refined: Vec<ConvergedEigenpair> = Vec::new();
         let mut doubtful_dists: Vec<f64> = Vec::new();
@@ -663,19 +791,17 @@ impl<'a> ShiftCore<'a> {
                 // sort below) would poison the certificate.
                 continue;
             }
-            // x = Q y_k (unit norm since Q is orthonormal and y_k is unit).
-            let mut x = vec![C64::zero(); n];
-            let mut z = vec![C64::zero(); n];
-            for j in 0..mq {
-                axpy(yv[(j, k)], &locked_vecs[j], &mut x);
-                axpy(yv[(j, k)], &opq[j], &mut z);
+            // x = Q y_k (unit norm since Q is orthonormal and y_k is unit)
+            // and its image z = (Op Q) y_k.
+            coeff.clear();
+            coeff.extend((0..mq).map(|j| yv[(j, k)]));
+            v.combine(locked, mq, coeff);
+            v.normalize();
+            z.zero(n);
+            for (w, &yj) in locked_img.iter().zip(coeff.iter()) {
+                kernels::axpy(yj, &w.re, &w.im, &mut z.re, &mut z.im);
             }
-            normalize(&mut x);
-            let mut r2 = 0.0f64;
-            for i in 0..n {
-                r2 += (z[i] - mu * x[i]).abs_sq();
-            }
-            let err = r2.sqrt() / mu.abs_sq().max(f64::MIN_POSITIVE);
+            let err = z.residual_sq(mu, v).sqrt() / mu.abs_sq().max(f64::MIN_POSITIVE);
             if refined
                 .iter()
                 .any(|e| (e.lambda - lambda).abs() <= dedupe_tol)
@@ -683,6 +809,8 @@ impl<'a> ShiftCore<'a> {
                 continue;
             }
             if err <= 1e3 * tol_abs {
+                let mut x = vec![C64::zero(); n];
+                kernels::merge(&v.re, &v.im, &mut x);
                 refined.push(ConvergedEigenpair {
                     lambda,
                     vector: x,
@@ -706,7 +834,7 @@ impl<'a> ShiftCore<'a> {
 
         // ---- Radius certification (paper Sec. III bullet 3) ----------------
         let dist = |e: &ConvergedEigenpair| (e.lambda - theta).abs();
-        refined.sort_by(|a, b| dist(a).partial_cmp(&dist(b)).unwrap());
+        refined.sort_by(|a, b| dist(a).total_cmp(&dist(b)));
         // Distances within `gap_tol` of each other form one "shell" (mirror
         // eigenvalues sit at *exactly* equal distance up to round-off); the
         // certified radius must never cut through a shell.
@@ -932,11 +1060,11 @@ pub fn largest_eigenvalue_magnitude(
         if fact.steps == 0 {
             break;
         }
-        let pairs = ritz_pairs(&fact)?;
-        if let Some(top) = pairs.first() {
+        let set = ritz_pairs(&fact)?;
+        if let Some(top) = set.pairs().first() {
             best = best.max(top.mu.abs());
             // Restart towards the dominant direction.
-            start = fact.lift(&top.y);
+            start = fact.lift(set.y(0));
             if top.residual <= 1e-6 * top.mu.abs().max(1e-300) {
                 return Ok(best);
             }

@@ -4,12 +4,19 @@
 //! heap allocations per matvec, exactly like generator-built models — the
 //! realization route must not silently regress the contract.
 //!
+//! Also pins the single-shift iteration's allocation contract: on a warm
+//! [`ArnoldiWorkspace`] a shift allocates for the eigenpairs it locks and
+//! returns, never per round.
+//!
 //! Same counting-global-allocator pattern as
-//! `crates/hamiltonian/tests/alloc_free.rs`; one test per file because a
-//! concurrently running test would pollute the counter.
+//! `crates/hamiltonian/tests/alloc_free.rs`; the tests of this file take
+//! turns under `SERIAL` because a concurrently running test would pollute
+//! the counter.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
+use pheig_arnoldi::single_shift::single_shift_on_op_with;
+use pheig_arnoldi::{ArnoldiWorkspace, SingleShiftOptions, SingleShiftOutcome};
 use pheig_core::pipeline::{Pipeline, PipelineOptions};
 use pheig_hamiltonian::{CLinearOp, HamiltonianOp, ShiftInvertOp};
 use pheig_linalg::C64;
@@ -18,6 +25,7 @@ use pheig_model::touchstone::{write_touchstone, TouchstoneOptions};
 use pheig_model::FrequencySamples;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 struct CountingAllocator;
 
@@ -64,8 +72,17 @@ fn allocations_during_applies(op: &dyn CLinearOp, reps: usize) -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
+/// One counter, one measuring test at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    // A failed sibling poisons the lock but leaves nothing to repair.
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 #[test]
 fn pipeline_realized_models_keep_the_zero_alloc_matvec_contract() {
+    let _turn = serial();
     // Drive a deck through the real pipeline front end (Touchstone parse +
     // vector fit + realization); the reference is passive so the output
     // realization is exactly the fitted one.
@@ -95,4 +112,60 @@ fn pipeline_realized_models_keep_the_zero_alloc_matvec_contract() {
         "HamiltonianOp::apply_into on a pipeline-realized model allocated {ham_allocs} times \
          in 200 applies"
     );
+}
+
+#[test]
+fn warm_workspace_shift_allocates_per_returned_pair_not_per_round() {
+    let _turn = serial();
+    let ss = generate_case(&CaseSpec::new(96, 3).with_seed(7).with_target_crossings(4))
+        .unwrap()
+        .realize();
+    let op = ShiftInvertOp::new(&ss, C64::from_imag(3.0)).unwrap();
+    let map = |mu: C64| op.to_hamiltonian_eigenvalue(mu);
+    let mut ws = ArnoldiWorkspace::new();
+    let mut shift = |opts: &SingleShiftOptions| -> (u64, SingleShiftOutcome) {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let out = single_shift_on_op_with(&op, &map, op.theta(), 1.0, 12.0, opts, &mut ws)
+            .expect("the probe shift certifies");
+        (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+    };
+    let wide = SingleShiftOptions::new().with_seed(2);
+    let narrow = wide.clone().with_max_subspace(16);
+    // Warm-up: one shift of each shape grows every workspace buffer to
+    // its high-water mark.
+    shift(&wide);
+    shift(&narrow);
+    let (wide_allocs, wide_out) = shift(&wide);
+    let (narrow_allocs, narrow_out) = shift(&narrow);
+    assert!(
+        narrow_out.restarts >= wide_out.restarts + 2,
+        "the narrow subspace should need more rounds ({} vs {})",
+        narrow_out.restarts,
+        wide_out.restarts
+    );
+    // What a shift may allocate: one image (two planes) per locked pair,
+    // one vector per returned eigenpair, the dense Rayleigh-Ritz solve's
+    // temporaries and a few short per-shift lists — a constant and terms
+    // in the pairs it locks and hands back, nothing in `max_subspace` or
+    // the round count. (Before the round-closing
+    // layer moved onto the workspace planes every round allocated
+    // `m + O(1)` vectors plus an `m x m` clone per Ritz value: thousands
+    // of blocks for either shift here.)
+    let budget = |out: &SingleShiftOutcome| {
+        2 * out.refine_dim as u64 + 3 * out.all_converged.len() as u64 + 24
+    };
+    for (what, allocs, out) in [
+        ("wide", wide_allocs, &wide_out),
+        ("narrow", narrow_allocs, &narrow_out),
+    ] {
+        assert!(
+            allocs <= budget(out),
+            "{what} shift ({} rounds, {} pairs locked, {} returned) allocated {allocs} blocks, \
+             budget {}",
+            out.restarts,
+            out.refine_dim,
+            out.all_converged.len(),
+            budget(out)
+        );
+    }
 }

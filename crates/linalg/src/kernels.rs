@@ -16,6 +16,11 @@
 //!   [`basis_axpy_sub`]) that read the working vector once per block of
 //!   four basis rows instead of once per row — the memory-traffic half of
 //!   the blocked CGS2 orthogonalization in `pheig-arnoldi`;
+//! * their *chain-order* twins ([`basis_axpy_add`], [`basis_dot_seq`],
+//!   [`dot_seq`], [`nrm2_seq`], [`normalize_seq`]): the same four-rows-per-pass bodies, but
+//!   every element sees exactly the operations, in exactly the order, of
+//!   a chain of interleaved [`crate::vector::axpy`] / [`crate::vector::dot`]
+//!   calls, so they replace such chains bit for bit;
 //! * [`SplitBasis`] — a contiguous row-major plane store for Krylov bases.
 //!
 //! Every kernel is allocation-free; callers own the planes (the
@@ -184,6 +189,61 @@ pub fn nrm2(xr: &[f64], xi: &[f64]) -> f64 {
     nrm2_sq(xr, xi).sqrt()
 }
 
+/// Conjugated dot product `x^H y` over planes with a single sequential
+/// accumulator: bit-identical to [`crate::vector::dot`] on the
+/// interleaved vectors (unlike [`dot`], whose eight partial sums round
+/// differently).
+///
+/// # Panics
+///
+/// Panics if the slice lengths differ.
+pub fn dot_seq(xr: &[f64], xi: &[f64], yr: &[f64], yi: &[f64]) -> C64 {
+    let n = xr.len();
+    assert_eq!(xi.len(), n, "dot_seq length mismatch");
+    assert_eq!(yr.len(), n, "dot_seq length mismatch");
+    assert_eq!(yi.len(), n, "dot_seq length mismatch");
+    with_simd(
+        #[inline(always)]
+        || dot_seq_impl(xr, xi, yr, yi),
+    )
+}
+
+#[inline(always)]
+fn dot_seq_impl(xr: &[f64], xi: &[f64], yr: &[f64], yi: &[f64]) -> C64 {
+    let (mut re, mut im) = (0.0f64, 0.0f64);
+    for (((a, b), c), d) in xr.iter().zip(xi).zip(yr).zip(yi) {
+        re += a * c + b * d;
+        im += a * d - b * c;
+    }
+    C64::new(re, im)
+}
+
+/// Euclidean norm over planes with a single sequential accumulator:
+/// bit-identical to [`crate::vector::nrm2`] on the interleaved vector.
+///
+/// # Panics
+///
+/// Panics if the plane lengths differ.
+pub fn nrm2_seq(xr: &[f64], xi: &[f64]) -> f64 {
+    assert_eq!(xr.len(), xi.len(), "nrm2_seq length mismatch");
+    let mut s = 0.0f64;
+    for (a, b) in xr.iter().zip(xi) {
+        s += a * a + b * b;
+    }
+    s.sqrt()
+}
+
+/// Scales `x` to unit norm over planes and returns the original
+/// [`nrm2_seq`] norm — [`crate::vector::normalize`] on the interleaved
+/// vector, up to the sign of zero entries. A zero vector is left untouched.
+pub fn normalize_seq(xr: &mut [f64], xi: &mut [f64]) -> f64 {
+    let norm = nrm2_seq(xr, xi);
+    if norm > 0.0 {
+        scal_real(1.0 / norm, xr, xi);
+    }
+    norm
+}
+
 /// `y += alpha * x` over planes, one fused pass.
 ///
 /// # Panics
@@ -344,6 +404,41 @@ pub fn basis_dot(
     wi: &[f64],
     out: &mut [C64],
 ) {
+    basis_dot_checked::<false>(qr, qi, rows, n, wr, wi, out);
+}
+
+/// [`basis_dot`] with every row reduced by one sequential accumulator:
+/// `out[r]` is bit-identical to `vector::dot(q_r, w)` on the interleaved
+/// vectors. The four-row body is the same (it already is sequential per
+/// row); only the `rows % 4` tail swaps the chunked [`dot`] for
+/// [`dot_seq`].
+///
+/// # Panics
+///
+/// As [`basis_dot`].
+pub fn basis_dot_seq(
+    qr: &[f64],
+    qi: &[f64],
+    rows: usize,
+    n: usize,
+    wr: &[f64],
+    wi: &[f64],
+    out: &mut [C64],
+) {
+    basis_dot_checked::<true>(qr, qi, rows, n, wr, wi, out);
+}
+
+/// Argument checks and SIMD dispatch shared by [`basis_dot`] and
+/// [`basis_dot_seq`].
+fn basis_dot_checked<const SEQ_TAIL: bool>(
+    qr: &[f64],
+    qi: &[f64],
+    rows: usize,
+    n: usize,
+    wr: &[f64],
+    wi: &[f64],
+    out: &mut [C64],
+) {
     assert!(qr.len() >= rows * n, "basis_dot basis too short");
     assert!(qi.len() >= rows * n, "basis_dot basis too short");
     assert_eq!(wr.len(), n, "basis_dot length mismatch");
@@ -351,12 +446,12 @@ pub fn basis_dot(
     assert!(out.len() >= rows, "basis_dot output too short");
     with_simd(
         #[inline(always)]
-        || basis_dot_impl(qr, qi, rows, n, wr, wi, out),
+        || basis_dot_impl::<SEQ_TAIL>(qr, qi, rows, n, wr, wi, out),
     );
 }
 
 #[inline(always)]
-fn basis_dot_impl(
+fn basis_dot_impl<const SEQ_TAIL: bool>(
     qr: &[f64],
     qi: &[f64],
     rows: usize,
@@ -394,7 +489,12 @@ fn basis_dot_impl(
         r += 4;
     }
     while r < rows {
-        out[r] = dot(&qr[r * n..r * n + n], &qi[r * n..r * n + n], wr, wi);
+        let (rr, ri) = (&qr[r * n..r * n + n], &qi[r * n..r * n + n]);
+        out[r] = if SEQ_TAIL {
+            dot_seq_impl(rr, ri, wr, wi)
+        } else {
+            dot(rr, ri, wr, wi)
+        };
         r += 1;
     }
 }
@@ -416,19 +516,68 @@ pub fn basis_axpy_sub(
     wr: &mut [f64],
     wi: &mut [f64],
 ) {
-    assert!(qr.len() >= rows * n, "basis_axpy_sub basis too short");
-    assert!(qi.len() >= rows * n, "basis_axpy_sub basis too short");
-    assert_eq!(wr.len(), n, "basis_axpy_sub length mismatch");
-    assert_eq!(wi.len(), n, "basis_axpy_sub length mismatch");
-    assert!(c.len() >= rows, "basis_axpy_sub coefficients too short");
+    basis_axpy_checked::<false>(qr, qi, rows, n, c, wr, wi);
+}
+
+/// Batched linear combination `w += sum_r c[r] * q_r` against a row-major
+/// basis, four rows per pass over `w` — the one combine kernel behind
+/// every Ritz-vector lift and image reconstruction in `pheig-arnoldi`.
+///
+/// Each element receives its `rows` terms in row order, each computed as
+/// [`crate::vector::axpy`] computes it, so the result is bit-identical to
+/// the chain `for r { vector::axpy(c[r], q_r, w) }` on interleaved
+/// vectors; only the number of passes over `w` differs.
+///
+/// # Panics
+///
+/// As [`basis_axpy_sub`].
+pub fn basis_axpy_add(
+    qr: &[f64],
+    qi: &[f64],
+    rows: usize,
+    n: usize,
+    c: &[C64],
+    wr: &mut [f64],
+    wi: &mut [f64],
+) {
+    basis_axpy_checked::<true>(qr, qi, rows, n, c, wr, wi);
+}
+
+/// Argument checks and SIMD dispatch shared by [`basis_axpy_sub`] and
+/// [`basis_axpy_add`].
+fn basis_axpy_checked<const ADD: bool>(
+    qr: &[f64],
+    qi: &[f64],
+    rows: usize,
+    n: usize,
+    c: &[C64],
+    wr: &mut [f64],
+    wi: &mut [f64],
+) {
+    assert!(qr.len() >= rows * n, "basis_axpy basis too short");
+    assert!(qi.len() >= rows * n, "basis_axpy basis too short");
+    assert_eq!(wr.len(), n, "basis_axpy length mismatch");
+    assert_eq!(wi.len(), n, "basis_axpy length mismatch");
+    assert!(c.len() >= rows, "basis_axpy coefficients too short");
     with_simd(
         #[inline(always)]
-        || basis_axpy_sub_impl(qr, qi, rows, n, c, wr, wi),
+        || basis_axpy_impl::<ADD>(qr, qi, rows, n, c, wr, wi),
     );
 }
 
+/// `x + t` (`ADD`) or `x - t`: the one place the two batched axpy
+/// flavours differ.
 #[inline(always)]
-fn basis_axpy_sub_impl(
+fn acc<const ADD: bool>(x: f64, t: f64) -> f64 {
+    if ADD {
+        x + t
+    } else {
+        x - t
+    }
+}
+
+#[inline(always)]
+fn basis_axpy_impl<const ADD: bool>(
     qr: &[f64],
     qi: &[f64],
     rows: usize,
@@ -451,21 +600,22 @@ fn basis_axpy_sub_impl(
         for j in 0..n {
             let mut a = wr[j];
             let mut b = wi[j];
-            a -= c0.re * q0r[j] - c0.im * q0i[j];
-            b -= c0.re * q0i[j] + c0.im * q0r[j];
-            a -= c1.re * q1r[j] - c1.im * q1i[j];
-            b -= c1.re * q1i[j] + c1.im * q1r[j];
-            a -= c2.re * q2r[j] - c2.im * q2i[j];
-            b -= c2.re * q2i[j] + c2.im * q2r[j];
-            a -= c3.re * q3r[j] - c3.im * q3i[j];
-            b -= c3.re * q3i[j] + c3.im * q3r[j];
+            a = acc::<ADD>(a, c0.re * q0r[j] - c0.im * q0i[j]);
+            b = acc::<ADD>(b, c0.re * q0i[j] + c0.im * q0r[j]);
+            a = acc::<ADD>(a, c1.re * q1r[j] - c1.im * q1i[j]);
+            b = acc::<ADD>(b, c1.re * q1i[j] + c1.im * q1r[j]);
+            a = acc::<ADD>(a, c2.re * q2r[j] - c2.im * q2i[j]);
+            b = acc::<ADD>(b, c2.re * q2i[j] + c2.im * q2r[j]);
+            a = acc::<ADD>(a, c3.re * q3r[j] - c3.im * q3i[j]);
+            b = acc::<ADD>(b, c3.re * q3i[j] + c3.im * q3r[j]);
             wr[j] = a;
             wi[j] = b;
         }
         r += 4;
     }
     while r < rows {
-        axpy(-c[r], &qr[r * n..r * n + n], &qi[r * n..r * n + n], wr, wi);
+        let alpha = if ADD { c[r] } else { -c[r] };
+        axpy(alpha, &qr[r * n..r * n + n], &qi[r * n..r * n + n], wr, wi);
         r += 1;
     }
 }
@@ -558,6 +708,36 @@ impl SplitBasis {
     /// `out[r] = q_r^H w` (see [`basis_dot`]).
     pub fn dot_into(&self, wr: &[f64], wi: &[f64], out: &mut [C64]) {
         basis_dot(&self.re, &self.im, self.rows, self.n, wr, wi, out);
+    }
+
+    /// Planes of row `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= self.rows()`.
+    pub fn row(&self, r: usize) -> (&[f64], &[f64]) {
+        assert!(r < self.rows, "SplitBasis row out of range");
+        let span = r * self.n..(r + 1) * self.n;
+        (&self.re[span.clone()], &self.im[span])
+    }
+
+    /// Chain-order inner products of every row against `w`:
+    /// `out[r] = q_r^H w`, each bit-identical to `vector::dot` (see
+    /// [`basis_dot_seq`]).
+    pub fn dot_seq_into(&self, wr: &[f64], wi: &[f64], out: &mut [C64]) {
+        basis_dot_seq(&self.re, &self.im, self.rows, self.n, wr, wi, out);
+    }
+
+    /// Linear combination of the first `rows` rows accumulated into `w`:
+    /// `w += sum_{r < rows} c[r] q_r`, bit-identical to the chain of
+    /// interleaved `vector::axpy` calls (see [`basis_axpy_add`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows > self.rows()`.
+    pub fn combine_into(&self, rows: usize, c: &[C64], wr: &mut [f64], wi: &mut [f64]) {
+        assert!(rows <= self.rows, "SplitBasis combine past the last row");
+        basis_axpy_add(&self.re, &self.im, rows, self.n, c, wr, wi);
     }
 
     /// One blocked classical Gram-Schmidt projection pass: computes

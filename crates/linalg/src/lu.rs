@@ -39,47 +39,8 @@ impl<S: Scalar> Lu<S> {
     /// * [`LinalgError::Singular`] if a pivot is exactly zero (the matrix is
     ///   singular to working precision).
     pub fn new(mut a: Matrix<S>) -> Result<Self, LinalgError> {
-        if !a.is_square() {
-            return Err(LinalgError::NotSquare {
-                rows: a.rows(),
-                cols: a.cols(),
-            });
-        }
-        let n = a.rows();
-        let mut pivots = Vec::with_capacity(n);
-        let mut swaps = 0;
-        for k in 0..n {
-            // Partial pivoting: pick the largest magnitude entry in column k.
-            let mut p = k;
-            let mut best = a[(k, k)].abs();
-            for i in (k + 1)..n {
-                let m = a[(i, k)].abs();
-                if m > best {
-                    best = m;
-                    p = i;
-                }
-            }
-            if best == 0.0 {
-                return Err(LinalgError::Singular { at: k });
-            }
-            if p != k {
-                a.swap_rows(p, k);
-                swaps += 1;
-            }
-            pivots.push(p);
-            let inv_pivot = S::ONE / a[(k, k)];
-            for i in (k + 1)..n {
-                let lik = a[(i, k)] * inv_pivot;
-                a[(i, k)] = lik;
-                if lik == S::ZERO {
-                    continue;
-                }
-                for j in (k + 1)..n {
-                    let akj = a[(k, j)];
-                    a[(i, j)] -= lik * akj;
-                }
-            }
-        }
+        let mut pivots = Vec::with_capacity(a.rows());
+        let swaps = factor_in_place(&mut a, &mut pivots)?;
         Ok(Lu {
             factors: a,
             pivots,
@@ -127,32 +88,7 @@ impl<S: Scalar> Lu<S> {
     ///
     /// Panics if `b.len() != self.dim()`.
     pub fn solve_in_place(&self, b: &mut [S]) {
-        let n = self.dim();
-        assert_eq!(b.len(), n, "solve_in_place rhs length mismatch");
-        // Apply row permutation.
-        for (k, &p) in self.pivots.iter().enumerate() {
-            if p != k {
-                b.swap(k, p);
-            }
-        }
-        // Forward substitution with unit lower triangle.
-        for i in 1..n {
-            let mut acc = b[i];
-            let row = self.factors.row(i);
-            for (j, bj) in b.iter().enumerate().take(i) {
-                acc -= row[j] * *bj;
-            }
-            b[i] = acc;
-        }
-        // Back substitution with upper triangle.
-        for i in (0..n).rev() {
-            let mut acc = b[i];
-            let row = self.factors.row(i);
-            for j in (i + 1)..n {
-                acc -= row[j] * b[j];
-            }
-            b[i] = acc / row[i];
-        }
+        solve_factored(&self.factors, &self.pivots, b);
     }
 
     /// Solves `A X = B` column by column.
@@ -201,19 +137,117 @@ impl<S: Scalar> Lu<S> {
     /// Reciprocal condition estimate from the pivot magnitudes
     /// (cheap heuristic: `min |u_ii| / max |u_ii|`).
     pub fn rcond_estimate(&self) -> f64 {
-        let n = self.dim();
-        let mut lo = f64::INFINITY;
-        let mut hi: f64 = 0.0;
-        for i in 0..n {
-            let m = self.factors[(i, i)].abs();
-            lo = lo.min(m);
-            hi = hi.max(m);
+        pivot_rcond(&self.factors)
+    }
+}
+
+/// Factors the square matrix `a` in place (`P A = L U`, unit lower
+/// triangle below the diagonal), recording the row chosen at each step in
+/// `pivots` (cleared first). Returns the number of row swaps. The storage
+/// behind [`Lu::new`], exposed to the crate so the eigenvector extraction
+/// can re-factor one work matrix per eigenvalue instead of cloning.
+///
+/// # Errors
+///
+/// As [`Lu::new`]; `a` is left partially factored.
+pub(crate) fn factor_in_place<S: Scalar>(
+    a: &mut Matrix<S>,
+    pivots: &mut Vec<usize>,
+) -> Result<usize, LinalgError> {
+    if !a.is_square() {
+        return Err(LinalgError::NotSquare {
+            rows: a.rows(),
+            cols: a.cols(),
+        });
+    }
+    let n = a.rows();
+    pivots.clear();
+    let mut swaps = 0;
+    for k in 0..n {
+        // Partial pivoting: pick the largest magnitude entry in column k.
+        let mut p = k;
+        let mut best = a[(k, k)].abs();
+        for i in (k + 1)..n {
+            let m = a[(i, k)].abs();
+            if m > best {
+                best = m;
+                p = i;
+            }
         }
-        if hi == 0.0 {
-            0.0
-        } else {
-            lo / hi
+        if best == 0.0 {
+            return Err(LinalgError::Singular { at: k });
         }
+        if p != k {
+            a.swap_rows(p, k);
+            swaps += 1;
+        }
+        pivots.push(p);
+        let inv_pivot = S::ONE / a[(k, k)];
+        for i in (k + 1)..n {
+            let lik = a[(i, k)] * inv_pivot;
+            a[(i, k)] = lik;
+            if lik == S::ZERO {
+                continue;
+            }
+            for j in (k + 1)..n {
+                let akj = a[(k, j)];
+                a[(i, j)] -= lik * akj;
+            }
+        }
+    }
+    Ok(swaps)
+}
+
+/// Solves `A x = b` in place against the output of [`factor_in_place`].
+pub(crate) fn solve_factored<S: Scalar>(factors: &Matrix<S>, pivots: &[usize], b: &mut [S]) {
+    let n = factors.rows();
+    assert_eq!(b.len(), n, "solve_in_place rhs length mismatch");
+    // Apply row permutation.
+    for (k, &p) in pivots.iter().enumerate() {
+        if p != k {
+            b.swap(k, p);
+        }
+    }
+    // Forward substitution with unit lower triangle.
+    for i in 1..n {
+        let mut acc = b[i];
+        let row = factors.row(i);
+        for (j, bj) in b.iter().enumerate().take(i) {
+            acc -= row[j] * *bj;
+        }
+        b[i] = acc;
+    }
+    back_substitute(factors, b);
+}
+
+/// Back substitution `U x = b` in place against the upper triangle of
+/// `factors` (rows processed last to first, columns left to right).
+pub(crate) fn back_substitute<S: Scalar>(factors: &Matrix<S>, b: &mut [S]) {
+    let n = factors.rows();
+    for i in (0..n).rev() {
+        let mut acc = b[i];
+        let row = factors.row(i);
+        for j in (i + 1)..n {
+            acc -= row[j] * b[j];
+        }
+        b[i] = acc / row[i];
+    }
+}
+
+/// `min |u_ii| / max |u_ii|` over the diagonal of factored storage.
+pub(crate) fn pivot_rcond<S: Scalar>(factors: &Matrix<S>) -> f64 {
+    let n = factors.rows();
+    let mut lo = f64::INFINITY;
+    let mut hi: f64 = 0.0;
+    for i in 0..n {
+        let m = factors[(i, i)].abs();
+        lo = lo.min(m);
+        hi = hi.max(m);
+    }
+    if hi == 0.0 {
+        0.0
+    } else {
+        lo / hi
     }
 }
 

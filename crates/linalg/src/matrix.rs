@@ -26,6 +26,18 @@ pub struct Matrix<S> {
     data: Vec<S>,
 }
 
+/// The empty `0 x 0` matrix (no allocation) — the natural start state of
+/// reusable scratch that [`Matrix::reset_zeros`] later shapes.
+impl<S> Default for Matrix<S> {
+    fn default() -> Self {
+        Matrix {
+            rows: 0,
+            cols: 0,
+            data: Vec::new(),
+        }
+    }
+}
+
 impl<S: Scalar> Matrix<S> {
     /// Creates a `rows x cols` matrix of zeros.
     pub fn zeros(rows: usize, cols: usize) -> Self {
@@ -250,6 +262,15 @@ impl<S: Scalar> Matrix<S> {
     /// Overwrites every entry with `value` (keeps the allocation).
     pub fn fill(&mut self, value: S) {
         self.data.fill(value);
+    }
+
+    /// Reshapes to `rows x cols` and zeroes every entry, keeping the
+    /// allocation (it grows only past its high-water mark).
+    pub fn reset_zeros(&mut self, rows: usize, cols: usize) {
+        self.rows = rows;
+        self.cols = cols;
+        self.data.clear();
+        self.data.resize(rows * cols, S::ZERO);
     }
 
     /// Dense matrix product.
