@@ -2,7 +2,8 @@
 //! batched chain-order dot over split planes must return exactly the bits
 //! of the interleaved `vector::axpy` / `vector::dot` chains they replaced
 //! (DESIGN.md, "Closing a round") — the sweep's golden work counts hang on
-//! every rounded value.
+//! every rounded value. The last test pins the other consumer of those
+//! kernels, the CGS2 build itself, to recorded bit hashes.
 
 use pheig_arnoldi::krylov::{arnoldi_into, ArnoldiFactorization};
 use pheig_linalg::kernels::{self, SplitBasis};
@@ -148,4 +149,70 @@ fn lift_equals_the_interleaved_chain_on_a_real_factorization() {
             );
         }
     }
+}
+
+/// FNV-1a over the bits of a stream of `f64`s.
+struct BitHash(u64);
+
+impl BitHash {
+    fn new() -> Self {
+        BitHash(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn feed(&mut self, values: impl IntoIterator<Item = f64>) {
+        for v in values {
+            for byte in v.to_bits().to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+}
+
+#[test]
+fn absorb_keeps_every_bit_of_the_deflated_factorization() {
+    // The CGS2 `absorb` path end to end: 40 steps at an n that leaves a
+    // column tail (203 = 50 tiles of four + 3), against five locked
+    // vectors (one block of four rows + a one-row tail), with the basis
+    // growing through every `rows % 4`. The hashes are those of the
+    // four-row scalar `basis_dot` body, recorded at the commit before the
+    // row-lane body replaced it on AVX2 / AVX-512 hosts; the arithmetic is
+    // plain IEEE multiply / add in a fixed order, so they hold on every
+    // SIMD tier.
+    let n = 203;
+    let steps = 40;
+    let d: Vec<C64> = cvec(n, 77).iter().map(|z| z.scale(8.0)).collect();
+    let op = Matrix::from_diag(&d);
+    // An orthonormal deflation set (modified Gram-Schmidt, interleaved).
+    let mut locked: Vec<Vec<C64>> = Vec::new();
+    for k in 0..5 {
+        let mut q = cvec(n, 600 + k);
+        for p in &locked {
+            let c = dot(p, &q);
+            axpy(-c, p, &mut q);
+        }
+        normalize(&mut q);
+        locked.push(q);
+    }
+    let mut fact = ArnoldiFactorization::empty();
+    arnoldi_into(&op, &cvec(n, 9), &locked, steps, &mut fact);
+    assert_eq!(fact.steps, steps);
+    assert!(!fact.breakdown);
+
+    let (mut h, mut hl, mut basis) = (BitHash::new(), BitHash::new(), BitHash::new());
+    for j in 0..steps {
+        h.feed((0..=steps).flat_map(|i| [fact.h[(i, j)].re, fact.h[(i, j)].im]));
+        hl.feed((0..locked.len()).flat_map(|q| [fact.hl[(q, j)].re, fact.hl[(q, j)].im]));
+    }
+    for v in &fact.basis {
+        basis.feed(v.iter().flat_map(|z| [z.re, z.im]));
+    }
+    // The split mirror the kernels read holds the same rows.
+    for (r, v) in fact.basis.iter().enumerate() {
+        assert_bits(fact.basis_split().row(r), v, &format!("split row {r}"));
+    }
+    assert_eq!(
+        (h.0, hl.0, basis.0),
+        (0x94534041c2c7c1ba, 0x1b6107130c31dee1, 0xe676ae087e36a674),
+        "h / hl / basis bit hashes moved"
+    );
 }

@@ -180,7 +180,7 @@ fn qr_eigenvalues(
             });
         }
         // One explicit shifted QR sweep on the active block lo..hi.
-        let sigma = if iters_this_block > 0 && iters_this_block % 12 == 0 {
+        let sigma = if iters_this_block > 0 && iters_this_block.is_multiple_of(12) {
             // Exceptional shift to break rare convergence stalls.
             let pert = h[(hi - 1, hi - 2)].abs()
                 + if hi >= 3 {

@@ -127,7 +127,11 @@ impl<S: Scalar> Lu<S> {
     /// Determinant of the factored matrix.
     pub fn det(&self) -> S {
         let n = self.dim();
-        let mut d = if self.swaps % 2 == 0 { S::ONE } else { -S::ONE };
+        let mut d = if self.swaps.is_multiple_of(2) {
+            S::ONE
+        } else {
+            -S::ONE
+        };
         for i in 0..n {
             d *= self.factors[(i, i)];
         }

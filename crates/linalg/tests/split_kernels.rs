@@ -121,7 +121,7 @@ proptest! {
     /// Batched basis projection == the per-vector dot/axpy chain.
     #[test]
     fn basis_projection_matches_per_vector_reference(
-        (rows, n, w, flat) in (0usize..10, 1usize..50).prop_flat_map(|(r, n)| (
+        (rows, n, w, flat) in (0usize..40, 1usize..50).prop_flat_map(|(r, n)| (
             Just(r),
             Just(n),
             cvec(n),

@@ -391,7 +391,7 @@ fn record_len(p: usize) -> usize {
 /// Infers the port count from a per-line token count, if `count - 1` is
 /// twice a perfect square.
 fn infer_ports(count: usize) -> Option<usize> {
-    if count < 3 || (count - 1) % 2 != 0 {
+    if count < 3 || !(count - 1).is_multiple_of(2) {
         return None;
     }
     let sq = (count - 1) / 2;
@@ -465,7 +465,7 @@ pub fn read_touchstone(text: &str, ports: Option<usize>) -> Result<TouchstoneDec
         // boundaries only, so wrapped records are unaffected.
         if line_ports == Some(2) {
             let rec = record_len(2);
-            if !values.is_empty() && values.len() % rec == 0 {
+            if !values.is_empty() && values.len().is_multiple_of(rec) {
                 let last_freq = values[values.len() - rec].1;
                 if let Some(Ok(freq)) = tokens.first().map(|t| t.parse::<f64>()) {
                     // Strictly below per spec: a *duplicated* network
@@ -525,7 +525,7 @@ pub fn read_touchstone(text: &str, ports: Option<usize>) -> Result<TouchstoneDec
     if values.is_empty() {
         return Err(ModelError::invalid("no data lines in touchstone input"));
     }
-    if values.len() % rec != 0 {
+    if !values.len().is_multiple_of(rec) {
         let &(line_idx, _) = values.last().expect("non-empty");
         return Err(ModelError::touchstone(
             line_idx,
