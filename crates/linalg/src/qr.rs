@@ -38,7 +38,11 @@ pub struct Qr<S: Scalar> {
 }
 
 impl<S: Scalar> Qr<S> {
-    /// Factors `a` (consumed) into `Q R`.
+    /// Factors `a` (consumed) into `Q R`, streaming each step along the
+    /// stored rows and skipping the rows whose reflector entry is an exact
+    /// zero (DESIGN.md "Least squares"): exact for finite data up to the
+    /// sign of a zero. A non-finite entry voids that (a skipped `0 * inf`
+    /// is no NaN) but never panics and stays non-finite in `R`.
     ///
     /// # Errors
     ///
@@ -51,19 +55,29 @@ impl<S: Scalar> Qr<S> {
                 format!("{m}x{n}"),
             ));
         }
-        let steps = n.min(m.saturating_sub(1)).min(n);
+        let steps = n.min(m.saturating_sub(1));
         let mut v0 = vec![S::ZERO; steps];
         let mut tau = vec![0.0; steps];
+        // s[j] = v^H a[.., j]; active = (row, entry) of v's non-zeros below k.
+        let mut s = vec![S::ZERO; n];
+        let mut active: Vec<(usize, S)> = Vec::with_capacity(m);
         for k in 0..steps {
-            // Column x = a[k.., k].
-            let norm_x: f64 = (k..m).map(|i| a[(i, k)].abs_sq()).sum::<f64>().sqrt();
+            // Column x = a[k.., k]: the one strided pass of the step.
+            active.clear();
+            let x0 = a[(k, k)];
+            let mut norm_sq = x0.abs_sq();
+            for i in (k + 1)..m {
+                let x = a[(i, k)];
+                norm_sq += x.abs_sq();
+                if x != S::ZERO {
+                    active.push((i, x));
+                }
+            }
+            let norm_x = norm_sq.sqrt();
             if norm_x == 0.0 {
                 // Column already zero below (and at) the diagonal: skip.
-                v0[k] = S::ZERO;
-                tau[k] = 0.0;
                 continue;
             }
-            let x0 = a[(k, k)];
             let phase = if x0.abs() == 0.0 {
                 S::ONE
             } else {
@@ -77,23 +91,24 @@ impl<S: Scalar> Qr<S> {
             let t = if vhv == 0.0 { 0.0 } else { 2.0 / vhv };
             v0[k] = vk0;
             tau[k] = t;
-            // Apply H = I - t v v^H to the trailing columns k..n.
-            for j in k..n {
-                // s = v^H a[.., j]
-                let mut s = vk0.conj() * a[(k, j)];
-                for i in (k + 1)..m {
-                    s += a[(i, k)].conj() * a[(i, j)];
+            // Apply H = I - t v v^H to the trailing columns. Each s[j] sums
+            // over ascending rows from the pivot term, as a walk down column
+            // j would: the loops are interchanged, no sum is re-associated.
+            let s = &mut s[k + 1..];
+            for (sj, &akj) in s.iter_mut().zip(&a.row(k)[k + 1..]) {
+                *sj = vk0.conj() * akj;
+            }
+            for &(i, v) in &active {
+                for (sj, &aij) in s.iter_mut().zip(&a.row(i)[k + 1..]) {
+                    *sj += v.conj() * aij;
                 }
-                s *= S::from_f64(t);
-                if j == k {
-                    a[(k, k)] = beta;
-                    // Entries below the diagonal hold v (unchanged).
-                } else {
-                    a[(k, j)] -= s * vk0;
-                    for i in (k + 1)..m {
-                        let vik = a[(i, k)];
-                        a[(i, j)] -= s * vik;
-                    }
+            }
+            s.iter_mut().for_each(|sj| *sj *= S::from_f64(t));
+            // Entries below the diagonal of column k hold v (unchanged).
+            a[(k, k)] = beta;
+            for &(i, v) in std::iter::once(&(k, vk0)).chain(&active) {
+                for (aij, &sj) in a.row_mut(i)[k + 1..].iter_mut().zip(s.iter()) {
+                    *aij -= sj * v;
                 }
             }
         }
@@ -110,30 +125,32 @@ impl<S: Scalar> Qr<S> {
         self.packed.cols()
     }
 
+    /// Applies reflector `k` to `b`; `H_k = I - tau v v^H` is Hermitian, so
+    /// this is `H_k^H` too and serves `Q^H` and `Q` alike.
+    fn reflect(&self, k: usize, b: &mut [S]) {
+        let t = self.tau[k];
+        if t == 0.0 {
+            return;
+        }
+        let mut s = self.v0[k].conj() * b[k];
+        for i in (k + 1)..b.len() {
+            s += self.packed[(i, k)].conj() * b[i];
+        }
+        s *= S::from_f64(t);
+        b[k] -= s * self.v0[k];
+        for i in (k + 1)..b.len() {
+            b[i] -= s * self.packed[(i, k)];
+        }
+    }
+
     /// Applies `Q^H` to a vector in place.
     ///
     /// # Panics
     ///
     /// Panics if `b.len() != self.rows()`.
     pub fn apply_qh(&self, b: &mut [S]) {
-        let (m, _n) = self.packed.shape();
-        assert_eq!(b.len(), m, "apply_qh length mismatch");
-        for k in 0..self.v0.len() {
-            let t = self.tau[k];
-            if t == 0.0 {
-                continue;
-            }
-            let mut s = self.v0[k].conj() * b[k];
-            for i in (k + 1)..m {
-                s += self.packed[(i, k)].conj() * b[i];
-            }
-            s *= S::from_f64(t);
-            b[k] -= s * self.v0[k];
-            for i in (k + 1)..m {
-                let vik = self.packed[(i, k)];
-                b[i] -= s * vik;
-            }
-        }
+        assert_eq!(b.len(), self.rows(), "apply_qh length mismatch");
+        (0..self.v0.len()).for_each(|k| self.reflect(k, b));
     }
 
     /// Applies `Q` to a vector in place (reflectors in reverse order).
@@ -142,25 +159,8 @@ impl<S: Scalar> Qr<S> {
     ///
     /// Panics if `b.len() != self.rows()`.
     pub fn apply_q(&self, b: &mut [S]) {
-        let (m, _n) = self.packed.shape();
-        assert_eq!(b.len(), m, "apply_q length mismatch");
-        for k in (0..self.v0.len()).rev() {
-            let t = self.tau[k];
-            if t == 0.0 {
-                continue;
-            }
-            // H is Hermitian, so applying H again equals applying H^H.
-            let mut s = self.v0[k].conj() * b[k];
-            for i in (k + 1)..m {
-                s += self.packed[(i, k)].conj() * b[i];
-            }
-            s *= S::from_f64(t);
-            b[k] -= s * self.v0[k];
-            for i in (k + 1)..m {
-                let vik = self.packed[(i, k)];
-                b[i] -= s * vik;
-            }
-        }
+        assert_eq!(b.len(), self.rows(), "apply_q length mismatch");
+        (0..self.v0.len()).rev().for_each(|k| self.reflect(k, b));
     }
 
     /// The upper-triangular factor `R` (size `n x n`).

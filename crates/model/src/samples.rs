@@ -25,8 +25,9 @@ impl FrequencySamples {
     /// # Errors
     ///
     /// Returns [`ModelError::InvalidArgument`] when lengths differ, shapes
-    /// are inconsistent, or frequencies are not strictly increasing and
-    /// non-negative.
+    /// are inconsistent, frequencies are not strictly increasing and
+    /// non-negative, or a sample entry is NaN or infinite (the message names
+    /// the sample and the entry).
     pub fn new(omegas: Vec<f64>, matrices: Vec<Matrix<C64>>) -> Result<Self, ModelError> {
         if omegas.is_empty() || omegas.len() != matrices.len() {
             return Err(ModelError::invalid(format!(
@@ -47,12 +48,23 @@ impl FrequencySamples {
             ));
         }
         let ports = matrices[0].rows();
-        for m in &matrices {
+        for (k, m) in matrices.iter().enumerate() {
             if m.rows() != ports || m.cols() != ports {
                 return Err(ModelError::invalid(format!(
                     "all samples must be {ports}x{ports}, found {}x{}",
                     m.rows(),
                     m.cols()
+                )));
+            }
+            // A non-finite entry would otherwise cost a whole fit before it
+            // surfaces, unattributed, from the pole-relocation eigensolve.
+            if let Some(at) = m.as_slice().iter().position(|z| !z.is_finite()) {
+                return Err(ModelError::invalid(format!(
+                    "sample {k} (omega = {}) has a non-finite entry {:?} at ({}, {})",
+                    omegas[k],
+                    m.as_slice()[at],
+                    at / ports,
+                    at % ports
                 )));
             }
         }
@@ -157,6 +169,19 @@ mod tests {
             FrequencySamples::new(vec![0.0, 1.0], vec![m.clone(), Matrix::zeros(2, 2)]).is_err()
         );
         assert!(FrequencySamples::new(vec![0.0, 1.0], vec![m.clone(), m]).is_ok());
+    }
+
+    #[test]
+    fn non_finite_entries_are_rejected_by_name() {
+        for bad in [C64::new(f64::NAN, 0.0), C64::new(0.0, f64::INFINITY)] {
+            let good = Matrix::<C64>::zeros(2, 2);
+            let mut m = good.clone();
+            m[(1, 0)] = bad;
+            let err = FrequencySamples::new(vec![0.0, 1.0, 2.0], vec![good.clone(), good, m])
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("sample 2") && err.contains("(1, 0)"), "{err}");
+        }
     }
 
     #[test]
