@@ -13,6 +13,7 @@ use pheig_linalg::{Matrix, C64};
 use pheig_model::StateSpace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Reusable scratch for the single-shift iteration: the Arnoldi
 /// factorization storage, the Ritz extraction, the locked set's operator
@@ -139,8 +140,10 @@ pub struct ConvergedEigenpair {
     /// The Hamiltonian eigenvalue `lambda` (mapped back from the
     /// shift-inverted spectrum).
     pub lambda: C64,
-    /// Unit-norm eigenvector in the original `C^{2n}` space.
-    pub vector: Vec<C64>,
+    /// Unit-norm eigenvector in the original `C^{2n}` space. One shared
+    /// block: the sweep's completion record, the recycle pool, every
+    /// gathered warm list and the final crossings all point at it.
+    pub vector: Arc<[C64]>,
     /// Mapped eigenvalue error estimate at acceptance time.
     pub error_estimate: f64,
 }
@@ -809,8 +812,10 @@ impl<'a> ShiftCore<'a> {
                 continue;
             }
             if err <= 1e3 * tol_abs {
-                let mut x = vec![C64::zero(); n];
-                kernels::merge(&v.re, &v.im, &mut x);
+                // Collected in place from the planes (the zip's length is
+                // trusted): one allocation, no `Vec` to copy out of.
+                let x: Arc<[C64]> =
+                    (v.re.iter().zip(&v.im).map(|(&re, &im)| C64::new(re, im))).collect();
                 refined.push(ConvergedEigenpair {
                     lambda,
                     vector: x,
@@ -1161,7 +1166,7 @@ mod tests {
         for e in &out.in_disk {
             let av = m_dense.matvec(&e.vector);
             let mut resid = 0.0f64;
-            for (avi, vi) in av.iter().zip(&e.vector) {
+            for (avi, vi) in av.iter().zip(e.vector.iter()) {
                 resid = resid.max((*avi - e.lambda * *vi).abs());
             }
             assert!(

@@ -58,6 +58,11 @@ pub struct SchedulerStats {
     pub quarantined: usize,
 }
 
+/// Reach of a shift's recycle-pool gather in units of its `rho0`, shared
+/// by the sweep driver's gather and [`Scheduler::may_gather`].
+pub const GATHER_FACTOR: f64 = 1.25;
+
+/// An open interval and the shift placed in it (queued or in flight).
 #[derive(Debug, Clone)]
 struct Tentative {
     omega: f64,
@@ -72,7 +77,7 @@ pub struct Scheduler {
     min_piece: f64,
     uncovered: Vec<(f64, f64)>,
     tentative: Vec<Tentative>,
-    in_flight: HashMap<usize, (f64, f64)>,
+    in_flight: HashMap<usize, Tentative>,
     picks: usize,
     next_id: usize,
     dropped_length: f64,
@@ -238,15 +243,43 @@ impl Scheduler {
         let id = self.next_id;
         self.next_id += 1;
         self.picks += 1;
-        let reach = (t.omega - t.interval.0).max(t.interval.1 - t.omega);
-        let rho0 = (self.alpha * reach).max(self.min_piece);
-        self.in_flight.insert(id, t.interval);
-        Some(ShiftTask {
+        let task = ShiftTask {
             id,
             omega: t.omega,
-            rho0,
+            rho0: self.rho0(&t),
             interval: t.interval,
-        })
+        };
+        self.in_flight.insert(id, t);
+        Some(task)
+    }
+
+    /// Initial radius guess of the shift placed in `t` (paper Eq. (23)):
+    /// `alpha` times the distance to the far edge of its interval.
+    fn rho0(&self, t: &Tentative) -> f64 {
+        let reach = (t.omega - t.interval.0).max(t.interval.1 - t.omega);
+        (self.alpha * reach).max(self.min_piece)
+    }
+
+    /// `true` when the recycle-pool gather of some shift — queued, in
+    /// flight, or yet to be seeded — may read a donor disk `[lo, hi]`;
+    /// `false` promises that none ever will, so the donor can be dropped.
+    ///
+    /// A shift in interval `I` gathers within `omega ± f rho0` (`f` =
+    /// [`GATHER_FACTOR`]), which contains `I` padded by `(f alpha - 1)|I|/2`
+    /// because `rho0` reaches `alpha` times past the *far* edge of `I`.
+    /// Every later shift is the midpoint of a piece of an open `I`, so its
+    /// window lies in that padded `I`, or in `I ± f min_piece` when the
+    /// `rho0` floor binds: the open shifts' own windows, widened by
+    /// `f min_piece`, bound every gather still to come (DESIGN.md, "What a
+    /// sweep holds", has the proof).
+    pub fn may_gather(&self, lo: f64, hi: f64) -> bool {
+        self.tentative
+            .iter()
+            .chain(self.in_flight.values())
+            .any(|t| {
+                let reach = GATHER_FACTOR * (self.rho0(t) + self.min_piece);
+                lo <= t.omega + reach && t.omega - reach <= hi
+            })
     }
 
     /// Records the completion of `task` with a certified disk of radius
@@ -267,7 +300,8 @@ impl Scheduler {
         let interval = self
             .in_flight
             .remove(&task.id)
-            .expect("completion of unknown or already-completed task");
+            .expect("completion of unknown or already-completed task")
+            .interval;
         self.stats.processed += 1;
         subtract(&mut self.uncovered, (center - radius, center + radius));
         // A certified disk landing on a quarantined gap shrinks the gap:
@@ -332,6 +366,13 @@ impl Scheduler {
         }
     }
 
+    /// `true` while `id` names a shift currently in flight. The block
+    /// driver's panic-recovery path uses this to retry only lanes that
+    /// never reached `complete`/`cancel` before the unwind.
+    pub fn is_in_flight(&self, id: usize) -> bool {
+        self.in_flight.contains_key(&id)
+    }
+
     /// `true` when an in-flight shift's interval has since been fully
     /// covered by sibling completions: its certified disk can no longer
     /// contribute coverage, so the worker should abandon it. This is the
@@ -341,18 +382,11 @@ impl Scheduler {
     ///
     /// Deterministic in the scheduler state (pure function of the
     /// uncovered set), so workers may poll it at any cadence.
-    /// `true` while `id` names a shift currently in flight. The block
-    /// driver's panic-recovery path uses this to retry only lanes that
-    /// never reached `complete`/`cancel` before the unwind.
-    pub fn is_in_flight(&self, id: usize) -> bool {
-        self.in_flight.contains_key(&id)
-    }
-
     pub fn should_cancel(&self, id: usize) -> bool {
-        let Some(&interval) = self.in_flight.get(&id) else {
+        let Some(t) = self.in_flight.get(&id) else {
             return false;
         };
-        let pieces = intersect(interval, &self.uncovered);
+        let pieces = intersect(t.interval, &self.uncovered);
         pieces.iter().map(|(a, b)| b - a).sum::<f64>() <= self.min_piece
     }
 
@@ -372,7 +406,8 @@ impl Scheduler {
         let interval = self
             .in_flight
             .remove(&task.id)
-            .expect("cancellation of unknown or already-completed task");
+            .expect("cancellation of unknown or already-completed task")
+            .interval;
         self.stats.cancelled_in_flight += 1;
         let pieces = intersect(interval, &self.uncovered);
         let total: f64 = pieces.iter().map(|(a, b)| b - a).sum();
@@ -403,7 +438,8 @@ impl Scheduler {
         let interval = self
             .in_flight
             .remove(&task.id)
-            .expect("quarantine of unknown or already-completed task");
+            .expect("quarantine of unknown or already-completed task")
+            .interval;
         self.stats.quarantined += 1;
         let pieces = intersect(interval, &self.uncovered);
         for &piece in &pieces {
@@ -440,7 +476,7 @@ impl Scheduler {
             .tentative
             .iter()
             .map(|t| t.interval)
-            .chain(self.in_flight.values().copied())
+            .chain(self.in_flight.values().map(|t| t.interval))
             .collect();
         owned.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut remaining = self.uncovered.clone();
@@ -697,6 +733,28 @@ mod tests {
             "oversized disks should strand at least one in-flight shift: {st:?}"
         );
         assert_eq!(st.processed + st.cancelled_in_flight, steps);
+    }
+
+    #[test]
+    fn may_gather_follows_the_open_shifts_windows() {
+        // Intervals (0,1),(1,2),(2,3),(3,4), alpha = 1: the edge shift at 0
+        // reaches 1.25 * 1, the midpoint shifts 1.25 * 0.5 around 1.5, 2.5,
+        // the edge shift at 4 reaches down to 2.75.
+        let mut s = Scheduler::new((0.0, 4.0), 4, 1.0);
+        assert!(s.may_gather(-9.0, -1.2), "left edge shift reaches -1.25");
+        assert!(!s.may_gather(-9.0, -1.3));
+        assert!(s.may_gather(5.2, 9.0), "right edge shift reaches 5.25");
+        assert!(!s.may_gather(5.3, 9.0));
+        let a = s.next_shift().unwrap(); // omega 0, in flight: still counted
+        assert!(s.may_gather(-9.0, -1.2));
+        s.complete(&a, a.omega, 1.0); // (0,1) done, nothing re-seeded
+        assert!(s.may_gather(-9.0, 0.9), "midpoint 1.5 reaches 0.875");
+        assert!(!s.may_gather(-9.0, 0.8));
+        while let Some(t) = s.next_shift() {
+            s.complete(&t, t.omega, t.rho0);
+        }
+        assert!(s.is_done());
+        assert!(!s.may_gather(f64::NEG_INFINITY, f64::INFINITY));
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use crate::band::estimate_band;
 use crate::error::SolverError;
 use crate::scheduler::{Scheduler, SchedulerStats, ShiftTask};
-use crate::solver::{cost_units, crossings, pole_scale, run_shift, SolverOptions};
+use crate::solver::{axis_pairs, cost_units, crossings, pole_scale, run_shift, SolverOptions};
 use crate::spectrum;
 use pheig_arnoldi::single_shift::SingleShiftOutcome;
 use pheig_arnoldi::SweepControl;
@@ -167,7 +167,7 @@ pub fn simulate_parallel(
             Some(Reverse(ev)) => {
                 clock = ev.finish;
                 scheduler.complete(&ev.task, ev.outcome.theta.im, ev.outcome.radius);
-                all_pairs.extend(ev.outcome.in_disk);
+                all_pairs.extend(axis_pairs(ev.outcome.in_disk, opts, scale));
                 processed += 1;
                 idle += 1;
             }

@@ -13,7 +13,7 @@ use crate::band::estimate_band;
 use crate::error::SolverError;
 use crate::exec::{Executor, SweepOrigin, Task, TaskContext};
 use crate::fault::{self, ActiveFaults, FaultPlan};
-use crate::scheduler::{Scheduler, SchedulerStats, ShiftTask};
+use crate::scheduler::{Scheduler, SchedulerStats, ShiftTask, GATHER_FACTOR};
 use crate::spectrum::{self, ImaginaryEigenpair};
 use parking_lot::{Condvar, Mutex};
 use pheig_arnoldi::{
@@ -188,7 +188,8 @@ pub struct ShiftRecord {
     pub matvecs: usize,
     /// Restarts spent.
     pub restarts: usize,
-    /// Deterministic cost units (matvecs + 3 per restart) used by the
+    /// Deterministic cost units (matvecs + 3 per restart + half a unit,
+    /// rounded up, per vector of the refined locked subspace) used by the
     /// virtual-time simulator.
     pub cost_units: u64,
     /// Recycled warm-start candidates validated for this shift.
@@ -218,6 +219,16 @@ pub struct SolverStats {
     /// Faults the armed [`FaultPlan`] actually fired during this sweep
     /// (always 0 without a plan).
     pub faults_injected: u64,
+    /// In-disk eigenpairs (one `2n` eigenvector each) summed over the
+    /// completed shifts. This and the two pool counters are defined per
+    /// completion, so they mean the same at every `T`.
+    pub pairs_converged: usize,
+    /// Most eigenpairs the recycle pool held at once, counted right after
+    /// each donation (before that completion's eviction pass).
+    pub pool_peak_pairs: usize,
+    /// Pool entries evicted because no pending or future shift could
+    /// gather from them (every donor, by the end of a serial sweep).
+    pub pool_evicted_entries: usize,
     /// End-to-end wall time.
     pub wall: Duration,
 }
@@ -421,7 +432,7 @@ fn gather_warm(pool: &RecyclePool, task: &ShiftTask, opts: &SolverOptions) -> Ve
     if !opts.recycling {
         return Vec::new();
     }
-    let reach = task.rho0 * 1.25;
+    let reach = task.rho0 * GATHER_FACTOR;
     let cap = (opts.arnoldi.n_eigs + 4) & !1;
     pool.gather(C64::from_imag(task.omega), reach, cap)
 }
@@ -440,9 +451,28 @@ pub(crate) fn crossings(
     opts: &SolverOptions,
     scale: f64,
 ) -> Vec<ImaginaryEigenpair> {
-    let axis_tol = 1e3 * opts.arnoldi.tol * scale.max(f64::MIN_POSITIVE);
-    let eigs = spectrum::extract_imaginary(pairs, axis_tol);
-    spectrum::dedupe(eigs, axis_tol.max(1e-12 * scale))
+    let tol = axis_tol(opts, scale);
+    let eigs = spectrum::extract_imaginary(pairs, tol);
+    spectrum::dedupe(eigs, tol.max(1e-12 * scale))
+}
+
+/// Real-part tolerance under which [`crossings`] reads an eigenvalue as
+/// purely imaginary, at pole band `scale`.
+fn axis_tol(opts: &SolverOptions, scale: f64) -> f64 {
+    1e3 * opts.arnoldi.tol * scale.max(f64::MIN_POSITIVE)
+}
+
+/// What a sweep keeps of a finished shift's in-disk set: the pairs
+/// [`crossings`] can read, in their order (the rest is read again only
+/// through the recycle pool, which holds its own references).
+pub(crate) fn axis_pairs(
+    mut in_disk: Vec<ConvergedEigenpair>,
+    opts: &SolverOptions,
+    scale: f64,
+) -> Vec<ConvergedEigenpair> {
+    let tol = axis_tol(opts, scale);
+    in_disk.retain(|e| spectrum::on_axis(e.lambda, tol));
+    in_disk
 }
 
 /// Assembles the outcome from a finished sweep's shared state.
@@ -462,9 +492,8 @@ fn assemble(
     // tie-break) so `shift_log` and everything derived from it is
     // deterministic for a given completion set.
     completions.sort_by(|a, b| {
-        a.0.theta
-            .im
-            .total_cmp(&b.0.theta.im)
+        a.0.omega
+            .total_cmp(&b.0.omega)
             .then(a.0.radius.total_cmp(&b.0.radius))
     });
     let mut all_pairs = Vec::new();
@@ -473,22 +502,13 @@ fn assemble(
     let mut warm_started_shifts = 0usize;
     let mut recycle_candidates = 0usize;
     let mut recycle_hits = 0usize;
-    for (out, shift_wall) in completions {
-        total_matvecs += out.matvecs;
-        warm_started_shifts += usize::from(out.warm_candidates > 0);
-        recycle_candidates += out.warm_candidates;
-        recycle_hits += out.warm_pre_locked;
-        shift_log.push(ShiftRecord {
-            omega: out.theta.im,
-            radius: out.radius,
-            matvecs: out.matvecs,
-            restarts: out.restarts,
-            cost_units: cost_units(&out),
-            warm_candidates: out.warm_candidates,
-            warm_pre_locked: out.warm_pre_locked,
-            wall: shift_wall,
-        });
-        all_pairs.extend(out.in_disk);
+    for (rec, pairs) in completions {
+        total_matvecs += rec.matvecs;
+        warm_started_shifts += usize::from(rec.warm_candidates > 0);
+        recycle_candidates += rec.warm_candidates;
+        recycle_hits += rec.warm_pre_locked;
+        shift_log.push(rec);
+        all_pairs.extend(pairs);
     }
     let mut eigenpairs = crossings(&all_pairs, opts, scale);
     // Certified disks may extend well past the requested band —
@@ -521,6 +541,9 @@ fn assemble(
             recycle_hits,
             shifts_quarantined,
             faults_injected,
+            pairs_converged: state.pairs_converged,
+            pool_peak_pairs: state.pool_peak_pairs,
+            pool_evicted_entries: state.pool_evicted_entries,
             wall,
         },
     }
@@ -644,6 +667,9 @@ pub(crate) fn sweep(
         pool: RecyclePool::new(),
         completions: Vec::new(),
         quarantined: Vec::new(),
+        pairs_converged: 0,
+        pool_peak_pairs: 0,
+        pool_evicted_entries: 0,
     });
     let share = SweepShare {
         ss,
@@ -699,9 +725,14 @@ fn validate_options(opts: &SolverOptions) -> Result<(), SolverError> {
 struct SharedState {
     scheduler: Scheduler,
     pool: RecyclePool,
-    /// Certified shifts with their wall time, in completion order.
-    completions: Vec<(SingleShiftOutcome, Duration)>,
+    /// Certified shifts in completion order: the telemetry scalars and
+    /// the [`axis_pairs`], nothing else of the outcome.
+    completions: Vec<(ShiftRecord, Vec<ConvergedEigenpair>)>,
     quarantined: Vec<QuarantinedShift>,
+    /// Running [`SolverStats`] counters of the same names.
+    pairs_converged: usize,
+    pool_peak_pairs: usize,
+    pool_evicted_entries: usize,
 }
 
 impl SharedState {
@@ -781,9 +812,10 @@ impl SweepShare<'_> {
                         // so batching ahead of a young pool re-spends the
                         // matvecs recycling would have saved. Widen the
                         // block only as donors accumulate (cap `1 + donors`
-                        // — the cold sweep opener always runs solo).
+                        // — the cold sweep opener always runs solo; donors,
+                        // not live entries, so eviction cannot move the cap).
                         let donor_cap = if self.opts.recycling {
-                            1 + guard.pool.len()
+                            1 + guard.pool.donors()
                         } else {
                             usize::MAX
                         };
@@ -856,14 +888,32 @@ impl SweepShare<'_> {
         }
     }
 
-    /// Records one certified completion under the lock.
+    /// Records one certified completion under the lock. The pool takes
+    /// the donation, then drops every entry the updated scheduler says no
+    /// shift can gather from again (so no gather sees the difference).
     fn record(&self, task: &ShiftTask, out: SingleShiftOutcome, started: Instant) {
         let mut guard = self.shared.lock();
-        guard.scheduler.complete(task, out.theta.im, out.radius);
+        let state = &mut *guard;
+        state.scheduler.complete(task, out.theta.im, out.radius);
+        state.pairs_converged += out.in_disk.len();
         if self.opts.recycling {
-            guard.pool.record(out.theta.im, &out);
+            state.pool.record(out.theta.im, &out);
+            state.pool_peak_pairs = state.pool_peak_pairs.max(state.pool.pairs());
+            let scheduler = &state.scheduler;
+            state.pool_evicted_entries += state.pool.evict(|lo, hi| scheduler.may_gather(lo, hi));
         }
-        guard.completions.push((out, started.elapsed()));
+        let rec = ShiftRecord {
+            omega: out.theta.im,
+            radius: out.radius,
+            matvecs: out.matvecs,
+            restarts: out.restarts,
+            cost_units: cost_units(&out),
+            warm_candidates: out.warm_candidates,
+            warm_pre_locked: out.warm_pre_locked,
+            wall: started.elapsed(),
+        };
+        let kept = axis_pairs(out.in_disk, self.opts, self.scale);
+        state.completions.push((rec, kept));
         drop(guard);
         self.cv.notify_all();
     }
@@ -1092,7 +1142,7 @@ mod tests {
             assert_eq!(e.vector.len(), 2 * ss.order());
             let av = m.matvec(&e.vector);
             let mut resid = 0.0f64;
-            for (avi, vi) in av.iter().zip(&e.vector) {
+            for (avi, vi) in av.iter().zip(e.vector.iter()) {
                 resid = resid.max((*avi - e.lambda * *vi).abs());
             }
             assert!(resid < 1e-5 * m.max_abs(), "eigenvector residual {resid}");
@@ -1346,6 +1396,18 @@ mod tests {
             assert!(r.radius > 0.0);
             assert!(r.cost_units >= r.matvecs as u64);
         }
+        // The pool counters: every donor of a finished serial sweep has
+        // been evicted (no shift is left to gather from it), and the pool
+        // never held more than was converged.
+        let st = &out.stats;
+        assert!(st.pairs_converged >= out.eigenpairs.len());
+        assert!(st.pool_peak_pairs > 0 && st.pool_peak_pairs <= st.pairs_converged);
+        assert!(st.pool_evicted_entries > 0 && st.pool_evicted_entries <= out.shift_log.len());
+        let cold = find_imaginary_eigenvalues(&ss, &SolverOptions::default().with_recycling(false))
+            .unwrap();
+        assert!(cold.stats.pairs_converged > 0);
+        assert_eq!(cold.stats.pool_peak_pairs, 0);
+        assert_eq!(cold.stats.pool_evicted_entries, 0);
         // Zero-fault baseline: nothing injected, nothing quarantined,
         // full coverage.
         assert_eq!(out.stats.faults_injected, 0);

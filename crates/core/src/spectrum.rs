@@ -3,6 +3,7 @@
 
 use pheig_arnoldi::ConvergedEigenpair;
 use pheig_linalg::C64;
+use std::sync::Arc;
 
 /// A located purely imaginary Hamiltonian eigenvalue with its eigenvector
 /// (kept for passivity enforcement sensitivities).
@@ -12,10 +13,19 @@ pub struct ImaginaryEigenpair {
     pub omega: f64,
     /// The raw eigenvalue as computed (real part is round-off).
     pub lambda: C64,
-    /// Unit-norm eigenvector in `C^{2n}`.
-    pub vector: Vec<C64>,
+    /// Unit-norm eigenvector in `C^{2n}` (the block the converging shift
+    /// produced, shared rather than copied).
+    pub vector: Arc<[C64]>,
     /// Eigenvalue error estimate from the Arnoldi certificate.
     pub error_estimate: f64,
+}
+
+/// `true` when `lambda` counts as purely imaginary: `|Re lambda| <=
+/// axis_tol`. The one predicate both [`extract_imaginary`] and the sweep's
+/// completion record (which keeps vectors only for pairs this accepts)
+/// apply.
+pub(crate) fn on_axis(lambda: C64, axis_tol: f64) -> bool {
+    lambda.re.abs() <= axis_tol
 }
 
 /// Classifies converged eigenpairs, keeping those on the imaginary axis.
@@ -27,7 +37,7 @@ pub struct ImaginaryEigenpair {
 pub fn extract_imaginary(pairs: &[ConvergedEigenpair], axis_tol: f64) -> Vec<ImaginaryEigenpair> {
     pairs
         .iter()
-        .filter(|e| e.lambda.re.abs() <= axis_tol)
+        .filter(|e| on_axis(e.lambda, axis_tol))
         .map(|e| ImaginaryEigenpair {
             omega: e.lambda.im.abs(),
             lambda: e.lambda,
@@ -68,7 +78,7 @@ mod tests {
     fn pair(re: f64, im: f64, err: f64) -> ConvergedEigenpair {
         ConvergedEigenpair {
             lambda: C64::new(re, im),
-            vector: vec![],
+            vector: Arc::from([]),
             error_estimate: err,
         }
     }
@@ -99,19 +109,19 @@ mod tests {
             ImaginaryEigenpair {
                 omega: 1.0,
                 lambda: C64::from_imag(1.0),
-                vector: vec![],
+                vector: Arc::from([]),
                 error_estimate: 1e-8,
             },
             ImaginaryEigenpair {
                 omega: 1.0 + 1e-9,
                 lambda: C64::from_imag(1.0 + 1e-9),
-                vector: vec![],
+                vector: Arc::from([]),
                 error_estimate: 1e-12,
             },
             ImaginaryEigenpair {
                 omega: 2.0,
                 lambda: C64::from_imag(2.0),
-                vector: vec![],
+                vector: Arc::from([]),
                 error_estimate: 1e-8,
             },
         ];
@@ -127,13 +137,13 @@ mod tests {
             ImaginaryEigenpair {
                 omega: 3.0,
                 lambda: C64::from_imag(3.0),
-                vector: vec![],
+                vector: Arc::from([]),
                 error_estimate: 0.0,
             },
             ImaginaryEigenpair {
                 omega: 1.0,
                 lambda: C64::from_imag(1.0),
-                vector: vec![],
+                vector: Arc::from([]),
                 error_estimate: 0.0,
             },
         ];

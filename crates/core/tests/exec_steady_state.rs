@@ -6,51 +6,20 @@
 //!
 //! Probe cohorts isolate the executor's own overhead from task payloads
 //! (a pipeline job naturally allocates; the scheduling around it must
-//! not). Same counting-global-allocator pattern as
-//! `crates/hamiltonian/tests/alloc_free.rs`; one test per file because a
+//! not). The counting global allocator is `common/mod.rs` (same pattern as
+//! `crates/hamiltonian/tests/alloc_free.rs`); one test per file because a
 //! concurrently running test would pollute the counter.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+mod common;
 
+use common::allocations;
 use pheig_core::exec::{self, Executor, ProbeShare, Task, TaskContext};
 use pheig_core::pipeline::{run_batch, Pipeline, PipelineOptions};
 use pheig_core::solver::SolverWorkspace;
 use pheig_hamiltonian::scratch_contention_total;
 use pheig_model::generator::{generate_case, CaseSpec};
 use pheig_model::FrequencySamples;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every operation defers to `System` with the caller's layout
-// contract forwarded unchanged; the counter increments are side-effect-free.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: the caller upholds `GlobalAlloc::alloc`'s layout contract.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-    // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was produced by this allocator (which defers to
-        // `System`) with the same layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarded contract, as in `dealloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
 
 #[test]
 fn executor_steady_state_spawns_no_threads_and_allocates_nothing_per_task() {
@@ -78,11 +47,11 @@ fn executor_steady_state_spawns_no_threads_and_allocates_nothing_per_task() {
             Instant::now() < deadline,
             "executor machinery never stopped allocating during warm-up"
         );
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let probe = ProbeShare::new();
         exec.run_cohort(Task::Probe(&probe), EXTRA, &mut TaskContext::new(&mut ws));
         assert_eq!(probe.hits(), EXTRA + 1, "cohort must run extra + 1 times");
-        quiet = if ALLOCATIONS.load(Ordering::Relaxed) == before {
+        quiet = if allocations() == before {
             quiet + 1
         } else {
             0
@@ -95,13 +64,13 @@ fn executor_steady_state_spawns_no_threads_and_allocates_nothing_per_task() {
     // pre-sized buffers, and workspace checkout reuses pooled scratch.
     let spawned_before = exec::threads_spawned_total();
     let probes_before = exec.stats().probes;
-    let allocs_before = ALLOCATIONS.load(Ordering::Relaxed);
+    let allocs_before = allocations();
     for _ in 0..MEASURED_ROUNDS {
         let probe = ProbeShare::new();
         exec.run_cohort(Task::Probe(&probe), EXTRA, &mut TaskContext::new(&mut ws));
         assert_eq!(probe.hits(), EXTRA + 1);
     }
-    let allocs = ALLOCATIONS.load(Ordering::Relaxed) - allocs_before;
+    let allocs = allocations() - allocs_before;
     let tasks = (exec.stats().probes - probes_before) as usize;
 
     assert_eq!(tasks, MEASURED_ROUNDS * (EXTRA + 1));

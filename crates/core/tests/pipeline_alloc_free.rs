@@ -8,13 +8,14 @@
 //! [`ArnoldiWorkspace`] a shift allocates for the eigenpairs it locks and
 //! returns, never per round.
 //!
-//! Same counting-global-allocator pattern as
-//! `crates/hamiltonian/tests/alloc_free.rs`; the tests of this file take
+//! The counting global allocator is `common/mod.rs` (same pattern as
+//! `crates/hamiltonian/tests/alloc_free.rs`); the tests of this file take
 //! turns under `SERIAL` because a concurrently running test would pollute
 //! the counter.
 
-#![deny(unsafe_op_in_unsafe_fn)]
+mod common;
 
+use common::allocations;
 use pheig_arnoldi::single_shift::single_shift_on_op_with;
 use pheig_arnoldi::{ArnoldiWorkspace, SingleShiftOptions, SingleShiftOutcome};
 use pheig_core::pipeline::{Pipeline, PipelineOptions};
@@ -23,39 +24,7 @@ use pheig_linalg::C64;
 use pheig_model::generator::{generate_case, CaseSpec};
 use pheig_model::touchstone::{write_touchstone, TouchstoneOptions};
 use pheig_model::FrequencySamples;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
-
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every operation defers to `System` with the caller's layout
-// contract forwarded unchanged; the counter increments are side-effect-free.
-unsafe impl GlobalAlloc for CountingAllocator {
-    // SAFETY: the caller upholds `GlobalAlloc::alloc`'s layout contract.
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout the caller vouched for.
-        unsafe { System.alloc(layout) }
-    }
-    // SAFETY: the caller upholds `GlobalAlloc::dealloc`'s contract.
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` was produced by this allocator (which defers to
-        // `System`) with the same layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    // SAFETY: the caller upholds `GlobalAlloc::realloc`'s contract.
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: forwarded contract, as in `dealloc`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
 
 /// Counts allocations across `reps` steady-state applications of `op`.
 fn allocations_during_applies(op: &dyn CLinearOp, reps: usize) -> u64 {
@@ -65,11 +34,11 @@ fn allocations_during_applies(op: &dyn CLinearOp, reps: usize) -> u64 {
     let mut y = vec![C64::zero(); op.dim()];
     // Warm-up: first application settles any lazy OS/runtime state.
     op.apply_into(&x, &mut y);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = allocations();
     for _ in 0..reps {
         op.apply_into(&x, &mut y);
     }
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    allocations() - before
 }
 
 /// One counter, one measuring test at a time.
@@ -124,10 +93,10 @@ fn warm_workspace_shift_allocates_per_returned_pair_not_per_round() {
     let map = |mu: C64| op.to_hamiltonian_eigenvalue(mu);
     let mut ws = ArnoldiWorkspace::new();
     let mut shift = |opts: &SingleShiftOptions| -> (u64, SingleShiftOutcome) {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let out = single_shift_on_op_with(&op, &map, op.theta(), 1.0, 12.0, opts, &mut ws)
             .expect("the probe shift certifies");
-        (ALLOCATIONS.load(Ordering::Relaxed) - before, out)
+        (allocations() - before, out)
     };
     let wide = SingleShiftOptions::new().with_seed(2);
     let narrow = wide.clone().with_max_subspace(16);
