@@ -8,10 +8,13 @@
 //!
 //! Orthogonalization is **blocked CGS2** (classical Gram-Schmidt with one
 //! unconditional re-orthogonalization): each step runs two batched
-//! project-against-basis passes over a contiguous split-complex copy of
-//! the basis ([`pheig_linalg::kernels::SplitBasis`]), so the working
-//! vector streams from memory a constant number of times per step instead
-//! of the `2j` dependent sweeps of element-wise modified Gram-Schmidt.
+//! project-against-basis passes over the basis, which is stored once, as
+//! contiguous split-complex planes ([`pheig_linalg::kernels::SplitBasis`]),
+//! so the working vector streams from memory a constant number of times
+//! per step instead of the `2j` dependent sweeps of element-wise modified
+//! Gram-Schmidt. Only the operator speaks interleaved complex: one in/out
+//! vector pair per factorization is that boundary
+//! ([`ArnoldiFactorization::io_mut`]).
 //! CGS2 carries the same orthogonality guarantee as MGS with
 //! re-orthogonalization ("twice is enough": the basis is orthonormal to a
 //! small multiple of machine epsilon even for clustered spectra — pinned
@@ -24,18 +27,13 @@ use pheig_linalg::{Matrix, C64};
 
 /// An Arnoldi factorization of length `m`.
 ///
-/// The storage (basis vectors and the Hessenberg matrix) is reusable: a
+/// The storage (basis planes and the Hessenberg matrix) is reusable: a
 /// factorization built by [`arnoldi_into`] retains its allocations across
 /// rebuilds, so restart loops run without steady-state heap traffic. `h`
 /// may be larger than `(steps+1) x steps`; only that leading block is
 /// meaningful.
 #[derive(Debug, Clone)]
 pub struct ArnoldiFactorization {
-    /// Orthonormal basis vectors `v_0 .. v_m` (`m + 1` of them),
-    /// interleaved — the layout the operator boundary (`apply_into`)
-    /// expects. Everything that combines basis vectors reads the
-    /// split-plane mirror instead ([`Self::basis_split`]).
-    pub basis: Vec<Vec<C64>>,
     /// The upper-Hessenberg projection (leading `(steps+1) x steps` block).
     pub h: Matrix<C64>,
     /// Locked-set projection coefficients (`locked.len() x steps` leading
@@ -51,10 +49,13 @@ pub struct ArnoldiFactorization {
     pub steps: usize,
     /// `true` when the Krylov space became invariant (happy breakdown).
     pub breakdown: bool,
-    /// Retired basis-vector storage, recycled by the next rebuild.
-    pool: Vec<Vec<C64>>,
-    /// Split-complex mirror of `basis` for the blocked CGS2 kernels.
+    /// Orthonormal basis vectors `v_0 .. v_m` (`m + 1` of them; `m` after a
+    /// breakdown), split-complex: row `j` is `v_j`.
     split: SplitBasis,
+    /// The operator boundary, interleaved — the layout `apply_into`
+    /// expects: `x` holds the current `v_j`, `w` receives `Op v_j`.
+    x: Vec<C64>,
+    w: Vec<C64>,
     /// The deflation set, split-complex: filled by [`Self::set_locked`] or
     /// grown row by row through [`Self::push_locked`].
     locked_split: SplitBasis,
@@ -81,13 +82,13 @@ impl ArnoldiFactorization {
     /// then reuse.
     pub fn empty() -> Self {
         ArnoldiFactorization {
-            basis: Vec::new(),
             h: Matrix::zeros(1, 0),
             hl: Matrix::zeros(1, 0),
             steps: 0,
             breakdown: false,
-            pool: Vec::new(),
             split: SplitBasis::new(),
+            x: Vec::new(),
+            w: Vec::new(),
             locked_split: SplitBasis::new(),
             wr: Vec::new(),
             wi: Vec::new(),
@@ -97,26 +98,6 @@ impl ArnoldiFactorization {
         }
     }
 
-    /// Makes `basis[k]` exist with length `n`, recycling retired storage.
-    fn ensure_slot(&mut self, k: usize, n: usize) {
-        while self.basis.len() <= k {
-            let mut v = self.pool.pop().unwrap_or_default();
-            v.clear();
-            v.resize(n, C64::zero());
-            self.basis.push(v);
-        }
-        if self.basis[k].len() != n {
-            self.basis[k].clear();
-            self.basis[k].resize(n, C64::zero());
-        }
-    }
-
-    /// Moves basis slots beyond `keep` into the recycling pool.
-    fn retire_beyond(&mut self, keep: usize) {
-        while self.basis.len() > keep {
-            self.pool.push(self.basis.pop().expect("len checked"));
-        }
-    }
     /// The square `m x m` projected matrix `H_m`.
     pub fn projected(&self) -> Matrix<C64> {
         Matrix::from_fn(self.steps, self.steps, |i, j| self.h[(i, j)])
@@ -140,8 +121,8 @@ impl ArnoldiFactorization {
     /// Panics if `y.len() != self.steps` or the factorization is empty.
     pub fn lift(&self, y: &[C64]) -> Vec<C64> {
         assert_eq!(y.len(), self.steps, "lift coefficient length mismatch");
-        assert!(!self.basis.is_empty(), "lift on an empty factorization");
-        let n = self.basis[0].len();
+        assert!(!self.split.is_empty(), "lift on an empty factorization");
+        let n = self.split.row_len();
         let (mut vr, mut vi) = (vec![0.0; n], vec![0.0; n]);
         self.split.combine_into(self.steps, y, &mut vr, &mut vi);
         kernels::normalize_seq(&mut vr, &mut vi);
@@ -150,7 +131,7 @@ impl ArnoldiFactorization {
         v
     }
 
-    /// The split-plane mirror of `basis` (row `j` is `v_j`).
+    /// The basis, in split-complex planes (row `j` is `v_j`).
     pub fn basis_split(&self) -> &SplitBasis {
         &self.split
     }
@@ -192,10 +173,10 @@ impl ArnoldiFactorization {
     /// operator into the returned target) and [`Self::absorb`] until
     /// `absorb` returns `false`.
     ///
-    /// This split exists so a *block* driver can interleave the operator
-    /// applications of several independent factorizations into one batched
-    /// multi-shift apply; the math per factorization is identical to
-    /// [`arnoldi_into`] (which is itself written on top of this API).
+    /// This split exists so a driver can own the operator application — a
+    /// *block* driver steps several independent factorizations round-robin,
+    /// one apply per lane per pass; the math per factorization is identical
+    /// to [`arnoldi_into`] (which is itself written on top of this API).
     ///
     /// # Panics
     ///
@@ -210,8 +191,9 @@ impl ArnoldiFactorization {
         );
         self.h.reset_zeros(max_steps + 1, max_steps);
         self.hl.reset_zeros(locked.max(1), max_steps);
-        // Plane scratch and the split mirrors (reused storage; grows only
-        // to the high-water mark, then allocation-free across rebuilds).
+        // Plane scratch, the basis planes and the operator boundary (reused
+        // storage; grows only to the high-water mark, then allocation-free
+        // across rebuilds).
         self.wr.clear();
         self.wr.resize(n, 0.0);
         self.wi.clear();
@@ -219,7 +201,7 @@ impl ArnoldiFactorization {
         self.coeff.clear();
         self.coeff.resize(locked.max(max_steps + 1), C64::zero());
         self.split.reset(n);
-        self.ensure_slot(0, n);
+        self.boundary_mut(n);
         // v0 = start with the locked span batch-projected out; the second
         // pass is the CGS2 insurance for a start nearly inside that span.
         kernels::split(start, &mut self.wr, &mut self.wi);
@@ -229,36 +211,36 @@ impl ArnoldiFactorization {
             .project_out(&mut self.wr, &mut self.wi, &mut self.coeff);
         let n0 = kernels::nrm2(&self.wr, &self.wi);
         if n0 == 0.0 {
-            kernels::merge(&self.wr, &self.wi, &mut self.basis[0]);
             self.steps = 0;
             self.breakdown = true;
-            self.retire_beyond(1);
             return false;
         }
         kernels::scal_real(1.0 / n0, &mut self.wr, &mut self.wi);
-        kernels::merge(&self.wr, &self.wi, &mut self.basis[0]);
+        kernels::merge(&self.wr, &self.wi, &mut self.x);
         self.split.push_split(&self.wr, &self.wi);
         self.steps = 0;
         self.breakdown = false;
         self.build_j = 0;
         self.build_max = max_steps;
-        if max_steps == 0 {
-            self.retire_beyond(1);
-            return false;
-        }
-        true
+        max_steps > 0
     }
 
     /// The operator boundary of the current incremental step: the source
-    /// basis vector `v_j` and the target slot for `w = Op v_j`. Call only
+    /// basis vector `v_j` and the target for `w = Op v_j`. Call only
     /// between a `true` return from [`Self::begin_build`]/[`Self::absorb`]
     /// and the matching [`Self::absorb`].
     pub fn io_mut(&mut self) -> (&[C64], &mut [C64]) {
-        let n = self.basis[0].len();
-        let j = self.build_j;
-        self.ensure_slot(j + 1, n);
-        let (head, tail) = self.basis.split_at_mut(j + 1);
-        (head[j].as_slice(), tail[0].as_mut_slice())
+        (&self.x, &mut self.w)
+    }
+
+    /// The same pair sized for vectors of length `n`, both sides writable:
+    /// between builds a caller may put a vector of its own through the
+    /// operator here (warm validation does). The next
+    /// [`Self::begin_build`] overwrites it.
+    pub(crate) fn boundary_mut(&mut self, n: usize) -> (&mut [C64], &mut [C64]) {
+        self.x.resize(n, C64::zero());
+        self.w.resize(n, C64::zero());
+        (&mut self.x, &mut self.w)
     }
 
     /// Orthogonalizes the operator output written via [`Self::io_mut`]
@@ -268,7 +250,7 @@ impl ArnoldiFactorization {
     /// factorization is then final.
     pub fn absorb(&mut self) -> bool {
         let j = self.build_j;
-        kernels::split(&self.basis[j + 1], &mut self.wr, &mut self.wi);
+        kernels::split(&self.w, &mut self.wr, &mut self.wi);
         // Deflation: keep the recursion inside the complement of `locked`.
         self.locked_split
             .project_out(&mut self.wr, &mut self.wi, &mut self.coeff);
@@ -298,20 +280,16 @@ impl ArnoldiFactorization {
         self.steps = j + 1;
         self.h[(j + 1, j)] = C64::from_real(beta);
         if beta <= 1e-14 * before.max(1.0) {
+            // The basis ends at `v_j`: the residual is not a direction.
             self.breakdown = true;
-            // On breakdown the last slot holds the (stale) raw matvec
-            // output, not a basis vector: retire it so `basis` ends at
-            // the meaningful set.
-            self.retire_beyond(self.steps.max(1));
             return false;
         }
         kernels::scal_real(1.0 / beta, &mut self.wr, &mut self.wi);
-        kernels::merge(&self.wr, &self.wi, &mut self.basis[j + 1]);
         self.split.push_split(&self.wr, &self.wi);
         if j + 1 == self.build_max {
-            self.retire_beyond(self.steps + 1);
             return false;
         }
+        kernels::merge(&self.wr, &self.wi, &mut self.x);
         self.build_j = j + 1;
         true
     }
@@ -342,7 +320,6 @@ pub fn arnoldi_into(
         return;
     }
     loop {
-        // The next basis slot doubles as the matvec target `w`.
         let (v, w) = fact.io_mut();
         op.apply_into(v, w);
         if !fact.absorb() {
@@ -358,6 +335,12 @@ mod tests {
 
     fn diag_op(d: &[C64]) -> Matrix<C64> {
         Matrix::from_diag(d)
+    }
+
+    /// Basis vector `v_r`, interleaved.
+    fn row(fact: &ArnoldiFactorization, r: usize) -> Vec<C64> {
+        let (re, im) = fact.basis_split().row(r);
+        re.iter().zip(im).map(|(&a, &b)| C64::new(a, b)).collect()
     }
 
     fn rand_start(n: usize, seed: u64) -> Vec<C64> {
@@ -381,10 +364,10 @@ mod tests {
         arnoldi_into(&op, &rand_start(n, 1), &[], 6, &mut fact);
         assert_eq!(fact.steps, 6);
         for j in 0..fact.steps {
-            let av = op.matvec(&fact.basis[j]);
+            let av = op.matvec(&row(&fact, j));
             let mut rhs = vec![C64::zero(); n];
             for i in 0..=fact.steps.min(j + 1) {
-                axpy(fact.h[(i, j)], &fact.basis[i], &mut rhs);
+                axpy(fact.h[(i, j)], &row(&fact, i), &mut rhs);
             }
             for k in 0..n {
                 assert!((av[k] - rhs[k]).abs() < 1e-10, "column {j}");
@@ -401,9 +384,11 @@ mod tests {
         let op = diag_op(&d);
         let mut fact = ArnoldiFactorization::empty();
         arnoldi_into(&op, &rand_start(n, 2), &[], 10, &mut fact);
-        for i in 0..fact.basis.len() {
-            for j in 0..fact.basis.len() {
-                let g = dot(&fact.basis[i], &fact.basis[j]);
+        let rows = fact.basis_split().rows();
+        assert_eq!(rows, 11);
+        for i in 0..rows {
+            for j in 0..rows {
+                let g = dot(&row(&fact, i), &row(&fact, j));
                 let want = if i == j { 1.0 } else { 0.0 };
                 assert!(
                     (g - C64::from_real(want)).abs() < 1e-10,

@@ -53,9 +53,6 @@ pub struct ArnoldiWorkspace {
 #[derive(Debug, Default)]
 pub(crate) struct RoundScratch {
     ritz: RitzSet,
-    /// Warm candidate and its image: the operator boundary is interleaved.
-    cand: Vec<C64>,
-    cand_img: Vec<C64>,
     /// A vector being lifted or locked, and its operator image.
     v: Planes,
     z: Planes,
@@ -330,17 +327,15 @@ impl<'a> ShiftCore<'a> {
         for pair in warm.iter().take(cap) {
             assert_eq!(pair.vector.len(), self.n, "recycled vector length mismatch");
             self.warm_candidates += 1;
-            let RoundScratch {
-                cand,
-                cand_img: img,
-                v,
-                z,
+            // The candidate goes through the lane's operator boundary: no
+            // build is open, so the pair is free.
+            let ArnoldiWorkspace {
+                fact,
+                round: RoundScratch { v, z, .. },
                 ..
-            } = &mut self.ws.round;
-            cand.clear();
-            cand.extend_from_slice(&pair.vector);
-            img.clear();
-            img.resize(self.n, C64::zero());
+            } = &mut *self.ws;
+            let (cand, img) = fact.boundary_mut(self.n);
+            cand.copy_from_slice(&pair.vector);
             // Validate the candidate *raw*: eigenvectors of a non-normal
             // operator are not mutually orthogonal, so projecting out the
             // already-locked directions first would destroy the very
@@ -447,7 +442,7 @@ impl<'a> ShiftCore<'a> {
             coeff.push(hy);
         }
         let mut rows = m;
-        if !fact.breakdown && fact.basis.len() > m {
+        if !fact.breakdown && fact.basis_split().rows() > m {
             coeff.push(fact.h[(m, m - 1)] * y[m - 1]);
             rows += 1;
         }

@@ -13,6 +13,9 @@
 //!    implementation detail, not a semantic choice. Pinned by comparing
 //!    against a local reference MGS on the same operator and start.
 
+mod common;
+
+use common::row;
 use pheig_arnoldi::krylov::{arnoldi_into, ArnoldiFactorization};
 use pheig_hamiltonian::CLinearOp;
 use pheig_linalg::vector::{axpy, dot, normalize, nrm2};
@@ -81,9 +84,12 @@ fn mgs_arnoldi(
 
 fn max_gram_deviation(fact: &ArnoldiFactorization) -> f64 {
     let mut worst = 0.0f64;
-    for i in 0..fact.basis.len() {
-        for j in 0..fact.basis.len() {
-            let g = dot(&fact.basis[i], &fact.basis[j]);
+    let basis: Vec<Vec<C64>> = (0..fact.basis_split().rows())
+        .map(|r| row(fact, r))
+        .collect();
+    for (i, vi) in basis.iter().enumerate() {
+        for (j, vj) in basis.iter().enumerate() {
+            let g = dot(vi, vj);
             let want = if i == j { 1.0 } else { 0.0 };
             worst = worst.max((g - C64::from_real(want)).abs());
         }
@@ -120,8 +126,8 @@ fn clustered_spectrum_with_deflation_stays_orthonormal() {
     arnoldi_into(&op, &rand_start(n, 5), &locked, 15, &mut fact);
     assert!(max_gram_deviation(&fact) < 1e-12);
     for q in &locked {
-        for v in &fact.basis {
-            let g = dot(q, v).abs();
+        for r in 0..fact.basis_split().rows() {
+            let g = dot(q, &row(&fact, r)).abs();
             assert!(g < 1e-12, "locked leakage {g:e}");
         }
     }
@@ -153,7 +159,7 @@ fn cgs2_matches_mgs_factorization_on_clustered_spectrum() {
     // step is unique, beta > 0 fixing the phase).
     for (k, v_ref) in basis_ref.iter().enumerate() {
         let mut d = 0.0f64;
-        for (got, want) in fact.basis[k].iter().zip(v_ref.iter()).take(n) {
+        for (got, want) in row(&fact, k).iter().zip(v_ref.iter()).take(n) {
             d = d.max((*got - *want).abs());
         }
         assert!(d < 1e-7, "basis vector {k} differs by {d:e}");

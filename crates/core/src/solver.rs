@@ -28,29 +28,31 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-/// Reusable solver scratch: one Arnoldi workspace per worker thread.
+/// Reusable solver scratch of *one* sweep worker (each cohort member
+/// executes against its own): one Arnoldi workspace per lane of the shift
+/// block that worker steps, at most `block_size` of them.
 ///
 /// A workspace created once and passed to repeated
 /// [`find_imaginary_eigenvalues_with`] calls (as the passivity-enforcement
-/// loop does) keeps every worker's Krylov basis storage alive across
+/// loop does) keeps every lane's Krylov basis storage alive across
 /// sweeps, eliminating steady-state allocation churn from the hot path.
 #[derive(Debug, Default)]
 pub struct SolverWorkspace {
-    per_thread: Vec<ArnoldiWorkspace>,
+    lanes: Vec<ArnoldiWorkspace>,
 }
 
 impl SolverWorkspace {
-    /// An empty workspace; per-thread scratch grows on first use.
+    /// An empty workspace; lane scratch grows on first use.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Grows the per-thread scratch list to `threads` entries.
-    fn ensure_threads(&mut self, threads: usize) -> &mut [ArnoldiWorkspace] {
-        if self.per_thread.len() < threads {
-            self.per_thread.resize_with(threads, ArnoldiWorkspace::new);
+    /// Grows the lane scratch list to `lanes` entries.
+    fn ensure_lanes(&mut self, lanes: usize) -> &mut [ArnoldiWorkspace] {
+        if self.lanes.len() < lanes {
+            self.lanes.resize_with(lanes, ArnoldiWorkspace::new);
         }
-        &mut self.per_thread[..threads]
+        &mut self.lanes[..lanes]
     }
 }
 
@@ -834,7 +836,7 @@ impl SweepShare<'_> {
                     self.cv.wait(&mut guard);
                 }
             };
-            let lane_ws = ctx.workspace.ensure_threads(batch.len());
+            let lane_ws = ctx.workspace.ensure_lanes(batch.len());
             if batch.len() == 1 {
                 self.run_solo(&batch[0], &warms[0], &mut lane_ws[0]);
             } else {

@@ -5,8 +5,9 @@
 //! A live-bytes tracking allocator (`common`) measures the sweep's peak
 //! above its starting point. Whatever is still allocated after the result
 //! is dropped is workspace (Krylov bases grown to their high-water marks,
-//! the executor's pooled scratch) and is subtracted, so the remainder is
-//! the vectors: each is `2n` complex numbers, `32 n` bytes. Before
+//! the executor's pooled scratch): it is pinned on its own — one basis
+//! per lane plus a little — and then subtracted, so the remainder is the
+//! vectors: each is `2n` complex numbers, `32 n` bytes. Before
 //! eviction that remainder was every converged pair held twice
 //! (`2 * pairs_converged`: 526 vectors on this model at T = 1, against a
 //! bound of 220).
@@ -52,6 +53,22 @@ fn sweep_peak_memory_is_its_working_set() {
         }
         drop(out);
         let workspace = common::live_bytes().saturating_sub(base);
+
+        // Workspace: every lane of every cohort member keeps one Krylov
+        // basis (`max_subspace + 1` vectors) at its high-water mark, plus
+        // the locked set, `h` / `hl`, the plane scratch and the operator
+        // scratch. This model measures 1.99 bases per lane at T = 1 and
+        // 1.69 at T = 2; with the basis stored twice (interleaved and
+        // split) it was 2.97 and 2.30.
+        let one_basis_per_lane =
+            threads * opts.block_size * (opts.arnoldi.max_subspace + 1) * vector_bytes;
+        assert!(
+            workspace as f64 <= 2.2 * one_basis_per_lane as f64,
+            "T={threads}: {workspace} B of workspace outlive the sweep, {:.2}x one basis per \
+             lane ({one_basis_per_lane} B; bound 2.2x, measured 2,485,356 B = 1.99x at T = 1 \
+             and 4,231,193 B = 1.69x at T = 2)",
+            workspace as f64 / one_basis_per_lane as f64
+        );
 
         // Working set, in vectors: the pool at its fullest, the on-axis
         // pairs kept per completion (a crossing is usually found from two

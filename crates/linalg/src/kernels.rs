@@ -803,7 +803,7 @@ fn basis_axpy_impl<const ADD: bool>(
 ///
 /// Storage is reusable: [`SplitBasis::reset`] keeps the capacity, so a
 /// workspace-owned basis allocates only while growing to its high-water
-/// mark (the same contract as `ArnoldiFactorization`'s recycled slots).
+/// mark.
 #[derive(Debug, Clone, Default)]
 pub struct SplitBasis {
     re: Vec<f64>,

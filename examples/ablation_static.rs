@@ -7,7 +7,7 @@
 //! increasing density at T = 8 virtual workers: total executed work,
 //! makespan, and wasted (covered-but-still-processed) shifts.
 //!
-//! Usage: cargo bench -p pheig-bench --bench ablation_static
+//! Usage: cargo run --release --example ablation_static
 
 use pheig_core::simulate::{simulate_parallel, ScheduleMode};
 use pheig_core::solver::SolverOptions;

@@ -7,7 +7,7 @@
 //! reproduces the paper's motivation for abandoning the full
 //! eigensolution. The dense column stops at n = 160.
 //!
-//! Usage: cargo bench -p pheig-bench --bench crossover
+//! Usage: cargo run --release --example crossover
 
 use pheig_core::solver::{find_imaginary_eigenvalues, SolverOptions};
 use pheig_hamiltonian::dense_hamiltonian;

@@ -4,8 +4,8 @@
 //! random Arnoldi start vectors), compared to the ideal line.
 //!
 //! Usage:
-//!   cargo bench -p pheig-bench --bench fig6_speedup            # scaled Case 5
-//!   cargo bench -p pheig-bench --bench fig6_speedup -- --full  # n=2240, p=56
+//!   cargo run --release --example fig6_speedup            # scaled Case 5
+//!   cargo run --release --example fig6_speedup -- --full  # n=2240, p=56
 //!
 //! Speedups are computed in deterministic virtual time (work units) by
 //! replaying the identical scheduler with T virtual workers; superlinear

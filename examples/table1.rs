@@ -6,8 +6,8 @@
 //! on hosts without 16 cores), and the speedup `eta_16`.
 //!
 //! Usage:
-//!   cargo bench -p pheig-bench --bench table1            # scaled cases (fast)
-//!   cargo bench -p pheig-bench --bench table1 -- --full  # paper-size cases
+//!   cargo run --release --example table1            # scaled cases (fast)
+//!   cargo run --release --example table1 -- --full  # paper-size cases
 //!
 //! The "scaled" mode divides n and p by 4 (cost ~ 1/16) so the full table
 //! regenerates in about a minute; shapes (who wins, by what factor) are
