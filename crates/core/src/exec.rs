@@ -1,6 +1,6 @@
-//! The persistent work-stealing execution layer (Sec. IV.C's "one pool of
-//! long-lived workers pulling shifts", lifted to every parallel layer of
-//! the workspace).
+//! The persistent execution layer (Sec. IV.C's "one pool of long-lived
+//! workers pulling shifts", lifted to every parallel layer of the
+//! workspace).
 //!
 //! Before this module existed, each parallel layer spawned its own
 //! `std::thread::scope` pool per call: [`crate::pipeline::run_batch`] per
@@ -17,24 +17,25 @@
 //!   `crates/core/tests/exec_steady_state.rs`).
 //! * **Workers own the solver scratch.** The executor keeps a checkout
 //!   pool of [`SolverWorkspace`]s; every task executes against one, so the
-//!   PR 2 workspace-reuse contract ("whoever loops owns the scratch") now
-//!   has a single owner: the execution layer.
+//!   workspace-reuse contract ("whoever loops owns the scratch") has a
+//!   single owner: the execution layer.
 //! * **One task taxonomy.** [`Task`] is the unified currency: batch
 //!   pipeline jobs, multi-shift sweep membership (characterization *and*
 //!   enforcement re-sweeps, distinguished by [`SweepOrigin`]), and a
-//!   telemetry probe. All layers schedule on the same deques, so an idle
-//!   worker steals whatever is queued — batch jobs or sweep memberships
+//!   telemetry probe. All layers schedule on the same queue, so an idle
+//!   worker takes whatever is queued — batch jobs or sweep memberships
 //!   alike. (One asymmetry remains: a sweep member that finds the shift
 //!   queue momentarily empty parks on the sweep's own condvar rather
 //!   than returning to the pool, so it is unavailable to other cohorts
 //!   until its sweep completes — the same behavior the pre-executor
 //!   dedicated sweep threads had.)
-//! * **Chase–Lev-style deques, in-repo.** Each worker owns a lock-free
-//!   deque (owner pushes/pops the bottom, thieves CAS the top — the
-//!   Chase–Lev 2005 discipline with the Lê et al. 2013 orderings);
-//!   external submitters go through a bounded injector queue. Entries are
-//!   single machine words, so steady-state submission and execution
-//!   allocate nothing per task.
+//! * **One queue, one lock.** Each pool holds a single
+//!   `Mutex<VecDeque<_>>` of entries and one condvar that idle workers and
+//!   waiting cohort owners share. Load balancing happens per *item*
+//!   (below), so the queue only ever hands each cohort member one entry;
+//!   entries are single machine words and the queue's capacity is reserved
+//!   at construction, so steady-state submission and execution allocate
+//!   nothing per task.
 //!
 //! # Cohorts
 //!
@@ -47,43 +48,30 @@
 //! so progress never depends on a pool worker being free.
 //!
 //! Cohort tasks are pull loops over shared state (an atomic job counter, a
-//! locked [`Scheduler`](crate::scheduler::Scheduler)), so work-stealing
-//! granularity is a whole pull loop while load balancing happens at the
-//! item level — stragglers cannot serialize a batch, and a cohort with
-//! more members than free workers degrades gracefully (queued members find
-//! the shared state drained and return immediately).
+//! locked [`Scheduler`](crate::scheduler::Scheduler)), so a queue entry is
+//! a whole pull loop while load balancing happens at the item level —
+//! stragglers cannot serialize a batch, and a cohort with more members
+//! than free workers degrades gracefully (queued members find the shared
+//! state drained and return immediately).
 
-pub mod gate;
-pub mod lockfree;
-
-use self::gate::{CohortLatch, WakeGate};
-use self::lockfree::{Deque, Injector, Steal};
 use crate::pipeline::BatchShare;
 use crate::solver::{SolverWorkspace, SweepShare};
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-/// Per-worker deque capacity (power of two). Overflow spills to the
-/// injector, so this is a fast-path size, not a correctness limit.
-const DEQUE_CAPACITY: usize = 256;
-
-/// Injector ring capacity (power of two). A full ring is not an error:
-/// the submitter helps drain one entry and retries, so a burst larger
-/// than the ring degrades to inline execution instead of allocating.
-const INJECTOR_CAPACITY: usize = 1024;
+/// Queue capacity reserved at construction. A burst beyond it grows the
+/// queue once (and the capacity is kept), so this is a steady-state size,
+/// not a correctness limit.
+const QUEUE_RESERVE: usize = 256;
 
 /// Workspace checkout-pool capacity reserved at construction.
 const WORKSPACE_RESERVE: usize = 64;
-
-/// Idle parking interval: wakeups are notification-driven; the timeout is
-/// a defensive backstop, not the scheduling mechanism.
-const PARK_INTERVAL: Duration = Duration::from_millis(50);
 
 /// Total executor worker threads spawned by this process (monotonic).
 static SPAWNED: AtomicUsize = AtomicUsize::new(0);
@@ -114,7 +102,7 @@ pub enum SweepOrigin {
 /// Shared state of a telemetry probe cohort: counts executions and
 /// nothing else. Used by the steady-state tests (and available to
 /// monitoring) to measure the executor's own overhead — a probe cohort
-/// exercises the full submit/steal/execute/wake machinery with a no-op
+/// exercises the full submit/execute/complete machinery with a no-op
 /// payload.
 #[derive(Debug, Default)]
 pub struct ProbeShare {
@@ -226,7 +214,8 @@ pub struct ExecutorStats {
     pub enforcement_sweeps: u64,
     /// Executions that were telemetry probes.
     pub probes: u64,
-    /// Successful steals from another worker's deque.
+    /// Always 0 since the pool has a single shared queue; kept while
+    /// `benchmark/` reads it as `core.exec.steals`.
     pub steals: u64,
 }
 
@@ -237,7 +226,6 @@ struct Counters {
     characterization_sweeps: AtomicU64,
     enforcement_sweeps: AtomicU64,
     probes: AtomicU64,
-    steals: AtomicU64,
 }
 
 /// One erased cohort entry: the address of a stack-pinned `GroupRecord`.
@@ -247,41 +235,44 @@ type Entry = usize;
 ///
 /// # Safety contract
 ///
-/// The record lives in [`Executor::run_cohort`]'s stack frame, which does
-/// not return (and therefore does not unwind past the record) until the
-/// latch reaches zero. Exactly `latch` entries pointing at the record are
-/// pushed, each entry is consumed exactly once, and a consumer never
-/// touches the record after its [`CohortLatch::complete_one`] — so no
-/// entry can outlive the frame it points into. The cohort-lifecycle model
-/// harness (`crates/verify/src/harnesses.rs`) machine-checks this
-/// contract: workers open read windows on a modeled record, the owner
-/// opens a write window (the frame's death) only after its latch wait
-/// returns, and any schedule where they overlap is reported as a race.
+/// The record lives in [`Executor::run_cohort_caught`]'s stack frame,
+/// which does not return (and therefore does not unwind past the record)
+/// until `remaining` reads zero under the pool's queue lock. Exactly
+/// `remaining` entries pointing at the record are pushed, each entry is
+/// popped exactly once (under that lock), and a consumer's decrement of
+/// `remaining` under the lock is its last touch of the record — so no
+/// entry can outlive the frame it points into.
 struct GroupRecord<'env> {
     task: Task<'env>,
-    latch: CohortLatch,
+    /// Members still queued or running. Changed and read only under the
+    /// pool's queue lock, which orders every access; the atomic is just
+    /// the `Sync` interior mutability.
+    remaining: AtomicUsize,
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
 struct PoolShared {
-    deques: Vec<Deque>,
-    injector: Injector,
-    gate: WakeGate,
+    workers: usize,
+    /// Queued cohort entries. Its lock also guards every
+    /// [`GroupRecord::remaining`], so completion and waiting share one
+    /// critical section and a wakeup cannot be lost.
+    queue: Mutex<VecDeque<Entry>>,
+    /// Signalled when entries are queued and when a cohort's last member
+    /// completes; idle workers and waiting cohort owners both sleep here.
+    wake: Condvar,
     workspaces: Mutex<Vec<SolverWorkspace>>,
     counters: Counters,
 }
 
 thread_local! {
-    /// The pool this thread currently schedules on, plus its worker slot
-    /// when the thread *is* a pool worker (slot owners push to their own
-    /// deque; everyone else goes through the injector).
-    static CURRENT: RefCell<Option<(Arc<PoolShared>, Option<usize>)>> =
-        const { RefCell::new(None) };
+    /// The pool this thread currently schedules on: set for pool workers,
+    /// and for the duration of a cohort for its owner.
+    static CURRENT: RefCell<Option<Arc<PoolShared>>> = const { RefCell::new(None) };
 }
 
 /// Restores the previous thread-local pool binding on drop.
 struct CurrentGuard {
-    prev: Option<(Arc<PoolShared>, Option<usize>)>,
+    prev: Option<Arc<PoolShared>>,
     active: bool,
 }
 
@@ -291,14 +282,13 @@ impl CurrentGuard {
             let mut cur = c.borrow_mut();
             match cur.as_ref() {
                 // Already bound to this pool (a worker thread, or a nested
-                // cohort): keep the binding — and in particular the worker
-                // slot — untouched.
-                Some((p, _)) if Arc::ptr_eq(p, shared) => CurrentGuard {
+                // cohort): keep the binding untouched.
+                Some(p) if Arc::ptr_eq(p, shared) => CurrentGuard {
                     prev: None,
                     active: false,
                 },
                 _ => {
-                    let prev = cur.replace((Arc::clone(shared), None));
+                    let prev = cur.replace(Arc::clone(shared));
                     CurrentGuard { prev, active: true }
                 }
             }
@@ -316,83 +306,14 @@ impl Drop for CurrentGuard {
 }
 
 impl PoolShared {
-    /// This thread's worker slot in *this* pool, if any.
-    fn my_slot(self: &Arc<Self>) -> Option<usize> {
-        CURRENT.with(|c| {
-            c.borrow()
-                .as_ref()
-                .and_then(|(p, slot)| if Arc::ptr_eq(p, self) { *slot } else { None })
-        })
-    }
-
-    /// Racy "is there anything queued" probe used to close the
-    /// check-then-park race under the gate lock.
-    fn maybe_work(&self) -> bool {
-        self.injector.maybe_nonempty() || self.deques.iter().any(Deque::maybe_nonempty)
-    }
-
-    /// Pushes `copies` entries: to this worker's own deque when the
-    /// caller is a pool worker (spilling to the injector on overflow),
-    /// otherwise to the injector; then wakes sleepers. A full injector
-    /// ring means queued work exists, so the submitter helps drain one
-    /// entry and retries — bounded memory without a deadlock.
-    fn submit(&self, entry: Entry, copies: usize, slot: Option<usize>) {
-        let mut spill = copies;
-        if let Some(i) = slot {
-            let deque = &self.deques[i];
-            while spill > 0 && deque.push(entry).is_ok() {
-                spill -= 1;
-            }
-        }
-        while spill > 0 {
-            if self.injector.push(entry).is_ok() {
-                spill -= 1;
-            } else if let Some(queued) = self.find_entry(slot) {
-                self.execute_pooled(queued);
-            }
-        }
-        // The gate's empty critical section makes this notification
-        // un-losable against a worker between its re-check and its wait.
+    /// Queues `copies` entries, then wakes sleepers.
+    fn submit(&self, entry: Entry, copies: usize) {
+        self.queue.lock().extend(std::iter::repeat_n(entry, copies));
         if copies == 1 {
-            self.gate.notify_one();
+            self.wake.notify_one();
         } else {
-            self.gate.notify_all();
+            self.wake.notify_all();
         }
-    }
-
-    /// Claims one queued entry: own deque first (when a worker), then the
-    /// injector, then stealing from the other workers' deques.
-    fn find_entry(&self, me: Option<usize>) -> Option<Entry> {
-        if let Some(i) = me {
-            if let Some(entry) = self.deques[i].pop() {
-                return Some(entry);
-            }
-        }
-        if let Some(entry) = self.injector.pop() {
-            return Some(entry);
-        }
-        let n = self.deques.len();
-        if n == 0 {
-            return None;
-        }
-        let start = me.map_or(0, |i| i + 1);
-        for k in 0..n {
-            let j = (start + k) % n;
-            if Some(j) == me {
-                continue;
-            }
-            loop {
-                match self.deques[j].steal() {
-                    Steal::Success(entry) => {
-                        self.counters.steals.fetch_add(1, Ordering::Relaxed);
-                        return Some(entry);
-                    }
-                    Steal::Retry => continue,
-                    Steal::Empty => break,
-                }
-            }
-        }
-        None
     }
 
     fn record(&self, task: &Task<'_>) {
@@ -410,14 +331,15 @@ impl PoolShared {
         per_kind.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Executes one claimed entry against `ctx`, storing any panic in the
-    /// cohort record and signalling completion. The latch arrival is the
-    /// last touch of the record (see [`GroupRecord`]'s safety contract).
+    /// Executes one popped entry against `ctx`, storing any panic in the
+    /// cohort record, then counts the member complete under the queue
+    /// lock (see [`GroupRecord`]'s safety contract).
     fn execute(&self, entry: Entry, ctx: &mut TaskContext<'_>) {
         // SAFETY: `entry` is the exposed provenance of a `GroupRecord`
-        // pinned in a `run_cohort` frame that cannot return before the
-        // cohort latch reaches zero; this entry was claimed exactly once,
-        // and we do not touch the record after `complete_one` below.
+        // pinned in a `run_cohort_caught` frame that cannot return before
+        // the record's `remaining` reads zero under the queue lock. This
+        // entry was popped exactly once, and the decrement under the lock
+        // below is this consumer's last touch of the record.
         let group: &GroupRecord<'_> =
             unsafe { &*std::ptr::with_exposed_provenance::<GroupRecord<'_>>(entry) };
         let task = group.task;
@@ -426,9 +348,11 @@ impl PoolShared {
         if let Err(payload) = result {
             *group.panic.lock() = Some(payload);
         }
-        // Cohort owners may be parked on the pool gate; the latch wakes
-        // them when this was the last member.
-        group.latch.complete_one(&self.gate);
+        let _queue = self.queue.lock();
+        if group.remaining.fetch_sub(1, Ordering::Relaxed) == 1 {
+            // The owner may be asleep on `wake`, beside idle workers.
+            self.wake.notify_all();
+        }
     }
 
     /// Executes an entry against a checked-out pool workspace.
@@ -441,23 +365,26 @@ impl PoolShared {
     }
 }
 
-fn worker_loop(shared: Arc<PoolShared>, index: usize) {
-    CURRENT.with(|c| *c.borrow_mut() = Some((Arc::clone(&shared), Some(index))));
+fn worker_loop(shared: Arc<PoolShared>) {
+    CURRENT.with(|c| *c.borrow_mut() = Some(Arc::clone(&shared)));
     loop {
-        if let Some(entry) = shared.find_entry(Some(index)) {
-            shared.execute_pooled(entry);
-        } else {
-            shared
-                .gate
-                .park_unless(|| shared.maybe_work(), PARK_INTERVAL);
-        }
+        let entry = {
+            let mut queue = shared.queue.lock();
+            loop {
+                if let Some(entry) = queue.pop_front() {
+                    break entry;
+                }
+                shared.wake.wait(&mut queue);
+            }
+        };
+        shared.execute_pooled(entry);
     }
 }
 
 /// Process-wide executor registry: one persistent pool per width.
 static POOLS: Mutex<Vec<(usize, Executor)>> = Mutex::new(Vec::new());
 
-/// Handle to a persistent work-stealing worker pool. Cloning is cheap
+/// Handle to a persistent worker pool. Cloning is cheap
 /// (reference-counted); the pool itself lives for the whole process.
 #[derive(Clone)]
 pub struct Executor {
@@ -477,11 +404,9 @@ impl Executor {
     /// exists for tests that need an isolated instance.
     fn spawn_pool(workers: usize) -> Executor {
         let shared = Arc::new(PoolShared {
-            deques: (0..workers)
-                .map(|_| Deque::with_capacity(DEQUE_CAPACITY))
-                .collect(),
-            injector: Injector::with_capacity(INJECTOR_CAPACITY),
-            gate: WakeGate::new(),
+            workers,
+            queue: Mutex::new(VecDeque::with_capacity(QUEUE_RESERVE)),
+            wake: Condvar::new(),
             workspaces: Mutex::new(Vec::with_capacity(WORKSPACE_RESERVE)),
             counters: Counters::default(),
         });
@@ -494,7 +419,7 @@ impl Executor {
             #[allow(clippy::expect_used)]
             std::thread::Builder::new()
                 .name(format!("pheig-exec-{index}"))
-                .spawn(move || worker_loop(shared, index))
+                .spawn(move || worker_loop(shared))
                 .expect("spawn executor worker thread");
         }
         Executor { shared }
@@ -508,8 +433,9 @@ impl Executor {
     /// the process — workers are spawned **once**, never per call. One
     /// pool exists per *distinct* width and never shuts down, so callers
     /// are expected to use few widths (production flows use one; the
-    /// bench harness uses two). Idle workers cost one timed-condvar wake
-    /// per `PARK_INTERVAL`; they hold no workspace while parked.
+    /// bench harness uses two). Idle workers sleep on the pool's condvar
+    /// until work is queued, costing no CPU; they hold no workspace while
+    /// asleep.
     pub fn pool(workers: usize) -> Executor {
         let mut pools = POOLS.lock();
         if let Some((_, exec)) = pools.iter().find(|(w, _)| *w == workers) {
@@ -526,7 +452,7 @@ impl Executor {
     /// new ones.
     pub fn current() -> Option<Executor> {
         CURRENT.with(|c| {
-            c.borrow().as_ref().map(|(shared, _)| Executor {
+            c.borrow().as_ref().map(|shared| Executor {
                 shared: Arc::clone(shared),
             })
         })
@@ -541,7 +467,7 @@ impl Executor {
 
     /// Pool width (worker threads, excluding cohort owners).
     pub fn workers(&self) -> usize {
-        self.shared.deques.len()
+        self.shared.workers
     }
 
     /// Telemetry snapshot.
@@ -554,7 +480,7 @@ impl Executor {
             characterization_sweeps: c.characterization_sweeps.load(Ordering::Relaxed),
             enforcement_sweeps: c.enforcement_sweeps.load(Ordering::Relaxed),
             probes: c.probes.load(Ordering::Relaxed),
-            steals: c.steals.load(Ordering::Relaxed),
+            steals: 0,
         }
     }
 
@@ -602,8 +528,8 @@ impl Executor {
     ///
     /// # Panics
     ///
-    /// Re-raises the first panic observed in any cohort member after the
-    /// whole cohort has completed.
+    /// Re-raises a panic observed in a cohort member after the whole
+    /// cohort has completed.
     pub fn run_cohort(&self, task: Task<'_>, extra: usize, ctx: &mut TaskContext<'_>) {
         if let Err(payload) = self.run_cohort_caught(task, extra, ctx) {
             resume_unwind(payload);
@@ -611,11 +537,11 @@ impl Executor {
     }
 
     /// [`Executor::run_cohort`] with panic *containment* instead of
-    /// propagation: the whole cohort still runs to completion (the latch
-    /// counts a panicked member as completed-with-error, so no member is
-    /// lost and no waiter deadlocks), but the first observed panic payload
-    /// is returned as `Err` rather than re-raised. This is the boundary
-    /// the solver layers use to convert unwinds into typed
+    /// propagation: the whole cohort still runs to completion (a panicked
+    /// member counts as completed-with-error, so no member is lost and no
+    /// waiter deadlocks), but the observed panic payload is returned as
+    /// `Err` rather than re-raised. This is the boundary the solver layers
+    /// use to convert unwinds into typed
     /// [`SolverError::TaskPanicked`](crate::error::SolverError::TaskPanicked)
     /// values.
     pub fn run_cohort_caught(
@@ -635,56 +561,37 @@ impl Executor {
         }
         let group = GroupRecord {
             task,
-            latch: CohortLatch::new(extra),
+            remaining: AtomicUsize::new(extra),
             panic: Mutex::new(None),
         };
         // Expose the record's provenance so consumers can soundly rebuild
         // a reference from the word-sized entry (`execute`'s
         // `with_exposed_provenance` counterpart).
         let entry = std::ptr::from_ref(&group).expose_provenance();
-        let slot = shared.my_slot();
-        shared.submit(entry, extra, slot);
+        shared.submit(entry, extra);
         shared.record(&task);
         let inline_result = catch_unwind(AssertUnwindSafe(|| task.run(ctx)));
         // Completion barrier: every pushed entry must be consumed before
-        // `group` leaves scope (see the GroupRecord safety contract).
-        group.latch.wait(
-            &shared.gate,
-            || match shared.find_entry(slot) {
-                Some(e) => {
-                    shared.execute(e, ctx);
-                    true
+        // `group` leaves scope (see the GroupRecord safety contract). The
+        // count is read under the same lock the last member decrements it
+        // under before notifying, so the owner cannot sleep through it.
+        let mut queue = shared.queue.lock();
+        while group.remaining.load(Ordering::Relaxed) > 0 {
+            match queue.pop_front() {
+                Some(queued) => {
+                    drop(queue);
+                    shared.execute(queued, ctx);
+                    queue = shared.queue.lock();
                 }
-                None => false,
-            },
-            || shared.maybe_work(),
-            PARK_INTERVAL,
-        );
+                None => shared.wake.wait(&mut queue),
+            }
+        }
+        drop(queue);
         if let Some(payload) = group.panic.lock().take() {
             return Err(payload);
         }
         inline_result
     }
-
-    /// Fault-injection hook: deterministically drives the bounded
-    /// injector into its full-ring backpressure branch. A zero-worker
-    /// pool's owner is the only drainer, so submitting more copies than
-    /// [`injector_capacity`] forces `submit` through the help-drain path
-    /// (push fails → owner executes one queued entry inline → retry) for
-    /// every overflowing copy. Returns the number of executed memberships
-    /// so callers can assert none were lost.
-    pub fn exercise_injector_backpressure(copies: usize) -> usize {
-        let exec = Executor::spawn_pool(0);
-        let probe = ProbeShare::new();
-        exec.run(Task::Probe(&probe), copies);
-        probe.hits()
-    }
-}
-
-/// Capacity of the bounded injector ring (see
-/// [`Executor::exercise_injector_backpressure`]).
-pub fn injector_capacity() -> usize {
-    INJECTOR_CAPACITY
 }
 
 #[cfg(test)]
@@ -695,60 +602,6 @@ mod tests {
         let probe = ProbeShare::new();
         exec.run(Task::Probe(&probe), extra);
         probe.hits()
-    }
-
-    #[test]
-    fn deque_push_pop_steal() {
-        let d = Deque::with_capacity(DEQUE_CAPACITY);
-        assert!(d.pop().is_none());
-        assert!(matches!(d.steal(), Steal::Empty));
-        for v in 1..=5usize {
-            d.push(v).unwrap();
-        }
-        // Owner pops LIFO.
-        assert_eq!(d.pop(), Some(5));
-        // Thief steals FIFO.
-        match d.steal() {
-            Steal::Success(v) => assert_eq!(v, 1),
-            _ => panic!("steal failed"),
-        }
-        assert_eq!(d.pop(), Some(4));
-        assert_eq!(d.pop(), Some(3));
-        assert_eq!(d.pop(), Some(2));
-        assert!(d.pop().is_none());
-        assert!(matches!(d.steal(), Steal::Empty));
-        // Refill after drain still works (wrapping indices).
-        for v in 10..=11usize {
-            d.push(v).unwrap();
-        }
-        assert_eq!(d.pop(), Some(11));
-        assert_eq!(d.pop(), Some(10));
-    }
-
-    #[test]
-    fn deque_overflow_is_reported() {
-        let d = Deque::with_capacity(DEQUE_CAPACITY);
-        for v in 0..DEQUE_CAPACITY {
-            d.push(v + 1).unwrap();
-        }
-        assert_eq!(d.push(99), Err(99));
-    }
-
-    #[test]
-    fn injector_ring_is_fifo_and_bounded() {
-        let inj = Injector::with_capacity(4);
-        assert!(inj.pop().is_none());
-        for v in 1..=4usize {
-            inj.push(v).unwrap();
-        }
-        assert_eq!(inj.push(5), Err(5), "full ring must report overflow");
-        assert_eq!(inj.pop(), Some(1));
-        // Freed slot is reusable one lap ahead.
-        inj.push(5).unwrap();
-        for expect in 2..=5usize {
-            assert_eq!(inj.pop(), Some(expect));
-        }
-        assert!(inj.pop().is_none());
     }
 
     #[test]
@@ -765,6 +618,14 @@ mod tests {
         let exec = Executor::spawn_pool(0);
         assert_eq!(probe_cohort(&exec, 5), 6);
         assert_eq!(exec.stats().probes, 6);
+    }
+
+    #[test]
+    fn cohort_larger_than_the_reserved_queue_completes() {
+        // The queue grows past its reserve instead of refusing entries.
+        let exec = Executor::spawn_pool(0);
+        let copies = QUEUE_RESERVE + 257;
+        assert_eq!(probe_cohort(&exec, copies), copies + 1);
     }
 
     #[test]
@@ -817,6 +678,7 @@ mod tests {
         assert_eq!(after.probes, 5);
         assert_eq!(after.tasks_executed, 5);
         assert_eq!(after.workers, 1);
+        assert_eq!(after.steals, 0);
     }
 
     #[test]
@@ -852,24 +714,17 @@ mod tests {
         let before = exec.shared.workspaces.lock().len();
         let probe = ProbeShare::new();
         assert!(exec.run_caught(Task::PanicProbe(&probe), 3).is_err());
-        assert_eq!(probe.hits(), 4, "latch completed every panicked member");
+        assert_eq!(
+            probe.hits(),
+            4,
+            "every panicked member was counted complete"
+        );
         assert_eq!(
             exec.shared.workspaces.lock().len(),
             before,
             "every checkout must be returned despite the unwinds"
         );
         assert_eq!(probe_cohort(&exec, 2), 3, "pool stays usable");
-    }
-
-    #[test]
-    fn injector_backpressure_exercise_loses_no_memberships() {
-        let copies = injector_capacity() + 257;
-        assert_eq!(
-            Executor::exercise_injector_backpressure(copies),
-            copies + 1,
-            "full-ring backpressure must degrade to inline execution, \
-             never drop a membership"
-        );
     }
 
     #[test]

@@ -2,9 +2,8 @@
 //!
 //! A [`FaultPlan`] describes *which* faults to arm — NaN/Inf corruption of
 //! operator applies, a near-singular shift factorization, a panicking
-//! sweep task, injector-full backpressure, artificial stalls at restart
-//! decision points — and *when* they fire (a deterministic occurrence
-//! index per fault). Plans are inert data; arming one via
+//! sweep task, artificial stalls at restart decision points — and *when*
+//! they fire (a deterministic occurrence index per fault). Plans are inert data; arming one via
 //! [`FaultPlan::activate`] compiles it into the arnoldi layer's
 //! [`SweepControl`] fire-points plus a task-panic trigger that
 //! [`crate::solver`] checks at each shift-task pull.
@@ -23,7 +22,6 @@
 //! inf_apply=K       corrupt the K-th operator apply with Inf
 //! singular_shift=K  fail the K-th shift factorization as near-singular
 //! panic_task=K      panic the K-th sweep-task membership
-//! injector_full=1   drive the executor injector into full-ring backpressure
 //! stall=K:MS        sleep MS milliseconds at the K-th restart decision
 //! matvecs=N         arm a per-sweep matvec budget of N
 //! restarts=N        arm a per-sweep restart budget of N
@@ -58,8 +56,6 @@ pub struct FaultPlan {
     pub singular_shift: Option<u64>,
     /// Panic the k-th sweep-task membership on the executor.
     pub panic_task: Option<u64>,
-    /// Exercise injector-full backpressure before the sweep starts.
-    pub injector_full: bool,
     /// Stall the k-th restart decision point for the given duration.
     pub stall: Option<(u64, Duration)>,
     /// Per-sweep matvec budget (a degradation knob, not a fault: on
@@ -132,9 +128,6 @@ impl FaultPlan {
                 "inf_apply" => plan.inf_apply = Some(int(value)?),
                 "singular_shift" => plan.singular_shift = Some(int(value)?),
                 "panic_task" => plan.panic_task = Some(int(value)?),
-                "injector_full" => {
-                    plan.injector_full = matches!(value.trim(), "1" | "true" | "yes");
-                }
                 "stall" => {
                     let (k, ms) = match value.split_once(':') {
                         Some((k, ms)) => (int(k)?, int(ms)?),
@@ -182,7 +175,6 @@ impl FaultPlan {
         ActiveFaults {
             control,
             panic_task: self.panic_task.map(FirePoint::after),
-            injector_full: self.injector_full,
         }
     }
 }
@@ -195,7 +187,6 @@ pub struct ActiveFaults {
     /// The arnoldi-layer control plane to attach to each shift's options.
     pub control: SweepControl,
     panic_task: Option<Arc<FirePoint>>,
-    injector_full: bool,
 }
 
 impl ActiveFaults {
@@ -209,22 +200,14 @@ impl ActiveFaults {
         self.panic_task.as_ref().is_some_and(|p| p.check())
     }
 
-    /// Whether the plan asks for an injector-backpressure exercise before
-    /// the sweep.
-    pub fn wants_injector_pressure(&self) -> bool {
-        self.injector_full
-    }
-
     /// Total faults that actually fired through this activation
-    /// (corruption + singular shift + stall + task panic; the injector
-    /// exercise is counted once when requested).
+    /// (corruption + singular shift + stall + task panic).
     pub fn faults_injected(&self) -> u64 {
         self.control.faults_injected() as u64
             + self
                 .panic_task
                 .as_ref()
                 .map_or(0, |p| p.times_fired() as u64)
-            + u64::from(self.injector_full)
     }
 }
 
@@ -250,7 +233,6 @@ mod tests {
         let active = FaultPlan::new().activate();
         assert!(active.control.is_inert());
         assert!(!active.should_panic_task());
-        assert!(!active.wants_injector_pressure());
         assert_eq!(active.faults_injected(), 0);
         assert!(FaultPlan::new().is_empty());
     }
@@ -258,13 +240,12 @@ mod tests {
     #[test]
     fn parse_round_trips_every_key() {
         let plan =
-            FaultPlan::parse("nan_apply=3, inf_apply=4,singular_shift=0,panic_task=2,injector_full=1,stall=1:50,matvecs=100,restarts=8")
+            FaultPlan::parse("nan_apply=3, inf_apply=4,singular_shift=0,panic_task=2,stall=1:50,matvecs=100,restarts=8")
                 .unwrap();
         assert_eq!(plan.nan_apply, Some(3));
         assert_eq!(plan.inf_apply, Some(4));
         assert_eq!(plan.singular_shift, Some(0));
         assert_eq!(plan.panic_task, Some(2));
-        assert!(plan.injector_full);
         assert_eq!(plan.stall, Some((1, Duration::from_millis(50))));
         assert_eq!(plan.budget_matvecs, Some(100));
         assert_eq!(plan.budget_restarts, Some(8));
@@ -278,6 +259,13 @@ mod tests {
                 Err(SolverError::InvalidFaultPlan(_)) => {}
                 other => panic!("spec `{bad}`: expected InvalidFaultPlan, got {other:?}"),
             }
+        }
+        // A retired key is as unknown as a misspelt one.
+        match FaultPlan::parse("injector_full=1") {
+            Err(SolverError::InvalidFaultPlan(msg)) => {
+                assert!(msg.contains("unknown fault key `injector_full`"), "{msg}");
+            }
+            other => panic!("expected InvalidFaultPlan, got {other:?}"),
         }
         // Empty clauses and surrounding whitespace are tolerated.
         assert!(FaultPlan::parse("").unwrap().is_empty());

@@ -24,8 +24,8 @@
 //!    vector-fitted and passivity-enforced macromodel out — with per-stage
 //!    diagnostics and a batched multi-model driver;
 //! 8. [`exec`] is the execution layer under 3–7: one persistent
-//!    work-stealing pool (workers spawned once, Chase–Lev deques,
-//!    pooled solver scratch) that batch jobs, sweep shifts, and
+//!    worker pool (workers spawned once, one locked queue, pooled
+//!    solver scratch) that batch jobs, sweep shifts, and
 //!    enforcement re-sweeps all schedule on, instead of nesting scoped
 //!    thread pools per call.
 

@@ -21,7 +21,7 @@
 //! ```
 //!
 //! [`run_batch`] drives many decks through this flow as a job cohort on
-//! the persistent work-stealing [`Executor`]:
+//! the persistent [`Executor`]:
 //! workers are spawned once per process, each executes jobs against a
 //! pooled [`SolverWorkspace`] — the PR 2 scratch-reuse contract extended
 //! across models *and* across batches.
@@ -422,7 +422,7 @@ pub struct BatchShare<'a> {
 
 impl BatchShare<'_> {
     /// One cohort membership: pull jobs from the shared counter until the
-    /// batch is drained. Job-level work stealing falls out of the pull
+    /// batch is drained. Job-level load balancing falls out of the pull
     /// discipline — an idle member takes the next job wherever it is, so
     /// one hard enforcement job cannot serialize the batch behind it.
     pub(crate) fn run(&self, ctx: &mut TaskContext<'_>) {
@@ -444,7 +444,7 @@ impl BatchShare<'_> {
 }
 
 /// Drives many pipelines with `threads`-way parallelism on the persistent
-/// work-stealing executor.
+/// executor.
 ///
 /// The batch is submitted as one job cohort: `threads - 1` pool members
 /// plus the calling thread pull jobs from a shared counter, so stragglers

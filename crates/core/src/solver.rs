@@ -653,11 +653,6 @@ pub(crate) fn sweep(
     if let Some(token) = &opts.cancel {
         control.cancel = Some(token.clone());
     }
-    if faults.wants_injector_pressure() {
-        // Deterministically overflow the executor's injector so the
-        // push-fail -> inline-execute recovery path runs under test.
-        Executor::exercise_injector_backpressure(crate::exec::injector_capacity() + 128);
-    }
     let band = match opts.band {
         Some(b) => b,
         None => estimate_band(ss, &opts.arnoldi)?,

@@ -1,7 +1,7 @@
-//! Steady-state pins for the persistent work-stealing executor: after
-//! warm-up, scheduling work on the pool must spawn **no** threads and
-//! allocate **nothing** per task — the executor's machinery (submit,
-//! steal, execute, wake) runs entirely on pre-reserved storage and
+//! Steady-state pins for the persistent executor: after warm-up,
+//! scheduling work on the pool must spawn **no** threads and allocate
+//! **nothing** per task — the executor's machinery (queue, pop, execute,
+//! complete) runs entirely on the pool's pre-reserved queue and
 //! stack-pinned cohort records.
 //!
 //! Probe cohorts isolate the executor's own overhead from task payloads
@@ -60,8 +60,9 @@ fn executor_steady_state_spawns_no_threads_and_allocates_nothing_per_task() {
     }
 
     // Steady state: no new threads, zero heap traffic per task. The
-    // cohort record is stack-pinned, deque entries are single words in
-    // pre-sized buffers, and workspace checkout reuses pooled scratch.
+    // cohort record is stack-pinned, queue entries are single words in
+    // the queue's reserved capacity, and workspace checkout reuses pooled
+    // scratch.
     let spawned_before = exec::threads_spawned_total();
     let probes_before = exec.stats().probes;
     let allocs_before = allocations();
@@ -107,11 +108,11 @@ fn executor_steady_state_spawns_no_threads_and_allocates_nothing_per_task() {
         "repeated batches must reuse the persistent pool, not respawn workers"
     );
 
-    // Lock-freedom pin: every operator apply across all of the sweeps above
-    // (batch jobs, nested parallel sweeps, enforcement re-sweeps) must take
-    // the scratch checkout fast path — zero contended acquisitions means
-    // zero lock waits and zero fallback allocations per apply. Each worker
-    // builds its own operator, so any contention here is an ownership bug.
+    // Scratch-ownership pin: every operator apply across all of the sweeps
+    // above (batch jobs, nested parallel sweeps, enforcement re-sweeps)
+    // must find its scratch lock free — zero contended acquisitions means
+    // zero fallback allocations per apply. Each worker builds its own
+    // operator, so any contention here is an ownership bug.
     assert_eq!(
         scratch_contention_total(),
         0,

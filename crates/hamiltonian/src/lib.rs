@@ -41,5 +41,5 @@ pub use error::HamiltonianError;
 pub use matvec::HamiltonianOp;
 pub use multi_shift::MultiShiftInvertOp;
 pub use op::CLinearOp;
-pub use scratch::{contention_total as scratch_contention_total, ScratchCell};
+pub use scratch::contention_total as scratch_contention_total;
 pub use shift_invert::ShiftInvertOp;

@@ -2,13 +2,14 @@
 
 use crate::error::HamiltonianError;
 use crate::op::CLinearOp;
-use crate::scratch::ScratchCell;
+use crate::scratch::with_scratch;
 use pheig_linalg::{kernels, Matrix, C64};
 use pheig_model::StateSpace;
+use std::sync::Mutex;
 
 /// Owned apply workspace in split-complex planes (see the note on
-/// [`crate::ShiftInvertOp`]'s scratch: the lock-free [`ScratchCell`]
-/// keeps the operator [`Sync`] without a per-apply lock).
+/// [`crate::ShiftInvertOp`]'s scratch: a `Mutex` taken by `try_lock`
+/// keeps the operator [`Sync`] without ever waiting).
 #[derive(Debug)]
 struct ApplyScratch {
     /// Split input `x` (length `2n` per plane).
@@ -74,7 +75,7 @@ pub struct HamiltonianOp<'a> {
     s_inv: Matrix<f64>,
     d_r_inv: Matrix<f64>,
     d_t: Matrix<f64>,
-    scratch: ScratchCell<ApplyScratch>,
+    scratch: Mutex<ApplyScratch>,
 }
 
 impl<'a> HamiltonianOp<'a> {
@@ -91,7 +92,7 @@ impl<'a> HamiltonianOp<'a> {
         let d_r_inv = ss.d() * &r_inv;
         let d_t = ss.d().transpose();
         let (n, p) = (ss.order(), ss.ports());
-        let scratch = ScratchCell::new(ApplyScratch::sized(n, p));
+        let scratch = Mutex::new(ApplyScratch::sized(n, p));
         Ok(HamiltonianOp {
             ss,
             r_inv,
@@ -118,7 +119,8 @@ impl CLinearOp for HamiltonianOp<'_> {
         let p = self.ss.ports();
         assert_eq!(x.len(), 2 * n, "HamiltonianOp apply length mismatch");
         assert_eq!(y.len(), 2 * n, "HamiltonianOp apply output length mismatch");
-        self.scratch.with(
+        with_scratch(
+            &self.scratch,
             || ApplyScratch::sized(n, p),
             |s| {
                 kernels::split(x, &mut s.xr, &mut s.xi);

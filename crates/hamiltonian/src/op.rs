@@ -4,9 +4,13 @@ use pheig_linalg::{Matrix, C64};
 
 /// A complex linear operator `y = Op(x)` on `C^dim`.
 ///
-/// Implementations must be [`Sync`] so the parallel multi-shift driver can
-/// share models across worker threads (each worker builds its *own* shifted
-/// operator, but reads the same underlying state-space data).
+/// Implementations must be [`Sync`], so an operator can be shared by
+/// reference across threads. The in-tree drivers never share one (each
+/// sweep worker builds its *own* shifted operator over the shared
+/// state-space data); the structured operators keep their apply scratch
+/// in a `Mutex` taken by `try_lock`, so a concurrent apply on the same
+/// operator falls back to temporary scratch instead of waiting (see
+/// [`crate::scratch`]).
 pub trait CLinearOp: Sync {
     /// Operator dimension.
     fn dim(&self) -> usize;

@@ -1,78 +1,51 @@
-//! Lock-free scratch checkout for `Sync` operators.
+//! Operator scratch behind a mutex that is never waited on.
 //!
 //! The structured operators own per-apply workspaces sized at
 //! construction. [`crate::CLinearOp`] requires `Sync`, so that storage
-//! needs interior mutability; the pre-kernel-layer implementation used a
-//! `Mutex`, which is uncontended in every driver (each solver worker owns
-//! its operator) but still pays a lock acquisition per apply and couples
-//! the hot path to the platform futex on the unhappy path.
+//! sits in a `std::sync::Mutex`, taken with `try_lock`: each solver worker
+//! builds its own operator, so in every in-tree driver the lock is free
+//! and an apply pays one uncontended acquire and release.
 //!
-//! [`ScratchCell`] replaces it with a single atomic flag: the fast path is
-//! one compare-exchange to check the scratch out and one release store to
-//! return it — no syscalls, no waiting, no poisoning. If two threads ever
-//! race on the *same* operator (no in-tree driver does), the loser does
+//! If two threads ever apply the *same* operator at once, the loser does
 //! not block: it builds a temporary workspace from the fallback closure
 //! and proceeds, and the [`contention_total`] counter records the event so
 //! tests can pin the fast path (`crates/core/tests/exec_steady_state.rs`
-//! asserts zero contended checkouts across a full batch workload).
-//!
-//! The checkout protocol itself lives in `scratch/cell.rs`, which is also
-//! compiled into `pheig-verify`'s model checker — the `scratch_checkout`
-//! harness there exhaustively interleaves concurrent checkouts and proves
-//! the flag excludes overlapping access windows on every schedule.
-//!
-//! # `Sync` bound
-//!
-//! `ScratchCell<T>` is `Sync` exactly when `T: Send` — the flag hands the
-//! payload's `&mut` across threads, so a non-`Send` payload must not be
-//! shareable:
-//!
-//! ```
-//! use pheig_hamiltonian::ScratchCell;
-//! fn assert_sync<S: Sync>() {}
-//! assert_sync::<ScratchCell<Vec<f64>>>();
-//! ```
-//!
-//! ```compile_fail,E0277
-//! use pheig_hamiltonian::ScratchCell;
-//! fn assert_sync<S: Sync>() {}
-//! // Rc is not Send, so the cell must not be Sync.
-//! assert_sync::<ScratchCell<std::rc::Rc<u8>>>();
-//! ```
-
-mod cell;
-
-pub use cell::{Checkout, ScratchCell};
+//! asserts zero contended applies across a full batch workload).
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, TryLockError};
 
-/// Process-wide count of contended scratch checkouts (fallback
+/// Process-wide count of contended scratch acquisitions (fallback
 /// allocations). Zero in every supported driver topology.
 static CONTENDED: AtomicU64 = AtomicU64::new(0);
 
-/// Total number of contended [`ScratchCell`] checkouts in this process.
+/// Total number of contended operator-scratch acquisitions in this
+/// process.
 ///
-/// A contended checkout means two threads applied the *same* operator
+/// A contended acquisition means two threads applied the *same* operator
 /// concurrently; the hot-path contract expects this to stay `0`.
 pub fn contention_total() -> u64 {
     CONTENDED.load(Ordering::Relaxed)
 }
 
-impl<T> ScratchCell<T> {
-    /// Runs `f` with exclusive access to the workspace.
-    ///
-    /// Fast path: one compare-exchange, zero allocations. If the cell is
-    /// already checked out by another thread, `fallback` builds a
-    /// temporary workspace (allocating — the cold path the contention
-    /// counter tracks).
-    pub fn with<R>(&self, fallback: impl FnOnce() -> T, f: impl FnOnce(&mut T) -> R) -> R {
-        match self.try_with(f) {
-            Checkout::Done(r) => r,
-            Checkout::Contended(f) => {
-                CONTENDED.fetch_add(1, Ordering::Relaxed);
-                let mut tmp = fallback();
-                f(&mut tmp)
-            }
+/// Runs `f` with exclusive access to the workspace in `scratch`.
+///
+/// Fast path: an uncontended `try_lock`, zero allocations. If another
+/// thread holds the lock, `fallback` builds a temporary workspace
+/// (allocating — the cold path the contention counter tracks). A lock
+/// poisoned by a panicking apply is recovered: no apply reads what an
+/// earlier one left in the scratch, so the next apply overwrites it.
+pub(crate) fn with_scratch<T, R>(
+    scratch: &Mutex<T>,
+    fallback: impl FnOnce() -> T,
+    f: impl FnOnce(&mut T) -> R,
+) -> R {
+    match scratch.try_lock() {
+        Ok(mut guard) => f(&mut guard),
+        Err(TryLockError::Poisoned(poisoned)) => f(&mut poisoned.into_inner()),
+        Err(TryLockError::WouldBlock) => {
+            CONTENDED.fetch_add(1, Ordering::Relaxed);
+            f(&mut fallback())
         }
     }
 }
@@ -83,44 +56,42 @@ mod tests {
 
     #[test]
     fn fast_path_reuses_the_owned_workspace() {
-        let cell = ScratchCell::new(vec![0u8; 8]);
-        let before = contention_total();
-        let ptr1 = cell.with(Vec::new, |v| v.as_ptr() as usize);
-        let ptr2 = cell.with(Vec::new, |v| v.as_ptr() as usize);
-        assert_eq!(ptr1, ptr2, "sequential checkouts must reuse storage");
-        assert_eq!(contention_total(), before);
+        let scratch = Mutex::new(vec![0u8; 8]);
+        let ptr1 = with_scratch(&scratch, Vec::new, |v| v.as_ptr() as usize);
+        let ptr2 = with_scratch(&scratch, Vec::new, |v| v.as_ptr() as usize);
+        assert_eq!(ptr1, ptr2, "sequential applies must reuse storage");
     }
 
     #[test]
-    fn contended_checkout_falls_back_without_blocking() {
-        let cell = ScratchCell::new(1u32);
+    fn contended_acquisition_falls_back_without_blocking() {
+        let scratch = Mutex::new(1u32);
         let before = contention_total();
-        cell.with(
+        with_scratch(
+            &scratch,
             || unreachable!("uncontended"),
             |outer| {
-                // Re-entrant use while checked out: must take the fallback.
-                let inner = cell.with(|| 42u32, |v| *v);
+                // Re-entrant use while held: must take the fallback.
+                let inner = with_scratch(&scratch, || 42u32, |v| *v);
                 assert_eq!(inner, 42);
                 *outer += 1;
             },
         );
         assert_eq!(contention_total(), before + 1);
         // The owned slot is intact and available again.
-        assert_eq!(cell.with(|| 0, |v| *v), 2);
+        assert_eq!(with_scratch(&scratch, || 0, |v| *v), 2);
     }
 
     #[test]
-    fn flag_clears_after_panic_in_critical_section() {
-        let cell = std::sync::Arc::new(ScratchCell::new(5u32));
-        let c2 = cell.clone();
+    fn poisoned_scratch_is_recovered_without_fallback() {
+        let scratch = std::sync::Arc::new(Mutex::new(5u32));
+        let s2 = scratch.clone();
         let result = std::thread::spawn(move || {
-            c2.with(|| 0, |_| panic!("poisoned apply"));
+            with_scratch(&s2, || 0, |_| panic!("poisoned apply"));
         })
         .join();
         assert!(result.is_err());
-        // The flag was released by the guard: the fast path still works.
-        let before = contention_total();
-        assert_eq!(cell.with(|| 0, |v| *v), 5);
-        assert_eq!(contention_total(), before);
+        assert!(scratch.is_poisoned());
+        // The owned workspace is still used, not the fallback.
+        assert_eq!(with_scratch(&scratch, || 0, |v| *v), 5);
     }
 }

@@ -22,10 +22,11 @@
 
 use crate::error::HamiltonianError;
 use crate::op::CLinearOp;
-use crate::scratch::ScratchCell;
+use crate::scratch::with_scratch;
 use pheig_linalg::{kernels, Lu, Matrix, C64};
 use pheig_model::block_diag::{DiagBlock, ShiftSolveFactors};
 use pheig_model::StateSpace;
+use std::sync::Mutex;
 
 /// Owned apply workspace, sized once at construction so that
 /// [`CLinearOp::apply_into`] performs zero steady-state heap allocations.
@@ -35,8 +36,8 @@ use pheig_model::StateSpace;
 /// interleaved `C64` only at the operator boundary (splitting `x`, the
 /// tiny `2p` port solve, and the fused merge that writes `y`).
 ///
-/// Kept in a lock-free [`ScratchCell`] so the operator stays [`Sync`]
-/// (the trait contract) without a per-apply lock acquisition.
+/// Kept in a `Mutex` taken by `try_lock` (see [`crate::scratch`]) so the
+/// operator stays [`Sync`], the trait contract, without ever waiting.
 #[derive(Debug)]
 struct ApplyScratch {
     /// Split input `x` (length `2n` per plane).
@@ -98,7 +99,7 @@ pub struct ShiftInvertOp<'a> {
     k1: ShiftSolveFactors,
     /// `-(A^T + theta I)^{-1}` as fused per-state factors.
     k2: ShiftSolveFactors,
-    scratch: ScratchCell<ApplyScratch>,
+    scratch: Mutex<ApplyScratch>,
 }
 
 impl<'a> ShiftInvertOp<'a> {
@@ -170,7 +171,7 @@ impl<'a> ShiftInvertOp<'a> {
         let n = ss.order();
         let k1 = ss.a().shift_solve_factors(theta, false, false);
         let k2 = ss.a().shift_solve_factors(-theta, true, true);
-        let scratch = ScratchCell::new(ApplyScratch::sized(n, p));
+        let scratch = Mutex::new(ApplyScratch::sized(n, p));
         Ok(ShiftInvertOp {
             ss,
             theta,
@@ -241,7 +242,8 @@ impl CLinearOp for ShiftInvertOp<'_> {
         let p = self.ss.ports();
         assert_eq!(x.len(), 2 * n, "ShiftInvertOp apply length mismatch");
         assert_eq!(y.len(), 2 * n, "ShiftInvertOp apply output length mismatch");
-        self.scratch.with(
+        with_scratch(
+            &self.scratch,
             || ApplyScratch::sized(n, p),
             |s| {
                 // Stage 1: split x into planes (the only full read of

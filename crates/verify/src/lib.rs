@@ -1,42 +1,15 @@
-//! `pheig-verify` — in-repo concurrency verification for the pheig
-//! lock-free execution layer.
+//! `pheig-verify` — the workspace's unsafe audit.
 //!
-//! Two halves, no external dependencies:
-//!
-//! 1. **Model checker** ([`model`] + [`sync`]): the shared lock-free
-//!    sources (work-stealing deque, bounded injector, wake gate / cohort
-//!    latch, scratch cell) are re-compiled inside this crate under
-//!    `cfg(pheig_model)`, which swaps `std::sync::atomic` /
-//!    `parking_lot` for the instrumented shim in [`sync`]. The explorer
-//!    in [`model`] then enumerates thread interleavings exhaustively
-//!    (with sleep-set pruning and optional preemption bounding),
-//!    detecting data races on cell access windows, deadlocks and lost
-//!    wakeups, and assertion failures — and prints a minimal failing
-//!    schedule that [`model::replay`] re-executes deterministically.
-//! 2. **Unsafe audit** ([`audit`], `cargo run -p pheig-verify --bin
-//!    audit`): a static pass over the workspace sources enforcing that
-//!    every `unsafe` site carries a `// SAFETY:` comment and matches the
-//!    committed allowlist (`unsafe_allowlist.toml`), and that hot-path
-//!    crates pin `#![deny(unsafe_op_in_unsafe_fn)]`.
-//!
-//! What the model does **not** cover: weak-memory reorderings (the shim
-//! executes everything `SeqCst`; see `DESIGN.md` for the gated Miri
-//! recipe that complements this) and OS-level timing (model condvar
-//! waits are untimed, which is *stronger* — protocols must not rely on
-//! timeout backstops).
+//! [`audit`] (`cargo run -p pheig-verify --bin audit`, and the
+//! `audit_repo` test) is a static pass over the workspace sources
+//! enforcing that every `unsafe` site carries a `// SAFETY:` comment and
+//! matches the committed allowlist (`unsafe_allowlist.toml`), and that
+//! hot-path crates pin `#![deny(unsafe_op_in_unsafe_fn)]`. No external
+//! dependencies.
 
 // Unsafe code in this crate must discharge obligations explicitly:
 // every unsafe operation inside an `unsafe fn` needs its own block (and
 // `// SAFETY:` comment — enforced by `pheig-verify`'s audit binary).
 #![deny(unsafe_op_in_unsafe_fn)]
 
-// The shared sources under `subjects/` import their atomics as
-// `pheig_verify::sync::...` so the same files compile unchanged from the
-// production crates; make that path resolve from inside this crate too.
-extern crate self as pheig_verify;
-
 pub mod audit;
-pub mod harnesses;
-pub mod model;
-pub mod subjects;
-pub mod sync;

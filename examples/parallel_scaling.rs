@@ -3,7 +3,7 @@
 //! (deterministic work units; reproduces the paper's speedup shape on any
 //! host) and in wall-clock for the real threaded solver.
 //!
-//! The threaded runs all execute on the persistent work-stealing executor
+//! The threaded runs all execute on the persistent executor
 //! (`pheig::core::exec`): worker pools are spawned once per width and
 //! reused across every sweep, so the final telemetry block shows a flat
 //! thread population no matter how many sweeps ran.
@@ -89,8 +89,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let stats = Executor::pool(width).stats();
         if stats.tasks_executed > 0 {
             println!(
-                "  pool({width}): {} sweep task(s), {} steal(s)",
-                stats.characterization_sweeps, stats.steals
+                "  pool({width}): {} sweep task(s)",
+                stats.characterization_sweeps
             );
         }
     }

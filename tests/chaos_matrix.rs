@@ -263,7 +263,7 @@ fn budget_exhaustion_ladder() {
 }
 
 #[test]
-fn cancellation_and_injector_pressure() {
+fn cancellation_at_start() {
     let ss = model();
     let oracle = oracle_crossings(&ss);
     // Pre-latched cancellation: fully degraded but clean partial result.
@@ -275,21 +275,6 @@ fn cancellation_and_injector_pressure() {
         &oracle,
         SolverOptions::default().with_cancel(token),
     );
-    // Injector-full backpressure before the sweep must not perturb the
-    // sweep itself: this cell must land in the *complete* branch.
-    let plan = FaultPlan {
-        injector_full: true,
-        ..FaultPlan::default()
-    };
-    let ss2 = ss.clone();
-    let opts = SolverOptions::default().with_fault_plan(plan);
-    let out = with_watchdog("injector_full", move || {
-        find_imaginary_eigenvalues(&ss2, &opts)
-    })
-    .unwrap();
-    assert!(out.quarantined.is_empty());
-    assert_eq!(out.covered_fraction, 1.0);
-    assert_trichotomy("injector_full", Ok(out), &oracle);
 }
 
 #[test]
