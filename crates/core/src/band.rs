@@ -26,10 +26,17 @@ pub fn estimate_band(
     let op = HamiltonianOp::new(ss)?;
     let mag = largest_eigenvalue_magnitude(&op, opts)
         .map_err(|e| SolverError::BandEstimation(e.to_string()))?;
+    Ok(band_for_magnitude(ss, mag))
+}
+
+/// The band `[0, omega_max]` for a largest Hamiltonian eigenvalue
+/// magnitude `mag`, estimated ([`estimate_band`]) or exact (the dense
+/// path, which computes every eigenvalue).
+pub(crate) fn band_for_magnitude(ss: &StateSpace, mag: f64) -> (f64, f64) {
     // A cheap structural sanity floor: the band should at least reach the
     // fastest pole resonance.
     let floor = ss.a().max_natural_frequency();
-    Ok((0.0, (mag * BAND_MARGIN).max(floor)))
+    (0.0, (mag * BAND_MARGIN).max(floor))
 }
 
 #[cfg(test)]

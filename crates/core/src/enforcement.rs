@@ -678,7 +678,13 @@ mod tests {
         .realize();
         let pool = crate::exec::Executor::pool(0);
         let before = pool.stats().enforcement_sweeps;
-        let out = enforce_passivity(&ss, &EnforcementOptions::default()).unwrap();
+        // Below the dense crossover a re-sweep is a dense solve, which
+        // opens no cohort; the telemetry under test is the sweep's.
+        let opts = EnforcementOptions {
+            solver: SolverOptions::default().with_dense_max(0),
+            ..EnforcementOptions::default()
+        };
+        let out = enforce_passivity(&ss, &opts).unwrap();
         assert!(out.recycle.sweeps > 0);
         let counted = pool.stats().enforcement_sweeps - before;
         assert!(

@@ -10,7 +10,9 @@
 //!    provable;
 //! 3. [`solver`] drives the scheduler with 1 thread (the paper's serial
 //!    baseline) or `T` worker threads (the parallel solver), each running
-//!    single-shift Arnoldi iterations from `pheig-arnoldi`;
+//!    single-shift Arnoldi iterations from `pheig-arnoldi` — or, below the
+//!    measured crossover (`SolverOptions::dense_max`), solves the whole
+//!    dense Hamiltonian instead;
 //! 4. [`simulate`] replays the identical scheduling state machine under a
 //!    deterministic virtual clock with `T` virtual workers — this is how
 //!    Table I speedups and Fig. 6 are reproduced on hosts with fewer than
@@ -40,6 +42,7 @@
 
 pub mod band;
 pub mod characterization;
+mod dense;
 pub mod enforcement;
 pub mod error;
 pub mod exec;
@@ -56,6 +59,6 @@ pub use fault::{ActiveFaults, FaultPlan};
 pub use pheig_arnoldi::CancelToken;
 pub use pipeline::{run_batch, PassiveModel, Pipeline, PipelineOptions, PipelineReport};
 pub use solver::{
-    find_imaginary_eigenvalues, find_imaginary_eigenvalues_with, QuarantinedShift, SolverOptions,
-    SolverOutcome, SolverWorkspace,
+    find_imaginary_eigenvalues, find_imaginary_eigenvalues_with, Certificate, QuarantinedShift,
+    SolverOptions, SolverOutcome, SolverWorkspace,
 };

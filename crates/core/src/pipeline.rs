@@ -32,8 +32,8 @@ use crate::error::SolverError;
 use crate::exec::{Executor, Task, TaskContext};
 use crate::fault::FaultPlan;
 use crate::solver::{
-    find_imaginary_eigenvalues_with, RecycleCounters, ShiftRecord, SolverOptions, SolverStats,
-    SolverWorkspace,
+    find_imaginary_eigenvalues_with, Certificate, RecycleCounters, ShiftRecord, SolverOptions,
+    SolverStats, SolverWorkspace,
 };
 use parking_lot::Mutex;
 use pheig_model::touchstone::{read_touchstone, read_touchstone_path};
@@ -126,6 +126,9 @@ pub struct SweepDiagnostics {
     pub shift_log: Vec<ShiftRecord>,
     /// Fraction of the band covered by certified disks (`1.0` healthy).
     pub covered_fraction: f64,
+    /// What certifies the coverage: `shift_log`'s disks, or a dense
+    /// whole-band solve.
+    pub certificate: Certificate,
     /// The sweep's own statistics (scheduler counters, matvecs, recycling,
     /// quarantined shifts, injected faults).
     pub stats: SolverStats,
@@ -365,6 +368,7 @@ impl Pipeline {
             band: outcome.band,
             shift_log: outcome.shift_log.clone(),
             covered_fraction: outcome.covered_fraction,
+            certificate: outcome.certificate,
             stats: outcome.stats.clone(),
             wall: t_sweep.elapsed(),
         };
@@ -594,8 +598,11 @@ mod tests {
             let samples = FrequencySamples::from_model(&reference, 0.01, 12.0, 140).unwrap();
             jobs.push(Pipeline::from_samples(samples));
         }
-        let serial_opts = PipelineOptions::default();
-        let nested_opts = PipelineOptions::default().with_solver_threads(2);
+        // The 10-state jobs sit below the dense crossover, which opens no
+        // cohort: they sweep.
+        let mut serial_opts = PipelineOptions::default();
+        serial_opts.solver.dense_max = 0;
+        let nested_opts = serial_opts.clone().with_solver_threads(2);
         let want: Vec<_> = jobs.iter().map(|j| j.run(&serial_opts).unwrap()).collect();
 
         let got = run_batch(&jobs, &nested_opts, 2);

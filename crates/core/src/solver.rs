@@ -10,6 +10,7 @@
 //! scoped threads per sweep.
 
 use crate::band::estimate_band;
+use crate::dense;
 use crate::error::SolverError;
 use crate::exec::{Executor, SweepOrigin, Task, TaskContext};
 use crate::fault::{self, ActiveFaults, FaultPlan};
@@ -95,7 +96,22 @@ pub struct SolverOptions {
     /// `PHEIG_FAULT_PLAN` environment hook; an empty plan (and an unset
     /// variable) arms nothing and costs nothing on the hot path.
     pub fault_plan: Option<FaultPlan>,
+    /// Largest Hamiltonian order `2n` solved densely instead of swept: at
+    /// or below it a sweep is one `O(n^3)` eigensolve of the whole dense
+    /// Hamiltonian, eigenvectors for the crossings only, certified by
+    /// [`Certificate::DenseWholeBand`] instead of disks. `0` never takes
+    /// the dense path. It applies no operator, so `matvec_budget`,
+    /// `restart_budget`, `fault_plan` (and `PHEIG_FAULT_PLAN`),
+    /// `recycling`, `block_size` and `threads` do not apply to it; `cancel`
+    /// does. The default, [`DEFAULT_DENSE_MAX`], is the measured crossover.
+    pub dense_max: usize,
 }
+
+/// The default [`SolverOptions::dense_max`]: the largest `2n` at which the
+/// dense path was no slower than the sweep in every cell of the
+/// `crossover` example's grid (DESIGN.md "Dense dispatch"). It stays below
+/// the `2n = 192` of the `n = 96` sweep pins, which must keep sweeping.
+pub const DEFAULT_DENSE_MAX: usize = 96;
 
 impl SolverOptions {
     /// Paper-default options (serial).
@@ -114,6 +130,7 @@ impl SolverOptions {
             matvec_budget: None,
             restart_budget: None,
             fault_plan: None,
+            dense_max: DEFAULT_DENSE_MAX,
         }
     }
 
@@ -171,6 +188,12 @@ impl SolverOptions {
         self.fault_plan = Some(plan);
         self
     }
+
+    /// Sets the largest `2n` solved densely (`0`: always sweep).
+    pub fn with_dense_max(mut self, dense_max: usize) -> Self {
+        self.dense_max = dense_max;
+        self
+    }
 }
 
 impl Default for SolverOptions {
@@ -203,7 +226,7 @@ pub struct ShiftRecord {
 }
 
 /// Aggregate run statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct SolverStats {
     /// Scheduler counters (processed / deleted / trimmed / split).
     pub scheduler: SchedulerStats,
@@ -300,6 +323,17 @@ pub struct QuarantinedShift {
     pub reason: SolverError,
 }
 
+/// What vouches that a sweep examined its band.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Certificate {
+    /// The certified disks of [`SolverOutcome::shift_log`]: the band is
+    /// examined where they cover it, and `coverage_gaps` names the rest.
+    Disks,
+    /// One dense eigensolve of the whole Hamiltonian: every eigenvalue was
+    /// computed, so the whole band is examined without any disk.
+    DenseWholeBand,
+}
+
 /// Result of a full band sweep.
 #[derive(Debug, Clone)]
 pub struct SolverOutcome {
@@ -322,6 +356,9 @@ pub struct SolverOutcome {
     /// healthy run). Honest partial-coverage reporting: uncovered
     /// intervals are named in `coverage_gaps`, never silently claimed.
     pub covered_fraction: f64,
+    /// What certifies the coverage: disks, or a dense whole-band solve
+    /// (then `shift_log` is empty).
+    pub certificate: Certificate,
     /// Aggregate statistics.
     pub stats: SolverStats,
 }
@@ -453,15 +490,37 @@ pub(crate) fn crossings(
     opts: &SolverOptions,
     scale: f64,
 ) -> Vec<ImaginaryEigenpair> {
-    let tol = axis_tol(opts, scale);
-    let eigs = spectrum::extract_imaginary(pairs, tol);
-    spectrum::dedupe(eigs, tol.max(1e-12 * scale))
+    let eigs = spectrum::extract_imaginary(pairs, axis_tol(opts, scale));
+    spectrum::dedupe(eigs, merge_tol(opts, scale))
 }
 
 /// Real-part tolerance under which [`crossings`] reads an eigenvalue as
 /// purely imaginary, at pole band `scale`.
-fn axis_tol(opts: &SolverOptions, scale: f64) -> f64 {
+pub(crate) fn axis_tol(opts: &SolverOptions, scale: f64) -> f64 {
     1e3 * opts.arnoldi.tol * scale.max(f64::MIN_POSITIVE)
+}
+
+/// Distance under which two crossings are one ([`spectrum::dedupe`]).
+pub(crate) fn merge_tol(opts: &SolverOptions, scale: f64) -> f64 {
+    axis_tol(opts, scale).max(1e-12 * scale)
+}
+
+/// The crossings a sweep of `band` reports.
+///
+/// Certified disks may extend well past the requested band — warm-started
+/// certificates especially, since donated far pairs widen them — and
+/// everything inside a disk is a true eigenvalue. But a caller who
+/// restricted the band asked about that band: report crossings only up to
+/// half a band-width past the top edge (the documented "disks slightly
+/// overshoot" slack). The disks themselves stay in `shift_log`, so
+/// coverage checks are unchanged.
+pub(crate) fn reportable(
+    mut eigenpairs: Vec<ImaginaryEigenpair>,
+    band: (f64, f64),
+) -> Vec<ImaginaryEigenpair> {
+    let report_cap = band.1 + 0.5 * (band.1 - band.0);
+    eigenpairs.retain(|e| e.lambda.im <= report_cap);
+    eigenpairs
 }
 
 /// What a sweep keeps of a finished shift's in-disk set: the pairs
@@ -512,16 +571,7 @@ fn assemble(
         shift_log.push(rec);
         all_pairs.extend(pairs);
     }
-    let mut eigenpairs = crossings(&all_pairs, opts, scale);
-    // Certified disks may extend well past the requested band —
-    // warm-started certificates especially, since donated far pairs
-    // widen them — and everything inside a disk is a true eigenvalue.
-    // But a caller who restricted the band asked about that band:
-    // report crossings only up to half a band-width past the top edge
-    // (the documented "disks slightly overshoot" slack). The disks
-    // themselves stay in `shift_log`, so coverage checks are unchanged.
-    let report_cap = band.1 + 0.5 * (band.1 - band.0);
-    eigenpairs.retain(|e| e.lambda.im <= report_cap);
+    let eigenpairs = reportable(crossings(&all_pairs, opts, scale), band);
     let frequencies = spectrum::frequencies(&eigenpairs);
     let band_len = (band.1 - band.0).max(f64::MIN_POSITIVE);
     let gap_len: f64 = gaps.iter().map(|&(lo, hi)| hi - lo).sum();
@@ -535,6 +585,7 @@ fn assemble(
         quarantined: state.quarantined,
         coverage_gaps: gaps,
         covered_fraction,
+        certificate: Certificate::Disks,
         stats: SolverStats {
             scheduler: sched_stats,
             total_matvecs,
@@ -622,8 +673,11 @@ pub(crate) fn sweep(
     ws: &mut SolverWorkspace,
     origin: SweepOrigin,
 ) -> Result<SolverOutcome, SolverError> {
-    let t0 = Instant::now();
     validate_options(opts)?;
+    if takes_dense_path(ss, opts) {
+        return dense::solve(ss, opts);
+    }
+    let t0 = Instant::now();
     // `PHEIG_NO_RECYCLE` kill switch: force recycling off regardless of
     // options, so A/B and incident triage never require a rebuild.
     static NO_RECYCLE: OnceLock<bool> = OnceLock::new();
@@ -701,6 +755,11 @@ pub(crate) fn sweep(
         faults.faults_injected(),
         t0.elapsed(),
     ))
+}
+
+/// Whether a sweep of `ss` under `opts` is the dense eigensolve.
+fn takes_dense_path(ss: &StateSpace, opts: &SolverOptions) -> bool {
+    2 * ss.order() <= opts.dense_max
 }
 
 /// Rejects option combinations the scheduler cannot run on: a scheduler
@@ -1073,6 +1132,12 @@ mod tests {
         out
     }
 
+    /// The iterative sweep: every model below sits under the dense
+    /// crossover, and these tests are the sweep's.
+    fn sweep() -> SolverOptions {
+        SolverOptions::default().with_dense_max(0)
+    }
+
     fn assert_matches_oracle(got: &[f64], want: &[f64], scale: f64) {
         assert_eq!(
             got.len(),
@@ -1091,7 +1156,7 @@ mod tests {
             .realize();
         let want = oracle_crossings(&ss);
         assert!(!want.is_empty());
-        let out = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
+        let out = find_imaginary_eigenvalues(&ss, &sweep()).unwrap();
         assert_matches_oracle(&out.frequencies, &want, out.band.1);
     }
 
@@ -1100,7 +1165,7 @@ mod tests {
         let ss = generate_case(&CaseSpec::new(20, 2).with_seed(8).with_target_crossings(0))
             .unwrap()
             .realize();
-        let out = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
+        let out = find_imaginary_eigenvalues(&ss, &sweep()).unwrap();
         assert!(out.frequencies.is_empty(), "got {:?}", out.frequencies);
         assert!(out.stats.scheduler.processed > 0);
     }
@@ -1110,11 +1175,9 @@ mod tests {
         let ss = generate_case(&CaseSpec::new(30, 3).with_seed(12).with_target_crossings(6))
             .unwrap()
             .realize();
-        let serial = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
+        let serial = find_imaginary_eigenvalues(&ss, &sweep()).unwrap();
         for threads in [2, 4] {
-            let par =
-                find_imaginary_eigenvalues(&ss, &SolverOptions::default().with_threads(threads))
-                    .unwrap();
+            let par = find_imaginary_eigenvalues(&ss, &sweep().with_threads(threads)).unwrap();
             assert_eq!(
                 par.frequencies.len(),
                 serial.frequencies.len(),
@@ -1133,7 +1196,7 @@ mod tests {
         let ss = generate_case(&CaseSpec::new(16, 2).with_seed(21).with_target_crossings(2))
             .unwrap()
             .realize();
-        let out = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
+        let out = find_imaginary_eigenvalues(&ss, &sweep()).unwrap();
         let m = dense_hamiltonian(&ss).unwrap().to_c64();
         for e in &out.eigenpairs {
             assert_eq!(e.vector.len(), 2 * ss.order());
@@ -1151,8 +1214,7 @@ mod tests {
         let ss = generate_case(&CaseSpec::new(16, 2).with_seed(2))
             .unwrap()
             .realize();
-        let out =
-            find_imaginary_eigenvalues(&ss, &SolverOptions::default().with_band(0.0, 3.0)).unwrap();
+        let out = find_imaginary_eigenvalues(&ss, &sweep().with_band(0.0, 3.0)).unwrap();
         assert_eq!(out.band, (0.0, 3.0));
         for w in &out.frequencies {
             // Disks can slightly exceed the band; crossings reported should
@@ -1189,9 +1251,7 @@ mod tests {
             }
         }
         // Valid overrides still pass validation.
-        assert!(
-            find_imaginary_eigenvalues(&ss, &SolverOptions::default().with_band(0.0, 3.0)).is_ok()
-        );
+        assert!(find_imaginary_eigenvalues(&ss, &sweep().with_band(0.0, 3.0)).is_ok());
     }
 
     #[test]
@@ -1204,7 +1264,7 @@ mod tests {
         let ss = generate_case(&CaseSpec::new(16, 2).with_seed(4).with_target_crossings(2))
             .unwrap()
             .realize();
-        let mut opts = SolverOptions::default().with_threads(4);
+        let mut opts = sweep().with_threads(4);
         opts.arnoldi.max_restarts = 0;
         opts.max_shift_retries = 1;
         for threads in [4usize, 1] {
@@ -1235,7 +1295,7 @@ mod tests {
             .unwrap()
             .realize();
         // A tiny matvec budget stops the sweep almost immediately.
-        let opts = SolverOptions::default().with_matvec_budget(1);
+        let opts = sweep().with_matvec_budget(1);
         let out = find_imaginary_eigenvalues(&ss, &opts).unwrap();
         assert!(out.covered_fraction < 1.0);
         assert!(!out.quarantined.is_empty());
@@ -1256,7 +1316,7 @@ mod tests {
             .sum();
         assert!(gap_len <= quarantined_len + 1e-9 * (out.band.1 - out.band.0));
         // A generous budget changes nothing.
-        let opts = SolverOptions::default().with_matvec_budget(10_000_000);
+        let opts = sweep().with_matvec_budget(10_000_000);
         let full = find_imaginary_eigenvalues(&ss, &opts).unwrap();
         assert_eq!(full.covered_fraction, 1.0);
         assert!(full.quarantined.is_empty());
@@ -1270,9 +1330,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         for threads in [1usize, 4] {
-            let opts = SolverOptions::default()
-                .with_threads(threads)
-                .with_cancel(token.clone());
+            let opts = sweep().with_threads(threads).with_cancel(token.clone());
             let out = find_imaginary_eigenvalues(&ss, &opts).unwrap();
             assert!(out.frequencies.is_empty(), "T={threads}");
             assert!(out.covered_fraction < 0.01, "T={threads}");
@@ -1294,7 +1352,7 @@ mod tests {
         };
         // Serial: the sole member panics before pulling any work; the
         // unwind is contained and surfaces as a typed error, not an abort.
-        let opts = SolverOptions::default().with_fault_plan(plan.clone());
+        let opts = sweep().with_fault_plan(plan.clone());
         let err = find_imaginary_eigenvalues(&ss, &opts).unwrap_err();
         assert!(
             matches!(err, SolverError::TaskPanicked { .. }),
@@ -1302,11 +1360,9 @@ mod tests {
         );
         // Parallel: the surviving members finish the whole band, so the
         // panic is contained entirely and the result is complete.
-        let opts = SolverOptions::default()
-            .with_threads(4)
-            .with_fault_plan(plan);
+        let opts = sweep().with_threads(4).with_fault_plan(plan);
         let out = find_imaginary_eigenvalues(&ss, &opts).unwrap();
-        let clean = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
+        let clean = find_imaginary_eigenvalues(&ss, &sweep()).unwrap();
         assert_eq!(out.frequencies.len(), clean.frequencies.len());
         assert!(out.coverage_gaps.is_empty());
         assert_eq!(out.covered_fraction, 1.0);
@@ -1322,12 +1378,12 @@ mod tests {
         let ss = generate_case(&CaseSpec::new(24, 2).with_seed(31).with_target_crossings(4))
             .unwrap()
             .realize();
-        let clean = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
+        let clean = find_imaginary_eigenvalues(&ss, &sweep()).unwrap();
         let plan = FaultPlan {
             nan_apply: Some(3),
             ..FaultPlan::default()
         };
-        let opts = SolverOptions::default().with_fault_plan(plan);
+        let opts = sweep().with_fault_plan(plan);
         let out = find_imaginary_eigenvalues(&ss, &opts).unwrap();
         assert!(out.frequencies.iter().all(|w| w.is_finite()));
         assert!(out.stats.faults_injected >= 1);
@@ -1347,9 +1403,7 @@ mod tests {
             .unwrap()
             .realize();
         for threads in [1usize, 4] {
-            let out =
-                find_imaginary_eigenvalues(&ss, &SolverOptions::default().with_threads(threads))
-                    .unwrap();
+            let out = find_imaginary_eigenvalues(&ss, &sweep().with_threads(threads)).unwrap();
             let keys: Vec<(f64, f64)> = out.shift_log.iter().map(|r| (r.omega, r.radius)).collect();
             let mut sorted = keys.clone();
             sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
@@ -1367,7 +1421,7 @@ mod tests {
         let ss2 = generate_case(&CaseSpec::new(14, 3).with_seed(9))
             .unwrap()
             .realize();
-        let opts = SolverOptions::default();
+        let opts = sweep();
         let mut ws = SolverWorkspace::new();
         let _ = find_imaginary_eigenvalues_with(&ss2, &opts, &mut ws).unwrap();
         let dirty = find_imaginary_eigenvalues_with(&ss1, &opts, &mut ws).unwrap();
@@ -1385,7 +1439,7 @@ mod tests {
         let ss = generate_case(&CaseSpec::new(14, 2).with_seed(5))
             .unwrap()
             .realize();
-        let out = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
+        let out = find_imaginary_eigenvalues(&ss, &sweep()).unwrap();
         assert_eq!(out.shift_log.len(), out.stats.scheduler.processed);
         let sum: usize = out.shift_log.iter().map(|r| r.matvecs).sum();
         assert_eq!(sum, out.stats.total_matvecs);
@@ -1400,8 +1454,7 @@ mod tests {
         assert!(st.pairs_converged >= out.eigenpairs.len());
         assert!(st.pool_peak_pairs > 0 && st.pool_peak_pairs <= st.pairs_converged);
         assert!(st.pool_evicted_entries > 0 && st.pool_evicted_entries <= out.shift_log.len());
-        let cold = find_imaginary_eigenvalues(&ss, &SolverOptions::default().with_recycling(false))
-            .unwrap();
+        let cold = find_imaginary_eigenvalues(&ss, &sweep().with_recycling(false)).unwrap();
         assert!(cold.stats.pairs_converged > 0);
         assert_eq!(cold.stats.pool_peak_pairs, 0);
         assert_eq!(cold.stats.pool_evicted_entries, 0);
@@ -1412,5 +1465,53 @@ mod tests {
         assert!(out.quarantined.is_empty());
         assert!(out.coverage_gaps.is_empty());
         assert_eq!(out.covered_fraction, 1.0);
+    }
+
+    #[test]
+    fn n96_pin_model_sweeps_under_default_options() {
+        // `tests/perf_pins.rs` and `benchmark -- smoke` pin this model's
+        // sweep at 948 matvecs; a default threshold at or above its
+        // 2n = 192 would silently turn both into dense solves.
+        let ss = generate_case(&CaseSpec::new(96, 3).with_target_crossings(4).with_seed(7))
+            .unwrap()
+            .realize();
+        assert!(!takes_dense_path(&ss, &SolverOptions::default()));
+        let small = generate_case(&CaseSpec::new(24, 2).with_seed(31))
+            .unwrap()
+            .realize();
+        assert!(takes_dense_path(&small, &SolverOptions::default()));
+        assert!(!takes_dense_path(&small, &sweep()));
+    }
+
+    #[test]
+    fn dense_path_certifies_the_band_and_matches_the_sweep() {
+        let ss = generate_case(&CaseSpec::new(24, 2).with_seed(31).with_target_crossings(4))
+            .unwrap()
+            .realize();
+        let dense = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
+        let swept = find_imaginary_eigenvalues(&ss, &sweep()).unwrap();
+        assert_eq!(dense.certificate, Certificate::DenseWholeBand);
+        assert_eq!(swept.certificate, Certificate::Disks);
+        assert!(dense.shift_log.is_empty() && dense.coverage_gaps.is_empty());
+        assert_eq!(dense.covered_fraction, 1.0);
+        assert_eq!(dense.stats.total_matvecs, 0);
+        assert_matches_oracle(&dense.frequencies, &swept.frequencies, swept.band.1);
+        assert_matches_oracle(&dense.frequencies, &oracle_crossings(&ss), dense.band.1);
+        // (The eigenvector residuals are `tests/dense_dispatch.rs`'s.)
+        assert!(dense.eigenpairs.iter().all(|e| e.error_estimate < 1e-12));
+        // A band override is honoured, and a pre-cancelled dense solve
+        // claims nothing: the whole band is one named gap.
+        let banded =
+            find_imaginary_eigenvalues(&ss, &SolverOptions::default().with_band(0.0, 3.0)).unwrap();
+        assert_eq!(banded.band, (0.0, 3.0));
+        let token = CancelToken::new();
+        token.cancel();
+        let out =
+            find_imaginary_eigenvalues(&ss, &SolverOptions::default().with_cancel(token)).unwrap();
+        assert!(out.frequencies.is_empty());
+        assert_eq!(out.covered_fraction, 0.0);
+        assert_eq!(out.coverage_gaps, vec![out.band]);
+        assert_eq!(out.stats.shifts_quarantined, out.quarantined.len());
+        assert!(format!("{}", out.quarantined[0].reason).contains("cancelled"));
     }
 }

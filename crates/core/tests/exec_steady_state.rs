@@ -94,7 +94,10 @@ fn executor_steady_state_spawns_no_threads_and_allocates_nothing_per_task() {
         let samples = FrequencySamples::from_model(&model, 0.01, 10.0, 90).unwrap();
         jobs.push(Pipeline::from_samples(samples));
     }
-    let opts = PipelineOptions::default();
+    // The 8-state jobs sit below the dense crossover; the sweep is what
+    // puts cohorts and operator scratch on the pool, so they sweep.
+    let mut opts = PipelineOptions::default();
+    opts.solver.dense_max = 0;
     let warm = run_batch(&jobs, &opts, WORKERS + 1); // same pool width as above
     assert!(warm.iter().all(Result::is_ok));
     let spawned_before = exec::threads_spawned_total();

@@ -96,7 +96,10 @@ pub fn check_case(case: &crate::scenario::FuzzCase) -> Result<(), Failure> {
 fn check_differential(deck: &str, ports: Option<usize>, poles: usize) -> Result<(), Failure> {
     let pipeline = Pipeline::from_touchstone(deck, ports)
         .map_err(|e| Failure::new("pipeline-error", format!("parse failed: {e}")))?;
-    let opts = PipelineOptions::new().with_poles_per_column(poles);
+    // The zoo's orders sit below the dense crossover; it differentiates
+    // the sweep against the dense oracle, so every sweep here iterates.
+    let mut opts = PipelineOptions::new().with_poles_per_column(poles);
+    opts.solver.dense_max = 0;
     let out = match pipeline.run(&opts) {
         Ok(out) => out,
         // A stalled enforcement is a typed, legitimate outcome on a hard
@@ -116,7 +119,8 @@ fn check_differential(deck: &str, ports: Option<usize>, poles: usize) -> Result<
         .map_err(|e| Failure::new("crossings-mismatch", e))?;
 
     // 2. The scheduler's certified disks cover the whole search band.
-    disks_cover_band(&out.report.sweep.shift_log, out.report.sweep.band)
+    let sweep = &out.report.sweep;
+    disks_cover_band(sweep.certificate, &sweep.shift_log, sweep.band)
         .map_err(|e| Failure::new("coverage-gap", e))?;
 
     // 3. An Ok run reports zero residual violations...
@@ -164,7 +168,8 @@ fn check_characterization_only(pipeline: &Pipeline, opts: &PipelineOptions) -> R
     let tol = 1e-5 * outcome.band.1;
     match_crossings(&outcome.frequencies, &want, tol)
         .map_err(|e| Failure::new("crossings-mismatch", e))?;
-    disks_cover_band(&outcome.shift_log, outcome.band).map_err(|e| Failure::new("coverage-gap", e))
+    disks_cover_band(outcome.certificate, &outcome.shift_log, outcome.band)
+        .map_err(|e| Failure::new("coverage-gap", e))
 }
 
 /// The parse-differential property: a structurally abused deck must parse

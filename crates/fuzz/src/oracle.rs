@@ -7,7 +7,7 @@
 //! through this one implementation so the fuzz harness, the regression
 //! replays, and the hand-written validation tests cannot drift apart.
 
-use pheig_core::solver::{find_imaginary_eigenvalues, ShiftRecord, SolverOptions};
+use pheig_core::solver::{find_imaginary_eigenvalues, Certificate, ShiftRecord, SolverOptions};
 use pheig_hamiltonian::build::dense_hamiltonian;
 use pheig_linalg::eig::eig_real;
 use pheig_model::generator::{generate_case, CaseSpec};
@@ -86,13 +86,22 @@ pub fn match_crossings(raw_got: &[f64], raw_want: &[f64], tol: f64) -> Result<()
     Ok(())
 }
 
-/// Checks the scheduler's termination guarantee: the certified disks of a
-/// sweep's shift log must cover the whole search band.
+/// Checks a sweep's coverage claim. Under [`Certificate::Disks`] that is
+/// the scheduler's termination guarantee: the certified disks of the shift
+/// log must cover the whole search band. A [`Certificate::DenseWholeBand`]
+/// solve computed every eigenvalue, so it covers the band with no disk.
 ///
 /// # Errors
 ///
 /// Returns a rendered message naming the first uncovered frequency.
-pub fn disks_cover_band(shift_log: &[ShiftRecord], band: (f64, f64)) -> Result<(), String> {
+pub fn disks_cover_band(
+    certificate: Certificate,
+    shift_log: &[ShiftRecord],
+    band: (f64, f64),
+) -> Result<(), String> {
+    if certificate == Certificate::DenseWholeBand {
+        return Ok(());
+    }
     let mut disks: Vec<(f64, f64)> = shift_log
         .iter()
         .map(|r| (r.omega - r.radius, r.omega + r.radius))
@@ -116,7 +125,9 @@ pub fn disks_cover_band(shift_log: &[ShiftRecord], band: (f64, f64)) -> Result<(
 
 /// Runs the multi-shift solver on `(seed, order, ports, target)` generated
 /// cases and asserts each crossing set matches the dense oracle — the
-/// assert-style entry the `oracle_validation` tests use.
+/// assert-style entry the `oracle_validation` tests use. The sweep always
+/// iterates (`dense_max = 0`): the dense path would compare the oracle's
+/// own eigensolve with itself.
 ///
 /// # Panics
 ///
@@ -128,7 +139,8 @@ pub fn assert_solver_matches_oracle(cases: &[(u64, usize, usize, usize)]) {
             .with_target_crossings(target);
         let ss = generate_case(&spec).unwrap().realize();
         let want = oracle_crossings(&ss);
-        let out = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
+        let opts = SolverOptions::default().with_dense_max(0);
+        let out = find_imaginary_eigenvalues(&ss, &opts).unwrap();
         assert_eq!(
             out.frequencies.len(),
             want.len(),

@@ -15,8 +15,7 @@
 use crate::complex::C64;
 use crate::error::LinalgError;
 use crate::hessenberg::hessenberg;
-use crate::kernels::{merge, split};
-use crate::lu::{back_substitute, factor_split_in_place, pivot_index, pivot_rcond, solve_factored};
+use crate::lu::{back_substitute, factor_in_place, pivot_index, pivot_rcond, solve_factored};
 use crate::matrix::Matrix;
 use crate::vector::{normalize, nrm2};
 
@@ -288,8 +287,6 @@ pub fn eig_with_vectors(a: &Matrix<C64>) -> Result<(Vec<C64>, Matrix<C64>), Lina
     let scale = a.frobenius_norm().max(f64::MIN_POSITIVE);
     let mut lu = DenseShiftedLu {
         a,
-        re: vec![0.0; n * n],
-        im: vec![0.0; n * n],
         work: Matrix::zeros(n, n),
         pivots: Vec::with_capacity(n),
     };
@@ -360,28 +357,21 @@ fn inverse_iteration(
     Ok(())
 }
 
-/// Dense partial-pivoting LU of `a - shift I` on one reused work matrix.
-/// The elimination runs on split planes (`re` / `im`), where the row update
-/// is plain `f64` lanes; the factors are merged into `work` for the
-/// substitutions.
+/// Dense partial-pivoting LU of `a - shift I` on one reused work matrix
+/// (the elimination of [`crate::Lu::new`]).
 struct DenseShiftedLu<'a> {
     a: &'a Matrix<C64>,
-    re: Vec<f64>,
-    im: Vec<f64>,
     work: Matrix<C64>,
     pivots: Vec<usize>,
 }
 
 impl ShiftedLu for DenseShiftedLu<'_> {
     fn factor(&mut self, shift: C64) -> Result<(), LinalgError> {
-        let n = self.work.rows();
-        split(self.a.as_slice(), &mut self.re, &mut self.im);
-        for i in 0..n {
-            let d = C64::new(self.re[i * n + i], self.im[i * n + i]) - shift;
-            (self.re[i * n + i], self.im[i * n + i]) = (d.re, d.im);
+        self.work.as_mut_slice().copy_from_slice(self.a.as_slice());
+        for i in 0..self.work.rows() {
+            self.work[(i, i)] -= shift;
         }
-        factor_split_in_place(n, &mut self.re, &mut self.im, &mut self.pivots)?;
-        merge(&self.re, &self.im, self.work.as_mut_slice());
+        factor_in_place(&mut self.work, &mut self.pivots)?;
         Ok(())
     }
 

@@ -1,6 +1,5 @@
 //! LU factorization with partial pivoting.
 
-use crate::complex::C64;
 use crate::error::LinalgError;
 use crate::kernels::with_simd;
 use crate::matrix::Matrix;
@@ -160,7 +159,7 @@ impl<S: Scalar> Lu<S> {
 /// # Errors
 ///
 /// As [`Lu::new`]; `a` is left partially factored.
-fn factor_in_place<S: Scalar>(
+pub(crate) fn factor_in_place<S: Scalar>(
     a: &mut Matrix<S>,
     pivots: &mut Vec<usize>,
 ) -> Result<usize, LinalgError> {
@@ -205,68 +204,6 @@ fn factor_in_place<S: Scalar>(
     )
 }
 
-/// [`factor_in_place`] on a complex `n x n` matrix held as split planes
-/// (`re` / `im`, row-major): the same pivots, and the same factors once
-/// the planes are merged. The row update `x -= l * a_kj` is the complex
-/// product and difference of `C64` written out per plane, so every lane of
-/// a SIMD register carries one element instead of one half of one (the
-/// interleaved form spends shuffles untangling the halves).
-///
-/// # Errors
-///
-/// [`LinalgError::Singular`] as [`Lu::new`]; the planes are left partially
-/// factored.
-pub(crate) fn factor_split_in_place(
-    n: usize,
-    re: &mut [f64],
-    im: &mut [f64],
-    pivots: &mut Vec<usize>,
-) -> Result<(), LinalgError> {
-    assert_eq!(re.len(), n * n, "factor_split_in_place plane length");
-    assert_eq!(im.len(), n * n, "factor_split_in_place plane length");
-    pivots.clear();
-    with_simd(
-        #[inline(always)]
-        || {
-            for k in 0..n {
-                let at = |i: usize| C64::new(re[(k + i) * n + k], im[(k + i) * n + k]);
-                let Some(step) = pivot_index(n - k, at) else {
-                    return Err(LinalgError::Singular { at: k });
-                };
-                let p = k + step;
-                if p != k {
-                    for plane in [&mut *re, &mut *im] {
-                        let (top, bottom) = plane.split_at_mut(p * n);
-                        top[k * n..(k + 1) * n].swap_with_slice(&mut bottom[..n]);
-                    }
-                }
-                pivots.push(p);
-                let (re_top, re_below) = re.split_at_mut((k + 1) * n);
-                let (im_top, im_below) = im.split_at_mut((k + 1) * n);
-                let (ur, ui) = (&re_top[k * n + k..], &im_top[k * n + k..]);
-                let inv_pivot = C64::one() / C64::new(ur[0], ui[0]);
-                let below = re_below
-                    .chunks_exact_mut(n)
-                    .zip(im_below.chunks_exact_mut(n));
-                for (xr, xi) in below {
-                    let lik = C64::new(xr[k], xi[k]) * inv_pivot;
-                    (xr[k], xi[k]) = (lik.re, lik.im);
-                    if lik == C64::zero() {
-                        continue;
-                    }
-                    let (lr, li) = (lik.re, lik.im);
-                    let row = xr[k + 1..].iter_mut().zip(&mut xi[k + 1..]);
-                    for ((xr, xi), (ar, ai)) in row.zip(ur[1..].iter().zip(&ui[1..])) {
-                        *xr -= lr * ar - li * ai;
-                        *xi -= lr * ai + li * ar;
-                    }
-                }
-            }
-            Ok(())
-        },
-    )
-}
-
 /// Relative width of the band around the largest squared magnitude inside
 /// which [`pivot_index`] compares candidates by `hypot`.
 const PIVOT_BAND: f64 = 1e-13;
@@ -277,8 +214,8 @@ const PIVOT_SQ_RANGE: std::ops::RangeInclusive<f64> = 1e-290..=1e290;
 /// The partial-pivoting choice among the `len` candidates `at(0..len)`:
 /// the first one of largest `hypot` magnitude, or `None` when every
 /// candidate is zero (the matrix is singular at this column). The one
-/// pivot rule of every LU in this crate: [`factor_in_place`],
-/// [`factor_split_in_place`] and the two-candidate Hessenberg one in `eig`.
+/// pivot rule of every LU in this crate: [`factor_in_place`] and the
+/// two-candidate Hessenberg one in `eig`.
 ///
 /// `hypot` is what the choice has always been made by, and it is a libm
 /// call per entry; the squared magnitude `abs_sq` is two multiplies and an
@@ -326,8 +263,7 @@ pub(crate) fn pivot_index<S: Scalar>(len: usize, at: impl Fn(usize) -> S) -> Opt
     (best != 0.0).then_some(pick)
 }
 
-/// Solves `A x = b` in place against the output of [`factor_in_place`]
-/// (or of [`factor_split_in_place`], merged).
+/// Solves `A x = b` in place against the output of [`factor_in_place`].
 pub(crate) fn solve_factored<S: Scalar>(factors: &Matrix<S>, pivots: &[usize], b: &mut [S]) {
     let n = factors.rows();
     assert_eq!(b.len(), n, "solve_in_place rhs length mismatch");
@@ -492,59 +428,5 @@ mod tests {
     fn shape_mismatch_rhs() {
         let lu = Lu::new(Matrix::<f64>::identity(3)).unwrap();
         assert!(lu.solve(&[1.0, 2.0]).is_err());
-    }
-
-    /// splitmix64, mapped to (-1, 1).
-    fn uniform(state: &mut u64) -> f64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^= z >> 31;
-        (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
-    }
-
-    #[test]
-    fn split_elimination_is_bitwise_the_interleaved_one() {
-        // `factor_split_in_place` (behind `eig_with_vectors`) must leave,
-        // once merged, the bits `factor_in_place` leaves, with the same
-        // pivots and the same singular column. The sparse cases hold zeros
-        // of both signs, so a row whose multiplier is zero must be skipped
-        // on both paths: `x -= 0 * a_kj` turns some `-0` entries into `+0`.
-        let mut state = 7;
-        for n in [1, 2, 3, 7, 16, 33, 48] {
-            for case in ["dense", "sparse", "zero column"] {
-                let mut a = Matrix::from_fn(n, n, |i, j| {
-                    let z = C64::new(uniform(&mut state), uniform(&mut state));
-                    match case {
-                        "sparse" if i != j && z.re < 0.4 => C64::new(-0.0 * z.im, 0.0 * z.re),
-                        _ => z,
-                    }
-                });
-                if case == "zero column" {
-                    for i in 0..n {
-                        a[(i, n / 2)] = C64::zero();
-                    }
-                }
-                let mut interleaved = a.clone();
-                let mut pivots = Vec::new();
-                let want = factor_in_place(&mut interleaved, &mut pivots).map(|_| ());
-                let (mut re, mut im) = (vec![0.0; n * n], vec![0.0; n * n]);
-                crate::kernels::split(a.as_slice(), &mut re, &mut im);
-                let mut split_pivots = Vec::new();
-                let got = factor_split_in_place(n, &mut re, &mut im, &mut split_pivots);
-                let mut merged = Matrix::zeros(n, n);
-                crate::kernels::merge(&re, &im, merged.as_mut_slice());
-                assert_eq!(got, want, "n = {n}, {case}");
-                assert_eq!(split_pivots, pivots, "n = {n}, {case}");
-                for (x, y) in merged.as_slice().iter().zip(interleaved.as_slice()) {
-                    assert_eq!(
-                        (x.re.to_bits(), x.im.to_bits()),
-                        (y.re.to_bits(), y.im.to_bits()),
-                        "n = {n}, {case}: {x:?} vs {y:?}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -1,10 +1,10 @@
 //! The partial-pivoting LUs against the loops they replaced, bit for bit.
 //!
-//! `lu::factor_in_place` (behind `Lu::new`) and the split-plane elimination
-//! behind `eig_with_vectors` choose each pivot from the squared magnitudes
-//! and evaluate `hypot` only inside a `1e-13` band around the largest,
+//! `lu::factor_in_place` (behind `Lu::new` and the inverse iteration of
+//! `eig_with_vectors`) chooses each pivot from the squared magnitudes and
+//! evaluates `hypot` only inside a `1e-13` band around the largest,
 //! falling back to the full `hypot` scan where a square can overflow,
-//! underflow or be non-finite; they update each row as a contiguous slice
+//! underflow or be non-finite; it updates each row as a contiguous slice
 //! inside one SIMD region. The Hessenberg LU behind
 //! `eig_hessenberg_with_vectors` shares the pivot rule. None of that may
 //! move a bit: the references below are the loops as they stood before —

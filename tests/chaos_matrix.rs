@@ -29,6 +29,13 @@ fn model() -> StateSpace {
         .realize()
 }
 
+/// The model sits below the dense crossover, and the faults under test
+/// fire inside the sweep (the dense path applies no operator), so every
+/// cell sweeps unless it says otherwise.
+fn sweep() -> SolverOptions {
+    SolverOptions::default().with_dense_max(0)
+}
+
 /// Oracle crossings from the dense Hamiltonian spectrum.
 fn oracle_crossings(ss: &StateSpace) -> Vec<f64> {
     let m = dense_hamiltonian(ss).unwrap();
@@ -199,12 +206,7 @@ fn apply_corruption_at_every_stage() {
             },
         };
         let tag = format!("{kind}_apply@{stage}");
-        run_cell(
-            &tag,
-            &ss,
-            &oracle,
-            SolverOptions::default().with_fault_plan(plan),
-        );
+        run_cell(&tag, &ss, &oracle, sweep().with_fault_plan(plan));
     }
 }
 
@@ -224,7 +226,7 @@ fn singular_shift_and_stall_stages() {
             &format!("singular_shift@{stage}"),
             &ss,
             &oracle,
-            SolverOptions::default().with_fault_plan(plan),
+            sweep().with_fault_plan(plan),
         );
         assert_eq!(injected, Some(1), "singular_shift@{stage}");
     }
@@ -232,12 +234,7 @@ fn singular_shift_and_stall_stages() {
         stall: Some((1, Duration::from_millis(5))),
         ..FaultPlan::default()
     };
-    run_cell(
-        "stall@1",
-        &ss,
-        &oracle,
-        SolverOptions::default().with_fault_plan(plan),
-    );
+    run_cell("stall@1", &ss, &oracle, sweep().with_fault_plan(plan));
 }
 
 #[test]
@@ -249,7 +246,7 @@ fn budget_exhaustion_ladder() {
             &format!("matvec_budget={budget}"),
             &ss,
             &oracle,
-            SolverOptions::default().with_matvec_budget(budget),
+            sweep().with_matvec_budget(budget),
         );
     }
     for budget in [0u64, 4, 1_000_000] {
@@ -257,7 +254,7 @@ fn budget_exhaustion_ladder() {
             &format!("restart_budget={budget}"),
             &ss,
             &oracle,
-            SolverOptions::default().with_restart_budget(budget),
+            sweep().with_restart_budget(budget),
         );
     }
 }
@@ -271,6 +268,13 @@ fn cancellation_at_start() {
     token.cancel();
     run_cell(
         "cancel@start",
+        &ss,
+        &oracle,
+        sweep().with_cancel(token.clone()),
+    );
+    // The dense path honours the same token with the same partial result.
+    run_cell(
+        "cancel@start/dense",
         &ss,
         &oracle,
         SolverOptions::default().with_cancel(token),
@@ -288,7 +292,7 @@ fn worker_panic_serial_and_parallel() {
     // Serial: the sole membership panics; must surface as the typed
     // TaskPanicked error (trichotomy branch 2), not a process abort.
     let ss2 = ss.clone();
-    let opts = SolverOptions::default().with_fault_plan(plan.clone());
+    let opts = sweep().with_fault_plan(plan.clone());
     let err = with_watchdog("panic_task@0/T=1", move || {
         find_imaginary_eigenvalues(&ss2, &opts)
     })
@@ -300,9 +304,7 @@ fn worker_panic_serial_and_parallel() {
             &format!("panic_task@0/T={threads}"),
             &ss,
             &oracle,
-            SolverOptions::default()
-                .with_threads(threads)
-                .with_fault_plan(plan.clone()),
+            sweep().with_threads(threads).with_fault_plan(plan.clone()),
         );
     }
 }
@@ -320,15 +322,13 @@ fn seeded_compound_plans() {
             &format!("seeded={seed}/T=1"),
             &ss,
             &oracle,
-            SolverOptions::default().with_fault_plan(plan.clone()),
+            sweep().with_fault_plan(plan.clone()),
         );
         run_cell(
             &format!("seeded={seed}/T=4"),
             &ss,
             &oracle,
-            SolverOptions::default()
-                .with_threads(4)
-                .with_fault_plan(plan),
+            sweep().with_threads(4).with_fault_plan(plan),
         );
     }
 }

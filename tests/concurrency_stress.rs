@@ -90,10 +90,13 @@ fn cohort_latch_park_and_help_stress() {
                 )
             })
             .collect();
+        // The 8-state jobs sit below the dense crossover; the cohorts under
+        // test exist only on the sweep path.
         let mut serial = PipelineOptions::default();
+        serial.solver.dense_max = 0;
         serial.solver.threads = 1;
         serial.solver.kappa = 6;
-        let mut nested = PipelineOptions::default();
+        let mut nested = serial.clone();
         nested.solver.threads = 3;
         nested.solver.kappa = 2;
 
@@ -162,7 +165,9 @@ fn panicking_cohort_task_contained_stress() {
         let ss = generate_case(&CaseSpec::new(20, 3).with_seed(9).with_target_crossings(4))
             .unwrap()
             .realize();
-        let clean = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
+        // Below the dense crossover: the cohort under test is the sweep's.
+        let sweep = SolverOptions::default().with_dense_max(0);
+        let clean = find_imaginary_eigenvalues(&ss, &sweep).unwrap();
         let plan = FaultPlan {
             panic_task: Some(0),
             ..FaultPlan::default()
@@ -170,9 +175,7 @@ fn panicking_cohort_task_contained_stress() {
         for round in 0..5 {
             let out = find_imaginary_eigenvalues(
                 &ss,
-                &SolverOptions::default()
-                    .with_threads(2)
-                    .with_fault_plan(plan.clone()),
+                &sweep.clone().with_threads(2).with_fault_plan(plan.clone()),
             )
             .unwrap_or_else(|e| panic!("round {round}: sibling did not finish: {e}"));
             assert_eq!(out.stats.faults_injected, 1, "round {round}");

@@ -24,8 +24,12 @@ fn samples_to_passive_model() {
     assert_eq!(ss.ports(), 2);
 
     // Characterization: the fitted model inherits the reference's
-    // violations (fit error is far below the violation amplitude).
-    let outcome = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
+    // violations (fit error is far below the violation amplitude). The
+    // 16-state fit sits below the dense crossover; this differential
+    // keeps the sweep under test (`tests/dense_dispatch.rs` has the dense
+    // path's).
+    let sweep = SolverOptions::default().with_dense_max(0);
+    let outcome = find_imaginary_eigenvalues(&ss, &sweep).unwrap();
     let report = characterize(&fit.model, &outcome.frequencies).unwrap();
     assert!(
         !report.is_passive(),
@@ -36,13 +40,16 @@ fn samples_to_passive_model() {
     }
 
     // Enforcement.
-    let enforced = enforce_passivity(&ss, &EnforcementOptions::default()).unwrap();
+    let enf = EnforcementOptions {
+        solver: sweep.clone(),
+        ..EnforcementOptions::default()
+    };
+    let enforced = enforce_passivity(&ss, &enf).unwrap();
     assert!(enforced.final_report.is_passive());
 
     // Independent verification: no crossings remain and the old peaks are
     // now at or below the unit threshold.
-    let check =
-        find_imaginary_eigenvalues(&enforced.state_space, &SolverOptions::default()).unwrap();
+    let check = find_imaginary_eigenvalues(&enforced.state_space, &sweep).unwrap();
     assert!(check.frequencies.is_empty());
     for b in &report.bands {
         let s = sigma_max(&enforced.state_space, b.peak_omega).unwrap();

@@ -99,15 +99,19 @@ fn check_recycling_differential(case: &FuzzCase) -> Result<(), String> {
     let vf = VectorFitOptions::new(case.poles_per_column).with_iterations(8);
     let fit = vector_fit(pipeline.samples(), &vf).map_err(|e| format!("fit failed: {e}"))?;
     let ss = fit.state_space();
-    let cold = find_imaginary_eigenvalues(&ss, &SolverOptions::default().with_recycling(false))
+    // Zoo decks sit below the dense crossover; recycling lives in the sweep.
+    let sweep = SolverOptions::default().with_dense_max(0);
+    let cold = find_imaginary_eigenvalues(&ss, &sweep.clone().with_recycling(false))
         .map_err(|e| format!("cold sweep failed: {e}"))?;
-    let warm = find_imaginary_eigenvalues(&ss, &SolverOptions::default().with_recycling(true))
+    let warm = find_imaginary_eigenvalues(&ss, &sweep.with_recycling(true))
         .map_err(|e| format!("warm sweep failed: {e}"))?;
     let tol = 1e-6 * cold.band.1.max(1.0);
     match_crossings(&warm.frequencies, &cold.frequencies, tol)
         .map_err(|e| format!("warm vs cold crossings: {e}"))?;
-    disks_cover_band(&cold.shift_log, cold.band).map_err(|e| format!("cold coverage: {e}"))?;
-    disks_cover_band(&warm.shift_log, warm.band).map_err(|e| format!("warm coverage: {e}"))
+    disks_cover_band(cold.certificate, &cold.shift_log, cold.band)
+        .map_err(|e| format!("cold coverage: {e}"))?;
+    disks_cover_band(warm.certificate, &warm.shift_log, warm.band)
+        .map_err(|e| format!("warm coverage: {e}"))
 }
 
 /// A cheap recycling on/off differential on every `cargo test`: a handful

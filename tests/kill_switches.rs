@@ -18,17 +18,20 @@ fn documented_env_kill_switches_are_honored() {
     let ss = generate_case(&CaseSpec::new(20, 3).with_seed(9).with_target_crossings(4))
         .unwrap()
         .realize();
+    // Both hooks act inside the sweep (the dense path below the crossover
+    // applies no operator and pools nothing), so the sweep it is.
+    let sweep = SolverOptions::default().with_dense_max(0);
 
     // PHEIG_FAULT_PLAN: the ambient plan arms a 1-matvec budget, so a
     // default-options sweep must degrade to an honest partial result.
-    let out = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
+    let out = find_imaginary_eigenvalues(&ss, &sweep).unwrap();
     assert!(!out.quarantined.is_empty(), "env fault plan ignored");
     assert!(out.covered_fraction < 1.0);
     assert!(!out.coverage_gaps.is_empty());
 
     // An explicit (empty) plan in the options overrides the env hook, so
     // this sweep runs healthy...
-    let opts = SolverOptions::default().with_fault_plan(FaultPlan::default());
+    let opts = sweep.with_fault_plan(FaultPlan::default());
     let out = find_imaginary_eigenvalues(&ss, &opts).unwrap();
     assert!(
         out.quarantined.is_empty(),

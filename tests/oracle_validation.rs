@@ -15,6 +15,12 @@ use pheig::model::FrequencySamples;
 use pheig::{Pipeline, PipelineOptions};
 use pheig_fuzz::oracle::{assert_solver_matches_oracle, disks_cover_band, oracle_crossings};
 
+/// Every model here sits below the dense crossover; the sweep is what the
+/// oracle validates, so it always iterates.
+fn sweep() -> SolverOptions {
+    SolverOptions::default().with_dense_max(0)
+}
+
 #[test]
 fn solver_matches_dense_oracle_across_seeds() {
     assert_solver_matches_oracle(&[(1u64, 20, 2, 2), (2, 24, 3, 4), (4, 24, 4, 0)]);
@@ -31,7 +37,7 @@ fn every_crossing_sits_on_the_unit_threshold() {
     let spec = CaseSpec::new(30, 3).with_seed(12).with_target_crossings(6);
     let model = generate_case(&spec).unwrap();
     let ss = model.realize();
-    let out = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
+    let out = find_imaginary_eigenvalues(&ss, &sweep()).unwrap();
     assert!(!out.frequencies.is_empty());
     for &w in &out.frequencies {
         let s = sigma_max(&model, w).unwrap();
@@ -47,7 +53,7 @@ fn crossings_alternate_sigma_sides() {
     let spec = CaseSpec::new(24, 2).with_seed(31).with_target_crossings(4);
     let model = generate_case(&spec).unwrap();
     let ss = model.realize();
-    let out = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
+    let out = find_imaginary_eigenvalues(&ss, &sweep()).unwrap();
     let freqs = &out.frequencies;
     assert!(freqs.len() >= 2);
     let mut edges = vec![0.0];
@@ -81,9 +87,13 @@ fn pipeline_output_is_passive_by_dense_oracle() {
     let samples = FrequencySamples::from_model(&reference, 0.01, 13.0, 200).unwrap();
     let deck = write_touchstone(&samples, &TouchstoneOptions::default());
 
+    let opts = PipelineOptions {
+        solver: sweep(),
+        ..PipelineOptions::default()
+    };
     let out = Pipeline::from_touchstone(&deck, Some(2))
         .unwrap()
-        .run(&PipelineOptions::default())
+        .run(&opts)
         .unwrap();
     assert_eq!(
         out.report.residual_violations(),
@@ -122,8 +132,8 @@ fn band_edges_and_radius_certificates_cover_spectrum() {
     // the search band (the scheduler's termination guarantee).
     let spec = CaseSpec::new(24, 3).with_seed(2).with_target_crossings(4);
     let ss = generate_case(&spec).unwrap().realize();
-    let out = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
-    if let Err(gap) = disks_cover_band(&out.shift_log, out.band) {
+    let out = find_imaginary_eigenvalues(&ss, &sweep()).unwrap();
+    if let Err(gap) = disks_cover_band(out.certificate, &out.shift_log, out.band) {
         panic!("{gap}");
     }
 }

@@ -17,6 +17,12 @@ fn model() -> StateSpace {
         .realize()
 }
 
+/// The models here sit below the dense crossover; the execution modes
+/// under comparison are the sweep's.
+fn sweep() -> SolverOptions {
+    SolverOptions::default().with_dense_max(0)
+}
+
 fn model_large() -> StateSpace {
     generate_case(&CaseSpec::new(36, 3).with_seed(9).with_target_crossings(8))
         .unwrap()
@@ -26,11 +32,9 @@ fn model_large() -> StateSpace {
 #[test]
 fn all_modes_agree_on_omega() {
     let ss = model();
-    let serial = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
-    let threaded =
-        find_imaginary_eigenvalues(&ss, &SolverOptions::default().with_threads(3)).unwrap();
-    let simulated =
-        simulate_parallel(&ss, 8, &SolverOptions::default(), ScheduleMode::Dynamic).unwrap();
+    let serial = find_imaginary_eigenvalues(&ss, &sweep()).unwrap();
+    let threaded = find_imaginary_eigenvalues(&ss, &sweep().with_threads(3)).unwrap();
+    let simulated = simulate_parallel(&ss, 8, &sweep(), ScheduleMode::Dynamic).unwrap();
     let tol = 1e-5 * serial.band.1;
     assert_eq!(serial.frequencies.len(), threaded.frequencies.len());
     assert_eq!(serial.frequencies.len(), simulated.frequencies.len());
@@ -50,20 +54,14 @@ fn speedup_is_monotone_enough_and_superlinear_capable() {
     // plenty of shifts; deletions of tentative shifts may push past the
     // ideal line (the paper's superlinear effect).
     let ss = model();
-    let s1 = simulate_parallel(&ss, 1, &SolverOptions::default(), ScheduleMode::Dynamic).unwrap();
+    let s1 = simulate_parallel(&ss, 1, &sweep(), ScheduleMode::Dynamic).unwrap();
     let mut prev = s1.speedup_vs(s1.total_cost);
     assert!(
         (prev - 1.0).abs() < 1e-12,
         "self-speedup must be 1, got {prev}"
     );
     for threads in [2usize, 4, 8] {
-        let sim = simulate_parallel(
-            &ss,
-            threads,
-            &SolverOptions::default(),
-            ScheduleMode::Dynamic,
-        )
-        .unwrap();
+        let sim = simulate_parallel(&ss, threads, &sweep(), ScheduleMode::Dynamic).unwrap();
         let speedup = sim.speedup_vs(s1.total_cost);
         assert!(
             speedup >= prev * 0.8,
@@ -84,7 +82,7 @@ fn dynamic_beats_static_grid_on_work() {
     // shifts whose intervals are already covered; the dynamic scheduler
     // deletes them. Compare total executed work at equal thread count.
     let ss = model();
-    let opts = SolverOptions::default();
+    let opts = sweep();
     let dynamic = simulate_parallel(&ss, 8, &opts, ScheduleMode::Dynamic).unwrap();
     let n_static = (dynamic.shifts_processed * 2).max(16);
     let static_grid = simulate_parallel(
@@ -116,7 +114,7 @@ fn seed_variation_preserves_results_but_not_work() {
     let mut costs = Vec::new();
     let mut counts = Vec::new();
     for seed in 0..3u64 {
-        let opts = SolverOptions::default().with_seed(seed);
+        let opts = sweep().with_seed(seed);
         let sim = simulate_parallel(&ss, 8, &opts, ScheduleMode::Dynamic).unwrap();
         costs.push(sim.total_cost);
         counts.push(sim.frequencies.len());
@@ -135,11 +133,9 @@ fn seed_variation_preserves_results_but_not_work() {
 #[ignore = "paper-scale workload (~10 s debug); run with --ignored (CI slow-tests job)"]
 fn all_modes_agree_on_omega_large() {
     let ss = model_large();
-    let serial = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
-    let threaded =
-        find_imaginary_eigenvalues(&ss, &SolverOptions::default().with_threads(3)).unwrap();
-    let simulated =
-        simulate_parallel(&ss, 8, &SolverOptions::default(), ScheduleMode::Dynamic).unwrap();
+    let serial = find_imaginary_eigenvalues(&ss, &sweep()).unwrap();
+    let threaded = find_imaginary_eigenvalues(&ss, &sweep().with_threads(3)).unwrap();
+    let simulated = simulate_parallel(&ss, 8, &sweep(), ScheduleMode::Dynamic).unwrap();
     let tol = 1e-5 * serial.band.1;
     assert_eq!(serial.frequencies.len(), threaded.frequencies.len());
     assert_eq!(serial.frequencies.len(), simulated.frequencies.len());
@@ -160,7 +156,7 @@ fn thread_oversubscription_is_safe() {
     let ss = generate_case(&CaseSpec::new(14, 2).with_seed(3).with_target_crossings(2))
         .unwrap()
         .realize();
-    let serial = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
-    let wide = find_imaginary_eigenvalues(&ss, &SolverOptions::default().with_threads(16)).unwrap();
+    let serial = find_imaginary_eigenvalues(&ss, &sweep()).unwrap();
+    let wide = find_imaginary_eigenvalues(&ss, &sweep().with_threads(16)).unwrap();
     assert_eq!(serial.frequencies.len(), wide.frequencies.len());
 }

@@ -9,7 +9,7 @@
 //! pins live with `benchmark/` and the `*alloc_free` / `exec_steady_state`
 //! tests.
 
-use pheig::core::solver::{find_imaginary_eigenvalues, SolverOptions};
+use pheig::core::solver::{find_imaginary_eigenvalues, Certificate, SolverOptions};
 use pheig::model::generator::{generate_case, CaseSpec};
 
 #[test]
@@ -26,4 +26,7 @@ fn n96_serial_sweep_holds_the_matvec_and_zero_fault_pins() {
     assert_eq!(out.stats.faults_injected, 0);
     assert_eq!(out.stats.shifts_quarantined, 0);
     assert_eq!(out.covered_fraction, 1.0);
+    // 2n = 192 lies above the default dense crossover: this pin (and
+    // `benchmark -- smoke`, the same model) measures the sweep.
+    assert_eq!(out.certificate, Certificate::Disks);
 }

@@ -241,14 +241,13 @@ proptest! {
         )
         .unwrap()
         .realize();
-        let cold = find_imaginary_eigenvalues(
-            &ss,
-            &SolverOptions::default().with_recycling(false),
-        )
-        .unwrap();
+        // These orders sit below the dense crossover; the sweep is what is
+        // under test, so both runs keep it.
+        let sweep = SolverOptions::default().with_dense_max(0);
+        let cold = find_imaginary_eigenvalues(&ss, &sweep.clone().with_recycling(false)).unwrap();
         let warm = find_imaginary_eigenvalues(
             &ss,
-            &SolverOptions::default().with_recycling(true).with_block_size(block),
+            &sweep.with_recycling(true).with_block_size(block),
         )
         .unwrap();
         // The cold path must not touch the pool at all.
@@ -259,7 +258,7 @@ proptest! {
         pheig_fuzz::oracle::match_crossings(&warm.frequencies, &cold.frequencies, tol)
             .map_err(|e| TestCaseError::fail(format!("warm vs cold: {e}")))?;
         for (label, out) in [("cold", &cold), ("warm", &warm)] {
-            pheig_fuzz::oracle::disks_cover_band(&out.shift_log, out.band)
+            pheig_fuzz::oracle::disks_cover_band(out.certificate, &out.shift_log, out.band)
                 .map_err(|e| TestCaseError::fail(format!("{label} coverage: {e}")))?;
         }
     }
@@ -290,7 +289,10 @@ proptest! {
             let samples = FrequencySamples::from_model(&model, 0.01, 10.0, 90).unwrap();
             batch.push(Pipeline::from_samples(samples));
         }
-        let opts = PipelineOptions::default();
+        // The sweep's executor cohorts are what could leak across jobs; the
+        // dense path's determinism is `tests/dense_dispatch.rs`'s.
+        let mut opts = PipelineOptions::default();
+        opts.solver.dense_max = 0;
 
         // Reference: the sequential path, one job at a time.
         let reference: Vec<PassiveModel> =
