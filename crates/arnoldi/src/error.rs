@@ -18,10 +18,6 @@ pub enum ArnoldiError {
     Hamiltonian(pheig_hamiltonian::HamiltonianError),
     /// A dense kernel (projected eigensolve) failed.
     Linalg(pheig_linalg::LinalgError),
-    /// The shift was cancelled by the scheduler before finishing (its
-    /// interval became fully covered by siblings). Not a failure: the
-    /// partial result is simply discarded.
-    Cancelled,
 }
 
 impl fmt::Display for ArnoldiError {
@@ -33,7 +29,6 @@ impl fmt::Display for ArnoldiError {
             ),
             ArnoldiError::Hamiltonian(e) => write!(f, "operator construction failed: {e}"),
             ArnoldiError::Linalg(e) => write!(f, "projected eigensolve failed: {e}"),
-            ArnoldiError::Cancelled => write!(f, "shift cancelled by the scheduler"),
         }
     }
 }

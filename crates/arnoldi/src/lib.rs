@@ -23,7 +23,6 @@
 //! * [`options`] — tuning knobs (subspace size `d = 60`, eigenvalues per
 //!   shift `n_theta = 5`, tolerances), matching the paper's choices.
 
-pub mod block;
 pub mod control;
 pub mod error;
 pub mod krylov;
@@ -32,7 +31,6 @@ pub mod recycle;
 pub mod ritz;
 pub mod single_shift;
 
-pub use block::{block_shift_sweep, BlockLaneSpec};
 pub use control::{CancelToken, CorruptKind, FirePoint, SweepBudget, SweepControl};
 pub use error::ArnoldiError;
 pub use options::SingleShiftOptions;

@@ -19,9 +19,7 @@
 //! [`RecyclePool::evict`]s each entry whose disk meets no gather window of
 //! the scheduler, which never changes what a `gather` returns. Vectors are
 //! not copied: an entry, every gathered list and the donating outcome
-//! share one `Arc<[C64]>` block per eigenvector. The live count shrinks,
-//! so "how many shifts have donated" (the block driver's progressive cap)
-//! is the monotone [`RecyclePool::donors`], not [`RecyclePool::len`].
+//! share one `Arc<[C64]>` block per eigenvector.
 
 use crate::single_shift::SingleShiftOutcome;
 use pheig_linalg::C64;
@@ -54,7 +52,6 @@ struct PoolEntry {
 #[derive(Debug, Clone, Default)]
 pub struct RecyclePool {
     entries: Vec<PoolEntry>,
-    donors: usize,
 }
 
 impl RecyclePool {
@@ -67,7 +64,6 @@ impl RecyclePool {
     /// not survive the enforcement driver's model perturbations).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.donors = 0;
     }
 
     /// Number of donating shifts whose entry is still held.
@@ -80,12 +76,6 @@ impl RecyclePool {
         self.entries.is_empty()
     }
 
-    /// Shifts that have donated since the last [`RecyclePool::clear`],
-    /// evicted or not (monotone, unlike [`RecyclePool::len`]).
-    pub fn donors(&self) -> usize {
-        self.donors
-    }
-
     /// Total eigenpairs currently stored.
     pub fn pairs(&self) -> usize {
         self.entries.iter().map(|e| e.pairs.len()).sum()
@@ -96,7 +86,6 @@ impl RecyclePool {
         if out.in_disk.is_empty() {
             return;
         }
-        self.donors += 1;
         self.entries.push(PoolEntry {
             omega,
             radius: out.radius,
@@ -238,7 +227,7 @@ mod tests {
     }
 
     #[test]
-    fn evict_drops_unreadable_entries_and_keeps_the_donor_count() {
+    fn evict_drops_unreadable_entries() {
         let mut pool = RecyclePool::new();
         let (l1, l2, l3) = (
             C64::from_imag(1.0),
@@ -248,7 +237,7 @@ mod tests {
         pool.record(1.0, &outcome(1.0, 0.5, &[l1, l2]));
         pool.record(5.0, &outcome(5.0, 0.5, &[l3]));
         pool.record(9.0, &outcome(9.0, 0.5, &[])); // nothing to donate
-        assert_eq!((pool.len(), pool.donors(), pool.pairs()), (2, 2, 3));
+        assert_eq!((pool.len(), pool.pairs()), (2, 3));
         // Only disks reaching past omega = 4 stay readable.
         let mut seen = Vec::new();
         let dropped = pool.evict(|lo, hi| {
@@ -257,15 +246,12 @@ mod tests {
         });
         assert_eq!(seen, vec![(0.5, 1.5), (4.5, 5.5)]);
         assert_eq!(dropped, 1);
-        assert_eq!((pool.len(), pool.donors(), pool.pairs()), (1, 2, 1));
+        assert_eq!((pool.len(), pool.pairs()), (1, 1));
         let got = pool.gather(C64::from_imag(3.0), 10.0, 8);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].lambda, l3);
         assert_eq!(pool.evict(|_, _| false), 1);
         assert!(pool.is_empty());
-        assert_eq!(pool.donors(), 2, "donors is monotone until clear");
-        pool.clear();
-        assert_eq!(pool.donors(), 0);
     }
 
     #[test]

@@ -47,11 +47,9 @@ pub struct ArnoldiWorkspace {
 }
 
 /// What closing a round (or validating a warm candidate) computes in:
-/// nothing here outlives the call that fills it, so the lanes of a block,
-/// which never run concurrently, take turns with one
-/// ([`ShiftCore::with_round`]).
+/// nothing here outlives the call that fills it.
 #[derive(Debug, Default)]
-pub(crate) struct RoundScratch {
+struct RoundScratch {
     ritz: RitzSet,
     /// A vector being lifted or locked, and its operator image.
     v: Planes,
@@ -67,13 +65,6 @@ impl ArnoldiWorkspace {
     /// An empty workspace; storage grows on first use and is then reused.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The round scratch, for a block driver to share among its lanes
-    /// through [`ShiftCore::with_round`] (hand it back when the block is
-    /// done so it stays warm).
-    pub(crate) fn round_mut(&mut self) -> &mut RoundScratch {
-        &mut self.round
     }
 }
 
@@ -201,29 +192,19 @@ pub fn single_shift_on_op_with(
     opts: &SingleShiftOptions,
     ws: &mut ArnoldiWorkspace,
 ) -> Result<SingleShiftOutcome, ArnoldiError> {
-    let mut core = ShiftCore::new(op.dim(), theta, rho0, scale, opts, ws);
-    let mut apply = |x: &[C64], y: &mut [C64]| op.apply_into(x, y);
-    core.run_to_completion(&[], &mut apply, map)
+    ShiftCore::new(op.dim(), theta, rho0, scale, opts, ws).run_to_completion(&[], op, map)
 }
 
-/// The single-shift iteration as a resumable state machine.
+/// The per-shift state of one single-shift iteration.
 ///
 /// One `ShiftCore` owns all the per-shift state (locked eigenpairs, RNG,
 /// restart bookkeeping, statistics) while borrowing its heavy scratch from
-/// an [`ArnoldiWorkspace`]. The operator is externalized: [`Self::start`]
-/// validates warm candidates and opens the first round, and every
-/// [`Self::step`] after it performs exactly one Krylov-step operator
-/// application plus whatever bookkeeping that step completes (closing a
-/// round, opening the next, or the final Rayleigh–Ritz refinement and
-/// radius certificate). Both return `Some(outcome)` once the shift is done.
-///
-/// The solo drivers loop over `step` until it yields; the block driver
-/// steps several cores round-robin. Either way the per-shift math is the
-/// same calls in the same order, so a lane's result does not depend on
-/// what it is interleaved with. A cold start reproduces the original
-/// algorithm exactly — same RNG draws, same arithmetic, same results
-/// (pinned by `deterministic_given_seed`).
-pub(crate) struct ShiftCore<'a> {
+/// an [`ArnoldiWorkspace`]; [`Self::run_to_completion`] drives it from warm
+/// validation to the final Rayleigh–Ritz refinement and radius
+/// certificate. A cold start reproduces the original algorithm exactly —
+/// same RNG draws, same arithmetic, same results (pinned by
+/// `deterministic_given_seed`).
+struct ShiftCore<'a> {
     ws: &'a mut ArnoldiWorkspace,
     opts: &'a SingleShiftOptions,
     n: usize,
@@ -271,7 +252,7 @@ pub(crate) struct ShiftCore<'a> {
 }
 
 impl<'a> ShiftCore<'a> {
-    pub(crate) fn new(
+    fn new(
         n: usize,
         theta: C64,
         rho0: f64,
@@ -317,18 +298,13 @@ impl<'a> ShiftCore<'a> {
     /// [`crate::ritz::RitzPair::mapped_error_estimate`]. Converged
     /// survivors are pre-locked into the deflation set; "converging" ones
     /// cap the radius certificate via `warm_near`.
-    fn warm_init(
-        &mut self,
-        warm: &[RecycledPair],
-        apply: &mut dyn FnMut(&[C64], &mut [C64]),
-        map: &dyn Fn(C64) -> C64,
-    ) {
+    fn warm_init(&mut self, warm: &[RecycledPair], op: &dyn CLinearOp, map: &dyn Fn(C64) -> C64) {
         let cap = self.collect_target + 2;
         for pair in warm.iter().take(cap) {
             assert_eq!(pair.vector.len(), self.n, "recycled vector length mismatch");
             self.warm_candidates += 1;
-            // The candidate goes through the lane's operator boundary: no
-            // build is open, so the pair is free.
+            // The candidate goes through the operator boundary: no build
+            // is open, so the pair is free.
             let ArnoldiWorkspace {
                 fact,
                 round: RoundScratch { v, z, .. },
@@ -348,7 +324,7 @@ impl<'a> ShiftCore<'a> {
             }
             self.matvecs += 1;
             self.opts.control.charge_matvecs(1);
-            apply(cand, img);
+            op.apply_into(cand, img);
             self.opts.control.corrupt(img);
             let mu = dot(cand, img);
             let m2 = mu.abs_sq().max(f64::MIN_POSITIVE);
@@ -507,26 +483,22 @@ impl<'a> ShiftCore<'a> {
         fact.begin_build(self.n, start, steps)
     }
 
-    /// The operator boundary of the current Arnoldi step (see
-    /// [`ArnoldiFactorization::io_mut`]).
-    fn io_mut(&mut self) -> (&[C64], &mut [C64]) {
-        self.ws.fact.io_mut()
-    }
-
-    /// Absorbs the operator output of the current Arnoldi step; `false`
-    /// when the round's build is finished.
-    fn absorb_step(&mut self) -> bool {
-        self.ws.fact.absorb()
-    }
-
-    /// Fault hook for the operator boundary: corrupts the pending apply
-    /// output when the control's corruption fire-point triggers. Runs
-    /// between `apply` and [`Self::absorb_step`]; a no-op for an inert
-    /// control.
-    fn post_apply(&mut self) {
-        if self.opts.control.corrupt_apply.is_some() {
-            let (_, w) = self.ws.fact.io_mut();
-            self.opts.control.corrupt(w);
+    /// Runs the open round's build to its end: one operator application
+    /// per Krylov step through the factorization's operator boundary
+    /// ([`ArnoldiFactorization::io_mut`]). The fault hook corrupts each
+    /// output between the apply and its absorption when the control's
+    /// corruption fire-point triggers (a no-op for an inert control).
+    fn build_round(&mut self, op: &dyn CLinearOp) {
+        let fact = &mut self.ws.fact;
+        loop {
+            let (v, w) = fact.io_mut();
+            op.apply_into(v, w);
+            if self.opts.control.corrupt_apply.is_some() {
+                self.opts.control.corrupt(w);
+            }
+            if !fact.absorb() {
+                return;
+            }
         }
     }
 
@@ -636,107 +608,30 @@ impl<'a> ShiftCore<'a> {
         Ok(true)
     }
 
-    /// Runs `f` with `round` standing in for this lane's own round scratch
-    /// (and hands it back afterwards), so a driver stepping several lanes
-    /// in turn keeps one scratch warm instead of one per lane.
-    pub(crate) fn with_round<R>(
-        &mut self,
-        round: &mut RoundScratch,
-        f: impl FnOnce(&mut Self) -> R,
-    ) -> R {
-        std::mem::swap(&mut self.ws.round, round);
-        let out = f(self);
-        std::mem::swap(&mut self.ws.round, round);
-        out
-    }
-
-    /// Validates `warm` (if any) and opens the first round. `Some` means
-    /// the shift ended without a Krylov step to apply.
-    pub(crate) fn start(
-        &mut self,
-        warm: &[RecycledPair],
-        apply: &mut dyn FnMut(&[C64], &mut [C64]),
-        map: &dyn Fn(C64) -> C64,
-        cancelled: &mut dyn FnMut() -> bool,
-    ) -> Option<Result<SingleShiftOutcome, ArnoldiError>> {
-        if !warm.is_empty() {
-            self.warm_init(warm, apply, map);
-        }
-        self.open_round(map, cancelled)
-    }
-
-    /// One operator application on the open round. When that closes the
-    /// round, its Ritz processing runs and the next round opens; `Some`
-    /// is the shift's final outcome.
-    pub(crate) fn step(
-        &mut self,
-        apply: &mut dyn FnMut(&[C64], &mut [C64]),
-        map: &dyn Fn(C64) -> C64,
-        cancelled: &mut dyn FnMut() -> bool,
-    ) -> Option<Result<SingleShiftOutcome, ArnoldiError>> {
-        let (v, w) = self.io_mut();
-        apply(v, w);
-        self.post_apply();
-        if self.absorb_step() {
-            return None;
-        }
-        self.close_round(map)
-            .or_else(|| self.open_round(map, cancelled))
-    }
-
-    /// Closes the current round; `Some` when that ends the shift.
-    fn close_round(
-        &mut self,
-        map: &dyn Fn(C64) -> C64,
-    ) -> Option<Result<SingleShiftOutcome, ArnoldiError>> {
-        match self.finish_round(map) {
-            Ok(true) => None,
-            Ok(false) => Some(self.finish(map)),
-            Err(e) => Some(Err(e)),
-        }
-    }
-
-    /// Round boundary: polls `cancelled`, then opens the next Arnoldi
-    /// build (`None`) or ends the shift.
-    fn open_round(
-        &mut self,
-        map: &dyn Fn(C64) -> C64,
-        cancelled: &mut dyn FnMut() -> bool,
-    ) -> Option<Result<SingleShiftOutcome, ArnoldiError>> {
-        loop {
-            if cancelled() {
-                return Some(Err(ArnoldiError::Cancelled));
-            }
-            if !self.building() {
-                return Some(self.finish(map));
-            }
-            if self.begin_round() {
-                return None;
-            }
-            // Degenerate round (start inside the locked span): close it and
-            // let `building()`/the verdict decide what happens next.
-            if let Some(ended) = self.close_round(map) {
-                return Some(ended);
-            }
-        }
-    }
-
-    /// Runs the shift alone: [`Self::start`], then [`Self::step`] until it
-    /// yields the outcome.
+    /// Runs the shift: validates `warm` (if any), then builds, closes and
+    /// restarts Arnoldi rounds until no further round is warranted, and
+    /// finishes with the refinement and radius certificate.
     fn run_to_completion(
         &mut self,
         warm: &[RecycledPair],
-        apply: &mut dyn FnMut(&[C64], &mut [C64]),
+        op: &dyn CLinearOp,
         map: &dyn Fn(C64) -> C64,
     ) -> Result<SingleShiftOutcome, ArnoldiError> {
-        let mut never = || false;
-        let mut done = self.start(warm, apply, map, &mut never);
-        loop {
-            match done {
-                Some(outcome) => return outcome,
-                None => done = self.step(apply, map, &mut never),
+        if !warm.is_empty() {
+            self.warm_init(warm, op, map);
+        }
+        while self.building() {
+            // A degenerate round (start inside the locked span) applies
+            // nothing; closing it lets `building()` and the verdict decide
+            // what happens next.
+            if self.begin_round() {
+                self.build_round(op);
+            }
+            if !self.finish_round(map)? {
+                break;
             }
         }
+        self.finish(map)
     }
 
     /// Rayleigh–Ritz refinement on the locked subspace plus the radius
@@ -1025,9 +920,7 @@ pub fn single_shift_iteration_recycled_with(
     let op = build_shift_invert_op(ss, omega, scale)?;
     let theta = op.theta();
     let map = |mu: C64| op.to_hamiltonian_eigenvalue(mu);
-    let mut core = ShiftCore::new(op.dim(), theta, rho0, scale, opts, ws);
-    let mut apply = |x: &[C64], y: &mut [C64]| op.apply_into(x, y);
-    core.run_to_completion(warm, &mut apply, &map)
+    ShiftCore::new(op.dim(), theta, rho0, scale, opts, ws).run_to_completion(warm, &op, &map)
 }
 
 /// Estimates the largest eigenvalue magnitude of an operator by restarted

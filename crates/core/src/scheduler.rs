@@ -48,9 +48,9 @@ pub struct SchedulerStats {
     pub trimmed_tentative: usize,
     /// Child intervals spawned from uncovered remainders (Eqs. (25)–(28)).
     pub splits: usize,
-    /// In-flight shifts abandoned because their interval became fully
-    /// covered by sibling disks while they were still running (Eq. (24)
-    /// applied to in-flight work, not just queued tentatives).
+    /// Always 0: a shift, once pulled, runs to its end. Eq. (24) deletes
+    /// queued tentatives only. The counter stays so reports that read it
+    /// keep their schema.
     pub cancelled_in_flight: usize,
     /// Shifts the degradation ladder gave up on: their interval's
     /// uncovered remainder was recorded as a named coverage gap instead of
@@ -366,67 +366,12 @@ impl Scheduler {
         }
     }
 
-    /// `true` while `id` names a shift currently in flight. The block
-    /// driver's panic-recovery path uses this to retry only lanes that
-    /// never reached `complete`/`cancel` before the unwind.
-    pub fn is_in_flight(&self, id: usize) -> bool {
-        self.in_flight.contains_key(&id)
-    }
-
-    /// `true` when an in-flight shift's interval has since been fully
-    /// covered by sibling completions: its certified disk can no longer
-    /// contribute coverage, so the worker should abandon it. This is the
-    /// paper's Eq. (24) deletion rule extended to in-flight work — under
-    /// parallel completion orderings a worker often starts a shift moments
-    /// before a neighbor's larger-than-guessed disk lands on top of it.
-    ///
-    /// Deterministic in the scheduler state (pure function of the
-    /// uncovered set), so workers may poll it at any cadence.
-    pub fn should_cancel(&self, id: usize) -> bool {
-        let Some(t) = self.in_flight.get(&id) else {
-            return false;
-        };
-        let pieces = intersect(t.interval, &self.uncovered);
-        pieces.iter().map(|(a, b)| b - a).sum::<f64>() <= self.min_piece
-    }
-
-    /// Abandons an in-flight shift (normally after [`Self::should_cancel`]
-    /// turned `true`). Any sub-resolution uncovered residue of its interval
-    /// is accepted by fiat exactly like a deleted tentative's; a larger
-    /// remainder (cancellation on other grounds) is re-seeded, so the
-    /// coverage invariant survives either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the task id is unknown (double completion/cancellation).
-    pub fn cancel(&mut self, task: &ShiftTask) {
-        // PANIC-SAFE: a missing id is a double-cancellation bug in the
-        // driver; the documented panic (see `# Panics`) is the guard.
-        #[allow(clippy::expect_used)]
-        let interval = self
-            .in_flight
-            .remove(&task.id)
-            .expect("cancellation of unknown or already-completed task")
-            .interval;
-        self.stats.cancelled_in_flight += 1;
-        let pieces = intersect(interval, &self.uncovered);
-        let total: f64 = pieces.iter().map(|(a, b)| b - a).sum();
-        if total <= self.min_piece {
-            for &piece in &pieces {
-                self.dropped_length += piece.1 - piece.0;
-                subtract(&mut self.uncovered, piece);
-            }
-        } else {
-            self.seed_pieces(&pieces);
-        }
-    }
-
     /// Gives up on an in-flight shift the degradation ladder could not
     /// rescue: its interval's uncovered remainder is removed from the
     /// uncovered set (so the sweep can terminate) and recorded as a
     /// *named* coverage gap — honest partial coverage, never a silent
-    /// claim. Unlike [`Scheduler::cancel`], nothing is re-seeded: the
-    /// whole point is to stop retrying a breaking-down frequency.
+    /// claim. Nothing is re-seeded: the whole point is to stop retrying a
+    /// breaking-down frequency.
     ///
     /// # Panics
     ///
@@ -658,81 +603,6 @@ mod tests {
         let t = s.next_shift().unwrap();
         s.complete(&t, t.omega, 0.6);
         s.complete(&t, t.omega, 0.6);
-    }
-
-    #[test]
-    fn covered_in_flight_shift_is_cancelled() {
-        // Intervals over (0,4): (0,1),(1,2),(2,3),(3,4).
-        let mut s = Scheduler::new((0.0, 4.0), 4, 1.0);
-        let a = s.next_shift().unwrap(); // omega 0, interval (0,1)
-        let b = s.next_shift().unwrap(); // omega 4, interval (3,4)
-        let c = s.next_shift().unwrap(); // omega 1.5, interval (1,2)
-        assert!(!s.should_cancel(c.id));
-        // a's disk covers (0, 3.5): deletes the queued tentative (2,3) and
-        // makes the in-flight c redundant, while b keeps an uncovered tail.
-        s.complete(&a, a.omega, 3.5);
-        assert_eq!(s.stats().deleted_tentative, 1, "tentative (2,3) deleted");
-        assert!(s.should_cancel(c.id), "in-flight (1,2) fully covered");
-        assert!(!s.should_cancel(b.id), "(3.5,4) still uncovered");
-        s.cancel(&c);
-        assert_eq!(s.stats().cancelled_in_flight, 1);
-        assert!(s.coverage_invariant_holds());
-        assert!(!s.should_cancel(c.id), "cancelled id no longer known");
-        s.complete(&b, b.omega, 1.0);
-        assert!(s.is_done());
-        assert!(s.uncovered_length() <= s.dropped_length() + 1e-9);
-    }
-
-    #[test]
-    fn termination_with_cancellations_preserves_coverage() {
-        // Property test: under a pseudo-random parallel completion order
-        // with oversized disks, every in-flight shift that becomes covered
-        // is cancelled, and the run still terminates with a covered band.
-        let mut s = Scheduler::new((0.0, 10.0), 8, 1.05);
-        let mut pending: Vec<ShiftTask> = Vec::new();
-        let mut state = 0x9E3779B97F4A7C15u64;
-        let mut steps = 0usize;
-        loop {
-            while pending.len() < 4 {
-                match s.next_shift() {
-                    Some(t) => pending.push(t),
-                    None => break,
-                }
-            }
-            if pending.is_empty() {
-                break;
-            }
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let pick = (state >> 33) as usize % pending.len();
-            let t = pending.swap_remove(pick);
-            if s.should_cancel(t.id) {
-                s.cancel(&t);
-            } else {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let frac = ((state >> 40) as f64) / ((1u64 << 24) as f64);
-                // Oversized disks (up to 1.7 rho0) spill into neighbors and
-                // strand in-flight siblings.
-                s.complete(&t, t.omega, t.rho0 * (0.4 + 1.3 * frac));
-            }
-            assert!(
-                s.coverage_invariant_holds(),
-                "invariant broken at step {steps}"
-            );
-            steps += 1;
-            assert!(steps < 10_000, "scheduler failed to make progress");
-        }
-        assert!(s.is_done());
-        assert!(s.uncovered_length() <= s.dropped_length() + 1e-9);
-        let st = s.stats();
-        assert!(
-            st.cancelled_in_flight > 0,
-            "oversized disks should strand at least one in-flight shift: {st:?}"
-        );
-        assert_eq!(st.processed + st.cancelled_in_flight, steps);
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! appear, so this module replays the *identical* scheduler state machine
 //! with `T` virtual workers under a discrete-event clock. Each single-shift
 //! iteration is actually executed (serially, on the host) and charged its
-//! deterministic cost in work units (`matvecs + 3 * restarts` — operator
-//! applications dominate the real cost, and the per-restart surcharge
-//! covers the projected eigensolves; per-shift setup is `O(p^2/n)` of one
-//! matvec and is neglected). The simulated makespan then plays the role of
-//! the parallel wall time:
+//! deterministic cost in work units (`solver::cost_units`: `matvecs + 3 *
+//! restarts + ceil(refine_dim / 2)` — operator applications dominate the
+//! real cost, the per-restart surcharge covers the projected eigensolves,
+//! and the last term the Rayleigh–Ritz refinement, which applies no
+//! operator but still solves a dense problem of the locked dimension;
+//! per-shift setup is `O(p^2/n)` of one matvec and is neglected). The
+//! simulated makespan then plays the role of the parallel wall time:
 //!
 //! ```text
 //! speedup(T) = serial_total_cost / makespan(T)
@@ -24,7 +26,9 @@
 use crate::band::estimate_band;
 use crate::error::SolverError;
 use crate::scheduler::{Scheduler, SchedulerStats, ShiftTask};
-use crate::solver::{axis_pairs, cost_units, crossings, pole_scale, run_shift, SolverOptions};
+use crate::solver::{
+    axis_pairs, cost_units, crossings, initial_intervals, pole_scale, run_shift, SolverOptions,
+};
 use crate::spectrum;
 use pheig_arnoldi::single_shift::SingleShiftOutcome;
 use pheig_arnoldi::SweepControl;
@@ -118,7 +122,7 @@ pub fn simulate_parallel(
     let scale = pole_scale(ss);
     let mut scheduler = match mode {
         ScheduleMode::Dynamic => {
-            Scheduler::new(band, (opts.kappa.max(2) * threads).max(4), opts.alpha)
+            Scheduler::new(band, initial_intervals(opts.kappa, threads), opts.alpha)
         }
         ScheduleMode::StaticGrid { n_shifts } => {
             let mut s = Scheduler::new(band, n_shifts.max(2), opts.alpha);

@@ -18,11 +18,9 @@ use crate::scheduler::{Scheduler, SchedulerStats, ShiftTask, GATHER_FACTOR};
 use crate::spectrum::{self, ImaginaryEigenpair};
 use parking_lot::{Condvar, Mutex};
 use pheig_arnoldi::{
-    block_shift_sweep, build_shift_invert_op, single_shift_iteration_recycled_with, ArnoldiError,
-    ArnoldiWorkspace, BlockLaneSpec, CancelToken, ConvergedEigenpair, RecyclePool, RecycledPair,
-    SingleShiftOptions, SingleShiftOutcome, SweepControl,
+    single_shift_iteration_recycled_with, ArnoldiWorkspace, CancelToken, ConvergedEigenpair,
+    RecyclePool, RecycledPair, SingleShiftOptions, SingleShiftOutcome, SweepControl,
 };
-use pheig_hamiltonian::MultiShiftInvertOp;
 use pheig_linalg::C64;
 use pheig_model::StateSpace;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,30 +28,22 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Reusable solver scratch of *one* sweep worker (each cohort member
-/// executes against its own): one Arnoldi workspace per lane of the shift
-/// block that worker steps, at most `block_size` of them.
+/// executes against its own): the Arnoldi workspace of the shift that
+/// worker runs.
 ///
 /// A workspace created once and passed to repeated
 /// [`find_imaginary_eigenvalues_with`] calls (as the passivity-enforcement
-/// loop does) keeps every lane's Krylov basis storage alive across
-/// sweeps, eliminating steady-state allocation churn from the hot path.
+/// loop does) keeps the Krylov basis storage alive across sweeps,
+/// eliminating steady-state allocation churn from the hot path.
 #[derive(Debug, Default)]
 pub struct SolverWorkspace {
-    lanes: Vec<ArnoldiWorkspace>,
+    arnoldi: ArnoldiWorkspace,
 }
 
 impl SolverWorkspace {
-    /// An empty workspace; lane scratch grows on first use.
+    /// An empty workspace; its scratch grows on first use.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Grows the lane scratch list to `lanes` entries.
-    fn ensure_lanes(&mut self, lanes: usize) -> &mut [ArnoldiWorkspace] {
-        if self.lanes.len() < lanes {
-            self.lanes.resize_with(lanes, ArnoldiWorkspace::new);
-        }
-        &mut self.lanes[..lanes]
     }
 }
 
@@ -79,9 +69,6 @@ pub struct SolverOptions {
     /// vectors of completed disks warm-start nearby shifts (kill switch
     /// for A/B measurement; on by default).
     pub recycling: bool,
-    /// Maximum shifts pulled and stepped in lockstep by one worker; `1`
-    /// pulls and runs every shift on its own.
-    pub block_size: usize,
     /// Cooperative cancellation: latch the token and the sweep winds down
     /// at the next restart boundaries, returning whatever is certified
     /// (remaining work becomes named coverage gaps, not an error).
@@ -102,8 +89,8 @@ pub struct SolverOptions {
     /// [`Certificate::DenseWholeBand`] instead of disks. `0` never takes
     /// the dense path. It applies no operator, so `matvec_budget`,
     /// `restart_budget`, `fault_plan` (and `PHEIG_FAULT_PLAN`),
-    /// `recycling`, `block_size` and `threads` do not apply to it; `cancel`
-    /// does. The default, [`DEFAULT_DENSE_MAX`], is the measured crossover.
+    /// `recycling` and `threads` do not apply to it; `cancel` does. The
+    /// default, [`DEFAULT_DENSE_MAX`], is the measured crossover.
     pub dense_max: usize,
 }
 
@@ -125,7 +112,6 @@ impl SolverOptions {
             seed: 0,
             max_shift_retries: 4,
             recycling: true,
-            block_size: 4,
             cancel: None,
             matvec_budget: None,
             restart_budget: None,
@@ -143,13 +129,6 @@ impl SolverOptions {
     /// Enables or disables Krylov recycling across shifts.
     pub fn with_recycling(mut self, recycling: bool) -> Self {
         self.recycling = recycling;
-        self
-    }
-
-    /// Sets how many shifts one pull takes and steps in lockstep (`1`
-    /// runs every shift on its own).
-    pub fn with_block_size(mut self, block_size: usize) -> Self {
-        self.block_size = block_size.max(1);
         self
     }
 
@@ -374,9 +353,7 @@ pub(crate) fn cost_units(out: &SingleShiftOutcome) -> u64 {
     (out.matvecs + 3 * out.restarts) as u64 + (out.refine_dim as u64).div_ceil(2)
 }
 
-/// Start-vector seed of attempt `attempt` at `task`. A cold block lane
-/// uses attempt 0, which is what makes it bitwise identical to the solo
-/// iteration's first attempt.
+/// Start-vector seed of attempt `attempt` at `task`.
 fn shift_seed(opts: &SolverOptions, task: &ShiftTask, attempt: usize) -> u64 {
     opts.seed
         .wrapping_add((task.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
@@ -711,7 +688,7 @@ pub(crate) fn sweep(
         Some(b) => b,
         None => estimate_band(ss, &opts.arnoldi)?,
     };
-    let n_intervals = (opts.kappa.max(2) * opts.threads.max(1)).max(4);
+    let n_intervals = initial_intervals(opts.kappa, opts.threads);
     let scale = pole_scale(ss);
     let shared = Mutex::new(SharedState {
         scheduler: Scheduler::new(band, n_intervals, opts.alpha),
@@ -755,6 +732,12 @@ pub(crate) fn sweep(
         faults.faults_injected(),
         t0.elapsed(),
     ))
+}
+
+/// The scheduler's initial interval count `N = kappa T` (paper: `kappa >=
+/// 2`), never below four.
+pub(crate) fn initial_intervals(kappa: usize, threads: usize) -> usize {
+    (kappa.max(2) * threads.max(1)).max(4)
 }
 
 /// Whether a sweep of `ss` under `opts` is the dense eigensolve.
@@ -823,16 +806,13 @@ impl SweepShare<'_> {
         self.origin
     }
 
-    /// One cohort membership: pull batches of shifts until the scheduler
-    /// is done. This is Sec. IV.C's idle-worker loop; a member finding the
+    /// One cohort membership: pull shifts until the scheduler is done.
+    /// This is Sec. IV.C's idle-worker loop: a member takes the next
+    /// pending shift and its recycled warm-start candidates in one lock
+    /// acquisition and runs it outside the lock; a member finding the
     /// queue momentarily empty *waits* (another member's completion may
     /// split intervals and refill it) and wakes on every completion.
-    ///
-    /// Each pull takes up to `block_size` pending shifts in one lock
-    /// acquisition, together with their recycled warm-start candidates,
-    /// then steps them in lockstep outside the lock.
     pub(crate) fn run(&self, ctx: &mut TaskContext<'_>) {
-        let block_cap = self.opts.block_size.max(1);
         loop {
             // An injected worker panic fires here, at the pull boundary
             // with nothing in flight and no lock held: what's under test
@@ -841,7 +821,7 @@ impl SweepShare<'_> {
             if self.faults.should_panic_task() {
                 panic!("injected fault: solver task panic at pull boundary");
             }
-            let (batch, warms) = {
+            let (task, warm) = {
                 let mut guard = self.shared.lock();
                 loop {
                     if guard.scheduler.is_done() {
@@ -861,41 +841,14 @@ impl SweepShare<'_> {
                         self.cv.wait(&mut guard);
                         continue;
                     }
-                    if let Some(first) = guard.scheduler.next_shift() {
-                        let mut batch = vec![first];
-                        // Progressive batching: a batch pull commits every
-                        // lane *before* its neighbors' results can donate,
-                        // so batching ahead of a young pool re-spends the
-                        // matvecs recycling would have saved. Widen the
-                        // block only as donors accumulate (cap `1 + donors`
-                        // — the cold sweep opener always runs solo; donors,
-                        // not live entries, so eviction cannot move the cap).
-                        let donor_cap = if self.opts.recycling {
-                            1 + guard.pool.donors()
-                        } else {
-                            usize::MAX
-                        };
-                        while batch.len() < block_cap.min(donor_cap) {
-                            match guard.scheduler.next_shift() {
-                                Some(t) => batch.push(t),
-                                None => break,
-                            }
-                        }
-                        let warms: Vec<Vec<RecycledPair>> = batch
-                            .iter()
-                            .map(|t| gather_warm(&guard.pool, t, self.opts))
-                            .collect();
-                        break (batch, warms);
+                    if let Some(task) = guard.scheduler.next_shift() {
+                        let warm = gather_warm(&guard.pool, &task, self.opts);
+                        break (task, warm);
                     }
                     self.cv.wait(&mut guard);
                 }
             };
-            let lane_ws = ctx.workspace.ensure_lanes(batch.len());
-            if batch.len() == 1 {
-                self.run_solo(&batch[0], &warms[0], &mut lane_ws[0]);
-            } else {
-                self.run_block(&batch, warms, lane_ws);
-            }
+            self.run_solo(&task, &warm, &mut ctx.workspace.arnoldi);
         }
     }
 
@@ -930,12 +883,9 @@ impl SweepShare<'_> {
         .unwrap_or_else(|p| Err(SolverError::from_panic(p.as_ref())))
     }
 
-    /// Runs one shift solo (with retries) and records the result.
-    ///
-    /// A finished solo result is always *completed*, never cancelled: at
-    /// completion time the work is already spent, and a certified disk is
-    /// always sound to hand the scheduler — cancellation only pays when
-    /// it aborts a shift early (the block driver's round-boundary polls).
+    /// Runs one shift (with retries) and records the result: a certified
+    /// disk is always sound to hand the scheduler, even when sibling disks
+    /// covered the shift's interval while it ran.
     fn run_solo(&self, task: &ShiftTask, warm: &[RecycledPair], ws: &mut ArnoldiWorkspace) {
         let started = Instant::now();
         match self.attempt(task, self.opts, ws, warm) {
@@ -1000,114 +950,6 @@ impl SweepShare<'_> {
         }
         self.shared.lock().quarantine(task, first);
         self.cv.notify_all();
-    }
-
-    /// Steps a batch of shifts in lockstep, one lane each; lanes that
-    /// fail (below-resolution radius, Arnoldi failure) fall back to the
-    /// solo retry path, and lanes whose interval a sibling's completion
-    /// covered are cancelled at their next round boundary.
-    fn run_block(
-        &self,
-        batch: &[ShiftTask],
-        warms: Vec<Vec<RecycledPair>>,
-        lane_ws: &mut [ArnoldiWorkspace],
-    ) {
-        let attempted = catch_unwind(AssertUnwindSafe(|| {
-            self.try_block(batch, warms, &mut *lane_ws)
-        }));
-        let failed: Vec<usize> = match attempted {
-            Ok(Some(failed)) => failed,
-            // Lane operator construction failed (irreparably singular
-            // shift): run every lane through the solo retry path.
-            Ok(None) => (0..batch.len()).collect(),
-            // A lane panicked mid-superstep. `on_complete` may already
-            // have completed (or cancelled) some lanes before the unwind,
-            // so retry only the lanes still in flight — blindly retrying
-            // all of them would double-complete the scheduler.
-            Err(_) => {
-                let guard = self.shared.lock();
-                (0..batch.len())
-                    .filter(|&l| guard.scheduler.is_in_flight(batch[l].id))
-                    .collect()
-            }
-        };
-        for l in failed {
-            let task = &batch[l];
-            let warm = {
-                let mut guard = self.shared.lock();
-                // A sibling's completion may have covered this lane while
-                // the block ran; drop the redundant retry.
-                if guard.scheduler.should_cancel(task.id) {
-                    guard.scheduler.cancel(task);
-                    drop(guard);
-                    self.cv.notify_all();
-                    continue;
-                }
-                gather_warm(&guard.pool, task, self.opts)
-            };
-            self.run_solo(task, &warm, &mut lane_ws[0]);
-        }
-    }
-
-    /// Attempts the lockstep run proper. Returns the lanes needing
-    /// a solo fallback, or `None` when a lane operator could not be built
-    /// (then *every* lane still needs running).
-    fn try_block(
-        &self,
-        batch: &[ShiftTask],
-        warms: Vec<Vec<RecycledPair>>,
-        lane_ws: &mut [ArnoldiWorkspace],
-    ) -> Option<Vec<usize>> {
-        let started = Instant::now();
-        let mut lane_ops = Vec::with_capacity(batch.len());
-        for task in batch {
-            // Same fire-point the solo route consults before it factors: an
-            // injected singular shift is a construction failure here too.
-            if self.control.fire_singular() {
-                return None;
-            }
-            let scale = shift_scale(task, self.scale);
-            lane_ops.push(build_shift_invert_op(self.ss, task.omega, scale).ok()?);
-        }
-        let block = MultiShiftInvertOp::from_ops(lane_ops);
-        let specs: Vec<BlockLaneSpec> = batch
-            .iter()
-            .zip(warms)
-            .map(|(task, warm)| BlockLaneSpec {
-                rho0: task.rho0,
-                scale: shift_scale(task, self.scale),
-                opts: self
-                    .opts
-                    .arnoldi
-                    .clone()
-                    .with_seed(shift_seed(self.opts, task, 0))
-                    .with_control(self.control.clone()),
-                warm,
-            })
-            .collect();
-        let mut failed: Vec<usize> = Vec::new();
-        let mut should_cancel = |l: usize| self.shared.lock().scheduler.should_cancel(batch[l].id);
-        let mut on_complete = |l: usize, res: Result<SingleShiftOutcome, ArnoldiError>| {
-            let task = &batch[l];
-            match res {
-                Ok(out) if out.radius > min_radius(shift_scale(task, self.scale)) => {
-                    self.record(task, out, started)
-                }
-                Err(ArnoldiError::Cancelled) => {
-                    self.shared.lock().scheduler.cancel(task);
-                    self.cv.notify_all();
-                }
-                _ => failed.push(l),
-            }
-        };
-        block_shift_sweep(
-            &block,
-            &specs,
-            lane_ws,
-            &mut should_cancel,
-            &mut on_complete,
-        );
-        Some(failed)
     }
 }
 
@@ -1470,7 +1312,7 @@ mod tests {
     #[test]
     fn n96_pin_model_sweeps_under_default_options() {
         // `tests/perf_pins.rs` and `benchmark -- smoke` pin this model's
-        // sweep at 948 matvecs; a default threshold at or above its
+        // sweep matvecs; a default threshold at or above its
         // 2n = 192 would silently turn both into dense solves.
         let ss = generate_case(&CaseSpec::new(96, 3).with_target_crossings(4).with_seed(7))
             .unwrap()

@@ -1,10 +1,15 @@
-//! A lane container for lockstep multi-shift solves.
+//! A lane container of shift-inverted operators.
 //!
 //! A [`MultiShiftInvertOp`] bundles `k` independent [`ShiftInvertOp`]s
 //! over one shared [`StateSpace`]. Lanes share no kernel and no scratch:
 //! every application, single-lane or block, is that lane's solo
 //! [`ShiftInvertOp::apply_into`], so per-lane results are bitwise those
 //! of the solo operator by construction.
+//!
+//! The solver no longer uses it: the sweep runs one shift per pull. It
+//! stays because the benchmark package's
+//! `hamiltonian.multi_shift.apply_block_ns_per_lane` probe compiles
+//! against it, and goes when that probe does.
 
 use crate::error::HamiltonianError;
 use crate::op::CLinearOp;

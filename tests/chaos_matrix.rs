@@ -214,8 +214,7 @@ fn apply_corruption_at_every_stage() {
 fn singular_shift_and_stall_stages() {
     let ss = model();
     let oracle = oracle_crossings(&ss);
-    // `singular_shift=K` counts factorizations on both lane routes (solo
-    // attempts and lockstep block lanes), so at the default block size
+    // `singular_shift=K` counts the shift attempts' factorizations, so
     // every small K fires, exactly once.
     for stage in 0u64..4 {
         let plan = FaultPlan {

@@ -3,7 +3,9 @@
 //! Matvec counts are deterministic for a given SIMD tier and move only
 //! slightly between tiers, so the recycling pin is the blessed 948 matvecs
 //! plus 10%: a sweep that spends operator applications once per shift
-//! instead of once per eigenpair reads ~1990 and fails. The zero-fault
+//! instead of once per eigenpair reads ~1990 and fails. (The sweep now
+//! pulls one shift at a time and reads 956, inside the pin; the lockstep
+//! blocks of four it was blessed with read 948.) The zero-fault
 //! telemetry baseline (nothing injected, nothing quarantined, full
 //! coverage) rides on the same sweep. Timing, allocation and batch-scaling
 //! pins live with `benchmark/` and the `*alloc_free` / `exec_steady_state`

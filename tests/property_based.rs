@@ -224,17 +224,16 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Krylov recycling is an acceleration, never an answer change: warm
-    /// (recycling + block solves) and cold sweeps of the same model must
-    /// report the same crossing set, and both runs' certified disks must
-    /// cover the search band. The warm run may use different shifts (its
-    /// certificates extend past donated shells), but the *verdict* — which
-    /// frequencies cross — is pinned to the cold one.
+    /// and cold sweeps of the same model must report the same crossing set,
+    /// and both runs' certified disks must cover the search band. The warm
+    /// run may use different shifts (its certificates extend past donated
+    /// shells), but the *verdict* — which frequencies cross — is pinned to
+    /// the cold one.
     #[test]
     fn warm_and_cold_sweeps_agree_on_crossings(
         n in 4usize..14,
         seed in 0u64..400,
         target in 0usize..4,
-        block in 1usize..5,
     ) {
         let ss = generate_case(
             &CaseSpec::new(2 * n, 2).with_seed(seed).with_target_crossings(target),
@@ -245,11 +244,7 @@ proptest! {
         // under test, so both runs keep it.
         let sweep = SolverOptions::default().with_dense_max(0);
         let cold = find_imaginary_eigenvalues(&ss, &sweep.clone().with_recycling(false)).unwrap();
-        let warm = find_imaginary_eigenvalues(
-            &ss,
-            &sweep.with_recycling(true).with_block_size(block),
-        )
-        .unwrap();
+        let warm = find_imaginary_eigenvalues(&ss, &sweep.with_recycling(true)).unwrap();
         // The cold path must not touch the pool at all.
         prop_assert_eq!(cold.stats.recycle_candidates, 0);
         prop_assert_eq!(cold.stats.warm_started_shifts, 0);
