@@ -153,7 +153,7 @@ impl fmt::Debug for Task<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Task::BatchJob(_) => f.write_str("Task::BatchJob"),
-            Task::ShiftSweep(s) => write!(f, "Task::ShiftSweep({:?})", s.origin()),
+            Task::ShiftSweep(s) => write!(f, "Task::ShiftSweep({:?})", s.origin),
             Task::Probe(_) => f.write_str("Task::Probe"),
             #[cfg(test)]
             Task::PanicProbe(_) => f.write_str("Task::PanicProbe"),
@@ -320,7 +320,7 @@ impl PoolShared {
         self.counters.executed.fetch_add(1, Ordering::Relaxed);
         let per_kind = match task {
             Task::BatchJob(_) => &self.counters.batch_jobs,
-            Task::ShiftSweep(share) => match share.origin() {
+            Task::ShiftSweep(share) => match share.origin {
                 SweepOrigin::Characterization => &self.counters.characterization_sweeps,
                 SweepOrigin::Enforcement => &self.counters.enforcement_sweeps,
             },

@@ -13,7 +13,7 @@
 //!    single-shift Arnoldi iterations from `pheig-arnoldi` — or, below the
 //!    measured crossover (`SolverOptions::dense_max`), solves the whole
 //!    dense Hamiltonian instead;
-//! 4. [`simulate`] replays the identical scheduling state machine under a
+//! 4. [`simulate`] runs the solver's own per-pull body under a
 //!    deterministic virtual clock with `T` virtual workers — this is how
 //!    Table I speedups and Fig. 6 are reproduced on hosts with fewer than
 //!    16 physical cores (see DESIGN.md, substitution table);

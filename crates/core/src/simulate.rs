@@ -1,40 +1,44 @@
-//! Deterministic virtual-time simulation of the parallel solver.
+//! Deterministic virtual-time replay of the parallel sweep.
 //!
 //! **Why this exists.** The paper measures speedups on a 16-core Opteron
 //! blade. On hosts with fewer cores, wall-clock speedup physically cannot
-//! appear, so this module replays the *identical* scheduler state machine
-//! with `T` virtual workers under a discrete-event clock. Each single-shift
-//! iteration is actually executed (serially, on the host) and charged its
-//! deterministic cost in work units (`solver::cost_units`: `matvecs + 3 *
+//! appear, so this module drives the sweep's own per-pull body —
+//! [`SweepShare`]'s pull -> execute -> commit, with its recycle pool,
+//! degradation ladder, quarantine and fault plan — with `T` *virtual*
+//! members under a discrete-event clock instead of the executor's
+//! threads. A member that goes idle pulls a shift and executes it at once
+//! (serially, on the host); the shift's commit is an event at `clock +
+//! cost`, where the cost is `solver::cost_units` (`matvecs + 3 *
 //! restarts + ceil(refine_dim / 2)` — operator applications dominate the
-//! real cost, the per-restart surcharge covers the projected eigensolves,
-//! and the last term the Rayleigh–Ritz refinement, which applies no
-//! operator but still solves a dense problem of the locked dimension;
-//! per-shift setup is `O(p^2/n)` of one matvec and is neglected). The
-//! simulated makespan then plays the role of the parallel wall time:
+//! real cost, the per-restart surcharge covers the projected eigensolves, and
+//! the last term the Rayleigh–Ritz refinement, which applies no operator
+//! but still solves a dense problem of the locked dimension). A
+//! quarantined shift costs 0 units, as it adds nothing to `total_matvecs`.
+//! The simulated makespan then plays the role of the parallel wall time:
 //!
 //! ```text
 //! speedup(T) = serial_total_cost / makespan(T)
 //! ```
 //!
-//! Because scheduling *decisions* (which tentative shifts get deleted,
-//! where intervals split) depend on completion order, the simulation
-//! reproduces the paper's superlinear-speedup mechanism faithfully —
-//! including its dependence on the number of threads and on the random
-//! Arnoldi start vectors (vary `opts.seed` to reproduce Fig. 6 error bars).
+//! Scheduling *decisions* (which tentative shifts get deleted, where
+//! intervals split, which warm candidates a shift gathers) depend on
+//! completion order, so the simulation reproduces the paper's
+//! superlinear-speedup mechanism — including its dependence on the number
+//! of threads and on the random Arnoldi start vectors (vary `opts.seed`
+//! to reproduce Fig. 6 error bars). At `T = 1` the event order is the
+//! driver's, so the simulator replays `find_imaginary_eigenvalues` shift
+//! for shift. It always sweeps (`dense_max` does not apply), and a
+//! `panic_task` fault, which fires at an executor member's pull boundary,
+//! never fires here.
 
-use crate::band::estimate_band;
 use crate::error::SolverError;
-use crate::scheduler::{Scheduler, SchedulerStats, ShiftTask};
-use crate::solver::{
-    axis_pairs, cost_units, crossings, initial_intervals, pole_scale, run_shift, SolverOptions,
-};
-use crate::spectrum;
-use pheig_arnoldi::single_shift::SingleShiftOutcome;
-use pheig_arnoldi::SweepControl;
+use crate::exec::SweepOrigin;
+use crate::solver::{cost_units, ShiftRecord, SolverOptions, SolverStats, SweepShare};
+use pheig_arnoldi::ArnoldiWorkspace;
 use pheig_model::StateSpace;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::time::Instant;
 
 /// Scheduling flavor for the simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,40 +66,19 @@ pub struct SimulatedRun {
     pub total_cost: u64,
     /// Crossing frequencies found (must agree with the real solver).
     pub frequencies: Vec<f64>,
-    /// Scheduler counters.
-    pub stats: SchedulerStats,
-    /// Number of single-shift iterations executed.
-    pub shifts_processed: usize,
+    /// Fraction of the band certified disks cover: below 1 when shifts
+    /// were quarantined, so such a run reads as partial.
+    pub covered_fraction: f64,
+    /// Per-shift telemetry, ordered as the driver's `shift_log`.
+    pub shift_log: Vec<ShiftRecord>,
+    /// Aggregate statistics, as the driver's.
+    pub stats: SolverStats,
 }
 
 impl SimulatedRun {
     /// Speedup of this run against a reference serial cost.
     pub fn speedup_vs(&self, serial_total_cost: u64) -> f64 {
         serial_total_cost as f64 / self.makespan.max(1) as f64
-    }
-}
-
-struct Event {
-    finish: u64,
-    seq: u64,
-    task: ShiftTask,
-    outcome: SingleShiftOutcome,
-}
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        (self.finish, self.seq) == (other.finish, other.seq)
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.finish, self.seq).cmp(&(other.finish, other.seq))
     }
 }
 
@@ -115,79 +98,45 @@ pub fn simulate_parallel(
     mode: ScheduleMode,
 ) -> Result<SimulatedRun, SolverError> {
     let threads = threads.max(1);
-    let band = match opts.band {
-        Some(b) => b,
-        None => estimate_band(ss, &opts.arnoldi)?,
-    };
-    let scale = pole_scale(ss);
-    let mut scheduler = match mode {
-        ScheduleMode::Dynamic => {
-            Scheduler::new(band, initial_intervals(opts.kappa, threads), opts.alpha)
-        }
-        ScheduleMode::StaticGrid { n_shifts } => {
-            let mut s = Scheduler::new(band, n_shifts.max(2), opts.alpha);
-            s.set_delete_covered(false);
-            s
-        }
-    };
-
-    // The simulator executes shifts inline on the caller's thread; one
-    // workspace is reused across every simulated shift.
-    let mut ws = pheig_arnoldi::ArnoldiWorkspace::new();
-    let mut clock: u64 = 0;
-    let mut seq: u64 = 0;
-    let mut idle = threads;
-    let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-    let mut total_cost: u64 = 0;
-    let mut all_pairs = Vec::new();
-    let mut processed = 0usize;
-
+    let share = SweepShare::new(ss, opts, threads, mode, SweepOrigin::Characterization)?;
+    // Every virtual member executes on the caller's thread, against one
+    // workspace.
+    let mut ws = ArnoldiWorkspace::new();
+    // Executed shifts awaiting their commit, in pull order; the heap
+    // orders the commits by virtual finish time, then pull order.
+    let mut executed = Vec::new();
+    let mut heap = BinaryHeap::new();
+    let (mut clock, mut idle) = (0u64, threads);
     loop {
-        // Fill idle workers with available tentative shifts at the current
-        // virtual time.
         while idle > 0 {
-            match scheduler.next_shift() {
-                Some(task) => {
-                    // The simulator's cost model is cold-start by design:
-                    // virtual-time speedup curves must not depend on the
-                    // completion-order-dependent recycling pool.
-                    let outcome =
-                        run_shift(ss, &task, scale, opts, &mut ws, &[], &SweepControl::none())?;
-                    let cost = cost_units(&outcome);
-                    total_cost += cost;
-                    heap.push(Reverse(Event {
-                        finish: clock + cost,
-                        seq,
-                        task,
-                        outcome,
-                    }));
-                    seq += 1;
-                    idle -= 1;
-                }
-                None => break,
-            }
+            let Some((task, warm)) = share.pull(&mut share.shared.lock()) else {
+                break;
+            };
+            let started = Instant::now();
+            let result = share.execute(&task, &warm, &mut ws);
+            let cost = result.as_ref().map_or(0, cost_units);
+            heap.push(Reverse((clock + cost, executed.len())));
+            executed.push(Some((task, result, started.elapsed())));
+            idle -= 1;
         }
-        match heap.pop() {
-            Some(Reverse(ev)) => {
-                clock = ev.finish;
-                scheduler.complete(&ev.task, ev.outcome.theta.im, ev.outcome.radius);
-                all_pairs.extend(axis_pairs(ev.outcome.in_disk, opts, scale));
-                processed += 1;
-                idle += 1;
-            }
-            None => break,
+        let Some(Reverse((finish, pulled))) = heap.pop() else {
+            break;
+        };
+        clock = finish;
+        if let Some((task, result, wall)) = executed[pulled].take() {
+            share.commit(&mut share.shared.lock(), &task, result, wall);
         }
+        idle += 1;
     }
-    debug_assert!(scheduler.is_done());
-
-    let eigenpairs = crossings(&all_pairs, opts, scale);
+    let out = share.finish();
     Ok(SimulatedRun {
         threads,
         makespan: clock,
-        total_cost,
-        frequencies: spectrum::frequencies(&eigenpairs),
-        stats: scheduler.stats(),
-        shifts_processed: processed,
+        total_cost: out.shift_log.iter().map(|r| r.cost_units).sum(),
+        frequencies: out.frequencies,
+        covered_fraction: out.covered_fraction,
+        shift_log: out.shift_log,
+        stats: out.stats,
     })
 }
 
@@ -204,55 +153,33 @@ mod tests {
     }
 
     #[test]
-    fn simulation_is_deterministic() {
+    fn more_workers_shorten_the_makespan_deterministically() {
+        // The schedule differs with T, but four workers cannot lose to
+        // one on the same task set; a rerun repeats the run exactly. (At
+        // T = 1 the run is the driver's: `tests/parallel_consistency.rs`.)
         let ss = test_model();
-        let a =
-            simulate_parallel(&ss, 4, &SolverOptions::default(), ScheduleMode::Dynamic).unwrap();
-        let b =
-            simulate_parallel(&ss, 4, &SolverOptions::default(), ScheduleMode::Dynamic).unwrap();
-        assert_eq!(a.makespan, b.makespan);
-        assert_eq!(a.total_cost, b.total_cost);
-        assert_eq!(a.frequencies, b.frequencies);
-    }
-
-    #[test]
-    fn simulated_frequencies_match_real_solver() {
-        let ss = test_model();
-        let real = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
-        let sim =
-            simulate_parallel(&ss, 4, &SolverOptions::default(), ScheduleMode::Dynamic).unwrap();
-        assert_eq!(sim.frequencies.len(), real.frequencies.len());
-        for (a, b) in sim.frequencies.iter().zip(&real.frequencies) {
-            assert!((a - b).abs() < 1e-5 * real.band.1);
-        }
-    }
-
-    #[test]
-    fn single_worker_makespan_equals_total_cost() {
-        let ss = test_model();
-        let sim =
-            simulate_parallel(&ss, 1, &SolverOptions::default(), ScheduleMode::Dynamic).unwrap();
-        assert_eq!(sim.makespan, sim.total_cost);
-        assert!(sim.speedup_vs(sim.total_cost) >= 0.999);
-    }
-
-    #[test]
-    fn more_workers_never_slow_the_makespan_much() {
-        // Makespan with T workers should not exceed the serial makespan
-        // (the schedule can differ, but parallelism cannot lose by a wide
-        // margin on the same task set).
-        let ss = test_model();
-        let s1 =
-            simulate_parallel(&ss, 1, &SolverOptions::default(), ScheduleMode::Dynamic).unwrap();
-        let s4 =
-            simulate_parallel(&ss, 4, &SolverOptions::default(), ScheduleMode::Dynamic).unwrap();
+        let opts = SolverOptions::default();
+        let s1 = simulate_parallel(&ss, 1, &opts, ScheduleMode::Dynamic).unwrap();
+        let s4 = simulate_parallel(&ss, 4, &opts, ScheduleMode::Dynamic).unwrap();
+        assert_eq!(s1.makespan, s1.total_cost);
         assert!(
             s4.makespan <= s1.makespan,
-            "4-worker makespan {} vs serial {}",
+            "{} vs {}",
             s4.makespan,
             s1.makespan
         );
         assert!(s4.speedup_vs(s1.total_cost) >= 1.0);
+        let again = simulate_parallel(&ss, 4, &opts, ScheduleMode::Dynamic).unwrap();
+        assert_eq!(
+            (again.makespan, again.total_cost),
+            (s4.makespan, s4.total_cost)
+        );
+        assert_eq!(again.frequencies, s4.frequencies);
+        let real = find_imaginary_eigenvalues(&ss, &opts).unwrap();
+        assert_eq!(s4.frequencies.len(), real.frequencies.len());
+        for (a, b) in s4.frequencies.iter().zip(&real.frequencies) {
+            assert!((a - b).abs() < 1e-5 * real.band.1);
+        }
     }
 
     #[test]
@@ -266,8 +193,8 @@ mod tests {
         )
         .unwrap();
         // All 12 grid shifts processed (plus any splits), no deletions.
-        assert!(sim.shifts_processed >= 12);
-        assert_eq!(sim.stats.deleted_tentative, 0);
+        assert!(sim.shift_log.len() >= 12);
+        assert_eq!(sim.stats.scheduler.deleted_tentative, 0);
         // Results still correct.
         let real = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
         assert_eq!(sim.frequencies.len(), real.frequencies.len());

@@ -7,7 +7,8 @@
 //! cohort of `T - 1` extra members to the persistent [`Executor`] and
 //! joins it as the first member, so repeated sweeps (the enforcement loop,
 //! batches of models) reuse one long-lived pool instead of respawning
-//! scoped threads per sweep.
+//! scoped threads per sweep. The simulator runs the same per-pull body
+//! ([`SweepShare`]) under a virtual clock.
 
 use crate::band::estimate_band;
 use crate::dense;
@@ -15,6 +16,7 @@ use crate::error::SolverError;
 use crate::exec::{Executor, SweepOrigin, Task, TaskContext};
 use crate::fault::{self, ActiveFaults, FaultPlan};
 use crate::scheduler::{Scheduler, SchedulerStats, ShiftTask, GATHER_FACTOR};
+use crate::simulate::ScheduleMode;
 use crate::spectrum::{self, ImaginaryEigenpair};
 use parking_lot::{Condvar, Mutex};
 use pheig_arnoldi::{
@@ -23,6 +25,7 @@ use pheig_arnoldi::{
 };
 use pheig_linalg::C64;
 use pheig_model::StateSpace;
+use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -73,24 +76,22 @@ pub struct SolverOptions {
     /// at the next restart boundaries, returning whatever is certified
     /// (remaining work becomes named coverage gaps, not an error).
     pub cancel: Option<CancelToken>,
-    /// Per-sweep operator-application budget shared by all shifts; on
+    /// Fault-injection plan for chaos testing, and the per-sweep work
+    /// budgets (`FaultPlan::{budget_matvecs, budget_restarts}`: on
     /// exhaustion the sweep degrades to a partial result exactly like a
-    /// cancellation. `None` is unlimited.
-    pub matvec_budget: Option<u64>,
-    /// Per-sweep restart budget; same semantics as `matvec_budget`.
-    pub restart_budget: Option<u64>,
-    /// Fault-injection plan for chaos testing. `None` consults the
-    /// `PHEIG_FAULT_PLAN` environment hook; an empty plan (and an unset
-    /// variable) arms nothing and costs nothing on the hot path.
+    /// cancellation). `None` consults the `PHEIG_FAULT_PLAN` environment
+    /// hook; an empty plan (and an unset variable) arms nothing and costs
+    /// nothing on the hot path.
     pub fault_plan: Option<FaultPlan>,
     /// Largest Hamiltonian order `2n` solved densely instead of swept: at
     /// or below it a sweep is one `O(n^3)` eigensolve of the whole dense
     /// Hamiltonian, eigenvectors for the crossings only, certified by
     /// [`Certificate::DenseWholeBand`] instead of disks. `0` never takes
-    /// the dense path. It applies no operator, so `matvec_budget`,
-    /// `restart_budget`, `fault_plan` (and `PHEIG_FAULT_PLAN`),
-    /// `recycling` and `threads` do not apply to it; `cancel` does. The
-    /// default, [`DEFAULT_DENSE_MAX`], is the measured crossover.
+    /// the dense path. It applies no operator, so `fault_plan` (budgets
+    /// included, and `PHEIG_FAULT_PLAN`), `recycling` and `threads` do not
+    /// apply to it; `cancel` does. The simulator
+    /// ([`crate::simulate::simulate_parallel`]) always sweeps. The default,
+    /// [`DEFAULT_DENSE_MAX`], is the measured crossover.
     pub dense_max: usize,
 }
 
@@ -113,8 +114,6 @@ impl SolverOptions {
             max_shift_retries: 4,
             recycling: true,
             cancel: None,
-            matvec_budget: None,
-            restart_budget: None,
             fault_plan: None,
             dense_max: DEFAULT_DENSE_MAX,
         }
@@ -150,19 +149,7 @@ impl SolverOptions {
         self
     }
 
-    /// Caps the sweep's total operator applications.
-    pub fn with_matvec_budget(mut self, matvecs: u64) -> Self {
-        self.matvec_budget = Some(matvecs);
-        self
-    }
-
-    /// Caps the sweep's total restarts.
-    pub fn with_restart_budget(mut self, restarts: u64) -> Self {
-        self.restart_budget = Some(restarts);
-        self
-    }
-
-    /// Arms a fault-injection plan (chaos testing).
+    /// Arms a fault-injection plan (chaos testing) or a work budget.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(plan);
         self
@@ -382,7 +369,7 @@ fn min_radius(scale: f64) -> f64 {
 /// shift-inverted shell multiply degenerate) can defeat the Krylov
 /// iteration, while any nearby asymmetric shift covers the same interval.
 /// The scheduler accepts disks centered at the *actual* shift used.
-pub(crate) fn run_shift(
+fn run_shift(
     ss: &StateSpace,
     task: &ShiftTask,
     scale_floor: f64,
@@ -438,21 +425,6 @@ pub(crate) fn run_shift(
     })
 }
 
-/// Gathers recycled warm-start candidates for a pending shift.
-///
-/// Reach slightly exceeds the initial radius guess (candidates just
-/// outside the expected disk still cap the certificate via near-miss
-/// estimates); the cap is the per-shift collect target plus slack,
-/// rounded up to even so Hamiltonian mirror pairs are never split.
-fn gather_warm(pool: &RecyclePool, task: &ShiftTask, opts: &SolverOptions) -> Vec<RecycledPair> {
-    if !opts.recycling {
-        return Vec::new();
-    }
-    let reach = task.rho0 * GATHER_FACTOR;
-    let cap = (opts.arnoldi.n_eigs + 4) & !1;
-    pool.gather(C64::from_imag(task.omega), reach, cap)
-}
-
 /// The frequency scale on which crossings live: the fastest pole resonance.
 pub(crate) fn pole_scale(ss: &StateSpace) -> f64 {
     ss.a().max_natural_frequency().max(f64::MIN_POSITIVE)
@@ -462,7 +434,7 @@ pub(crate) fn pole_scale(ss: &StateSpace) -> f64 {
 /// crossings. "Purely imaginary" is classified with a safety factor above
 /// the Arnoldi eigenvalue tolerance, scaled by the pole band `scale`
 /// ([`pole_scale`]; crossings cannot occur beyond the model's resonances).
-pub(crate) fn crossings(
+fn crossings(
     pairs: &[ConvergedEigenpair],
     opts: &SolverOptions,
     scale: f64,
@@ -503,7 +475,7 @@ pub(crate) fn reportable(
 /// What a sweep keeps of a finished shift's in-disk set: the pairs
 /// [`crossings`] can read, in their order (the rest is read again only
 /// through the recycle pool, which holds its own references).
-pub(crate) fn axis_pairs(
+fn axis_pairs(
     mut in_disk: Vec<ConvergedEigenpair>,
     opts: &SolverOptions,
     scale: f64,
@@ -511,72 +483,6 @@ pub(crate) fn axis_pairs(
     let tol = axis_tol(opts, scale);
     in_disk.retain(|e| spectrum::on_axis(e.lambda, tol));
     in_disk
-}
-
-/// Assembles the outcome from a finished sweep's shared state.
-fn assemble(
-    band: (f64, f64),
-    scale: f64,
-    state: SharedState,
-    opts: &SolverOptions,
-    faults_injected: u64,
-    wall: Duration,
-) -> SolverOutcome {
-    let sched_stats = state.scheduler.stats();
-    let gaps = state.scheduler.coverage_gaps();
-    let mut completions = state.completions;
-    // Under `threads > 1` completions land in mutex-acquisition order,
-    // which varies run to run; sort by shift frequency (radius as the
-    // tie-break) so `shift_log` and everything derived from it is
-    // deterministic for a given completion set.
-    completions.sort_by(|a, b| {
-        a.0.omega
-            .total_cmp(&b.0.omega)
-            .then(a.0.radius.total_cmp(&b.0.radius))
-    });
-    let mut all_pairs = Vec::new();
-    let mut shift_log = Vec::with_capacity(completions.len());
-    let mut total_matvecs = 0usize;
-    let mut warm_started_shifts = 0usize;
-    let mut recycle_candidates = 0usize;
-    let mut recycle_hits = 0usize;
-    for (rec, pairs) in completions {
-        total_matvecs += rec.matvecs;
-        warm_started_shifts += usize::from(rec.warm_candidates > 0);
-        recycle_candidates += rec.warm_candidates;
-        recycle_hits += rec.warm_pre_locked;
-        shift_log.push(rec);
-        all_pairs.extend(pairs);
-    }
-    let eigenpairs = reportable(crossings(&all_pairs, opts, scale), band);
-    let frequencies = spectrum::frequencies(&eigenpairs);
-    let band_len = (band.1 - band.0).max(f64::MIN_POSITIVE);
-    let gap_len: f64 = gaps.iter().map(|&(lo, hi)| hi - lo).sum();
-    let covered_fraction = (1.0 - gap_len / band_len).clamp(0.0, 1.0);
-    let shifts_quarantined = sched_stats.quarantined;
-    SolverOutcome {
-        frequencies,
-        eigenpairs,
-        band,
-        shift_log,
-        quarantined: state.quarantined,
-        coverage_gaps: gaps,
-        covered_fraction,
-        certificate: Certificate::Disks,
-        stats: SolverStats {
-            scheduler: sched_stats,
-            total_matvecs,
-            warm_started_shifts,
-            recycle_candidates,
-            recycle_hits,
-            shifts_quarantined,
-            faults_injected,
-            pairs_converged: state.pairs_converged,
-            pool_peak_pairs: state.pool_peak_pairs,
-            pool_evicted_entries: state.pool_evicted_entries,
-            wall,
-        },
-    }
 }
 
 /// Locates all purely imaginary Hamiltonian eigenvalues of a macromodel.
@@ -650,94 +556,26 @@ pub(crate) fn sweep(
     ws: &mut SolverWorkspace,
     origin: SweepOrigin,
 ) -> Result<SolverOutcome, SolverError> {
-    validate_options(opts)?;
     if takes_dense_path(ss, opts) {
+        validate_options(opts)?;
         return dense::solve(ss, opts);
     }
-    let t0 = Instant::now();
-    // `PHEIG_NO_RECYCLE` kill switch: force recycling off regardless of
-    // options, so A/B and incident triage never require a rebuild.
-    static NO_RECYCLE: OnceLock<bool> = OnceLock::new();
-    let no_recycle =
-        *NO_RECYCLE.get_or_init(|| std::env::var_os("PHEIG_NO_RECYCLE").is_some_and(|v| v != "0"));
-    let mut eff_opts = None;
-    let opts = if no_recycle && opts.recycling {
-        &*eff_opts.insert(opts.clone().with_recycling(false))
-    } else {
-        opts
-    };
-    // Fault plan: explicit options win; otherwise the `PHEIG_FAULT_PLAN`
-    // environment hook. Budget overrides fold into the plan so both
-    // channels share one activation path.
-    let mut plan = match &opts.fault_plan {
-        Some(p) => p.clone(),
-        None => fault::plan_from_env()?.unwrap_or_default(),
-    };
-    if opts.matvec_budget.is_some() {
-        plan.budget_matvecs = opts.matvec_budget;
-    }
-    if opts.restart_budget.is_some() {
-        plan.budget_restarts = opts.restart_budget;
-    }
-    let faults = plan.activate();
-    let mut control = faults.control.clone();
-    if let Some(token) = &opts.cancel {
-        control.cancel = Some(token.clone());
-    }
-    let band = match opts.band {
-        Some(b) => b,
-        None => estimate_band(ss, &opts.arnoldi)?,
-    };
-    let n_intervals = initial_intervals(opts.kappa, opts.threads);
-    let scale = pole_scale(ss);
-    let shared = Mutex::new(SharedState {
-        scheduler: Scheduler::new(band, n_intervals, opts.alpha),
-        pool: RecyclePool::new(),
-        completions: Vec::new(),
-        quarantined: Vec::new(),
-        pairs_converged: 0,
-        pool_peak_pairs: 0,
-        pool_evicted_entries: 0,
-    });
-    let share = SweepShare {
-        ss,
-        scale,
-        opts,
-        shared: &shared,
-        cv: &Condvar::new(),
-        origin,
-        control: &control,
-        faults: &faults,
-    };
+    let share = SweepShare::new(ss, opts, opts.threads, ScheduleMode::Dynamic, origin)?;
     let extra = opts.threads.saturating_sub(1);
     let run = Executor::current_or_pool(extra).run_cohort_caught(
         Task::ShiftSweep(&share),
         extra,
         &mut TaskContext::new(ws),
     );
-    let state = shared.into_inner();
     // A panic payload only becomes an error when the sweep did not
     // finish: an injected worker panic whose siblings still completed the
     // band is a *contained* fault, not a failure.
     if let Err(payload) = run {
-        if !state.scheduler.is_done() {
+        if !share.shared.lock().scheduler.is_done() {
             return Err(SolverError::from_panic(payload.as_ref()));
         }
     }
-    Ok(assemble(
-        band,
-        scale,
-        state,
-        opts,
-        faults.faults_injected(),
-        t0.elapsed(),
-    ))
-}
-
-/// The scheduler's initial interval count `N = kappa T` (paper: `kappa >=
-/// 2`), never below four.
-pub(crate) fn initial_intervals(kappa: usize, threads: usize) -> usize {
-    (kappa.max(2) * threads.max(1)).max(4)
+    Ok(share.finish())
 }
 
 /// Whether a sweep of `ss` under `opts` is the dense eigensolve.
@@ -761,7 +599,7 @@ fn validate_options(opts: &SolverOptions) -> Result<(), SolverError> {
 }
 
 /// Everything a sweep's members share behind one lock.
-struct SharedState {
+pub(crate) struct SharedState {
     scheduler: Scheduler,
     pool: RecyclePool,
     /// Certified shifts in completion order: the telemetry scalars and
@@ -786,30 +624,95 @@ impl SharedState {
     }
 }
 
-/// Shared state of one multi-shift sweep cohort: the scheduler (and its
-/// completion log) behind one lock, plus everything a member needs to run
-/// shifts. Public only as a [`Task::ShiftSweep`] payload; constructed and
-/// owned by the sweep driver, which joins the cohort itself.
+/// One sweep: its setup, and its shared state behind one lock.
+///
+/// The per-pull body is three steps — [`pull`](Self::pull) and
+/// [`commit`](Self::commit) under the lock, [`execute`](Self::execute)
+/// outside it — and two clocks drive them: the executor cohort's real
+/// threads ([`SweepShare::run`], a [`Task::ShiftSweep`] payload) and the
+/// simulator's virtual members ([`crate::simulate::simulate_parallel`]).
 pub struct SweepShare<'a> {
     ss: &'a StateSpace,
+    opts: Cow<'a, SolverOptions>,
+    band: (f64, f64),
     scale: f64,
-    opts: &'a SolverOptions,
-    shared: &'a Mutex<SharedState>,
-    cv: &'a Condvar,
-    origin: SweepOrigin,
-    control: &'a SweepControl,
-    faults: &'a ActiveFaults,
+    pub(crate) shared: Mutex<SharedState>,
+    cv: Condvar,
+    pub(crate) origin: SweepOrigin,
+    control: SweepControl,
+    faults: ActiveFaults,
+    started: Instant,
 }
 
-impl SweepShare<'_> {
-    pub(crate) fn origin(&self) -> SweepOrigin {
-        self.origin
+impl<'a> SweepShare<'a> {
+    /// The setup both clocks share: the `PHEIG_NO_RECYCLE` override, the
+    /// armed fault plan (the options' own, else `PHEIG_FAULT_PLAN`) with
+    /// the caller's cancel token, the band, the pole scale, and the
+    /// scheduler `mode` builds for `threads` members beside an empty
+    /// recycle pool.
+    pub(crate) fn new(
+        ss: &'a StateSpace,
+        opts: &'a SolverOptions,
+        threads: usize,
+        mode: ScheduleMode,
+        origin: SweepOrigin,
+    ) -> Result<Self, SolverError> {
+        validate_options(opts)?;
+        let started = Instant::now();
+        // `PHEIG_NO_RECYCLE` kill switch: force recycling off regardless
+        // of options, so A/B and incident triage never require a rebuild.
+        static NO_RECYCLE: OnceLock<bool> = OnceLock::new();
+        let no_recycle = *NO_RECYCLE
+            .get_or_init(|| std::env::var_os("PHEIG_NO_RECYCLE").is_some_and(|v| v != "0"));
+        let opts = if no_recycle && opts.recycling {
+            Cow::Owned(opts.clone().with_recycling(false))
+        } else {
+            Cow::Borrowed(opts)
+        };
+        let faults = match &opts.fault_plan {
+            Some(plan) => plan.activate(),
+            None => fault::plan_from_env()?.unwrap_or_default().activate(),
+        };
+        let mut control = faults.control.clone();
+        if let Some(token) = &opts.cancel {
+            control.cancel = Some(token.clone());
+        }
+        let band = match opts.band {
+            Some(b) => b,
+            None => estimate_band(ss, &opts.arnoldi)?,
+        };
+        let (n_intervals, delete_covered) = match mode {
+            // `N = kappa T` initial intervals (paper: `kappa >= 2`), never
+            // below four.
+            ScheduleMode::Dynamic => ((opts.kappa.max(2) * threads.max(1)).max(4), true),
+            ScheduleMode::StaticGrid { n_shifts } => (n_shifts.max(2), false),
+        };
+        let mut scheduler = Scheduler::new(band, n_intervals, opts.alpha);
+        scheduler.set_delete_covered(delete_covered);
+        Ok(SweepShare {
+            ss,
+            band,
+            scale: pole_scale(ss),
+            shared: Mutex::new(SharedState {
+                scheduler,
+                pool: RecyclePool::new(),
+                completions: Vec::new(),
+                quarantined: Vec::new(),
+                pairs_converged: 0,
+                pool_peak_pairs: 0,
+                pool_evicted_entries: 0,
+            }),
+            cv: Condvar::new(),
+            origin,
+            control,
+            faults,
+            opts,
+            started,
+        })
     }
 
-    /// One cohort membership: pull shifts until the scheduler is done.
-    /// This is Sec. IV.C's idle-worker loop: a member takes the next
-    /// pending shift and its recycled warm-start candidates in one lock
-    /// acquisition and runs it outside the lock; a member finding the
+    /// One cohort membership: Sec. IV.C's idle-worker loop, pull ->
+    /// execute -> commit until the scheduler is done. A member finding the
     /// queue momentarily empty *waits* (another member's completion may
     /// split intervals and refill it) and wakes on every completion.
     pub(crate) fn run(&self, ctx: &mut TaskContext<'_>) {
@@ -824,48 +727,87 @@ impl SweepShare<'_> {
             let (task, warm) = {
                 let mut guard = self.shared.lock();
                 loop {
+                    if let Some(pulled) = self.pull(&mut guard) {
+                        break pulled;
+                    }
                     if guard.scheduler.is_done() {
                         self.cv.notify_all();
                         return;
                     }
-                    if self.control.should_stop() {
-                        // Cancelled or out of budget: stop pulling new
-                        // work and quarantine every remaining tentative so
-                        // the sweep terminates with *named* gaps instead
-                        // of spinning (partial result, not an error).
-                        self.drain_stopped(&mut guard);
-                        if guard.scheduler.is_done() {
-                            self.cv.notify_all();
-                            return;
-                        }
-                        self.cv.wait(&mut guard);
-                        continue;
-                    }
-                    if let Some(task) = guard.scheduler.next_shift() {
-                        let warm = gather_warm(&guard.pool, &task, self.opts);
-                        break (task, warm);
-                    }
                     self.cv.wait(&mut guard);
                 }
             };
-            self.run_solo(&task, &warm, &mut ctx.workspace.arnoldi);
+            let started = Instant::now();
+            let result = self.execute(&task, &warm, &mut ctx.workspace.arnoldi);
+            self.commit(&mut self.shared.lock(), &task, result, started.elapsed());
+            self.cv.notify_all();
         }
     }
 
-    /// Quarantines every tentative shift still queued after a cancel or
-    /// budget stop; their intervals become reported coverage gaps.
-    fn drain_stopped(&self, state: &mut SharedState) {
-        while let Some(t) = state.scheduler.next_shift() {
-            let reason = SolverError::ShiftFailed {
-                omega: t.omega,
-                reason: if self.control.is_cancelled() {
-                    "sweep cancelled before this shift ran".to_string()
-                } else {
-                    "sweep budget exhausted before this shift ran".to_string()
-                },
+    /// Pull, under the lock and without waiting: the next pending shift
+    /// and its recycled warm-start candidates, or `None` when none is
+    /// pending right now. After a cancel or budget stop it pulls nothing
+    /// and quarantines every queued tentative instead, so the sweep ends
+    /// with *named* gaps rather than spinning (a partial result, not an
+    /// error).
+    pub(crate) fn pull(&self, state: &mut SharedState) -> Option<(ShiftTask, Vec<RecycledPair>)> {
+        if self.control.should_stop() {
+            let why = if self.control.is_cancelled() {
+                "cancelled"
+            } else {
+                "budget exhausted"
             };
-            state.quarantine(&t, reason);
+            while let Some(t) = state.scheduler.next_shift() {
+                let reason = format!("sweep {why} before this shift ran");
+                let omega = t.omega;
+                state.quarantine(&t, SolverError::ShiftFailed { omega, reason });
+            }
+            return None;
         }
+        let task = state.scheduler.next_shift()?;
+        if !self.opts.recycling {
+            return Some((task, Vec::new()));
+        }
+        // Reach slightly exceeds the initial radius guess (candidates just
+        // outside the expected disk still cap the certificate via near-miss
+        // estimates); the cap is the per-shift collect target plus slack,
+        // rounded up to even so Hamiltonian mirror pairs are never split.
+        let cap = (self.opts.arnoldi.n_eigs + 4) & !1;
+        let warm = state
+            .pool
+            .gather(C64::from_imag(task.omega), task.rho0 * GATHER_FACTOR, cap);
+        Some((task, warm))
+    }
+
+    /// Execute, outside the lock: the first two rungs of the degradation
+    /// ladder. The shift runs warm with its reseeded retries; if that
+    /// fails (and the sweep was not stopped) it gets one *cold* attempt:
+    /// no recycled warm starts, fresh seed, tolerance widened 100x but
+    /// never past 1e-5. Transient faults — a one-shot injected NaN, a
+    /// flaky near-degenerate start vector — recover there. `Err` carries
+    /// the first failure, which [`commit`](Self::commit) quarantines the
+    /// shift with.
+    pub(crate) fn execute(
+        &self,
+        task: &ShiftTask,
+        warm: &[RecycledPair],
+        ws: &mut ArnoldiWorkspace,
+    ) -> Result<SingleShiftOutcome, SolverError> {
+        let first = match self.attempt(task, &self.opts, ws, warm) {
+            Ok(out) => return Ok(out),
+            Err(first) => first,
+        };
+        if !self.control.should_stop() {
+            let mut cold = SolverOptions::clone(&self.opts);
+            cold.arnoldi.tol = (cold.arnoldi.tol * 100.0).min(1e-5);
+            cold.max_shift_retries = 1;
+            cold.recycling = false;
+            cold.seed ^= 0xC01D_C01D;
+            if let Ok(out) = self.attempt(task, &cold, ws, &[]) {
+                return Ok(out);
+            }
+        }
+        Err(first)
     }
 
     /// [`run_shift`] with a panicking iteration contained per shift, so it
@@ -878,28 +820,28 @@ impl SweepShare<'_> {
         warm: &[RecycledPair],
     ) -> Result<SingleShiftOutcome, SolverError> {
         catch_unwind(AssertUnwindSafe(|| {
-            run_shift(self.ss, task, self.scale, opts, ws, warm, self.control)
+            run_shift(self.ss, task, self.scale, opts, ws, warm, &self.control)
         }))
         .unwrap_or_else(|p| Err(SolverError::from_panic(p.as_ref())))
     }
 
-    /// Runs one shift (with retries) and records the result: a certified
-    /// disk is always sound to hand the scheduler, even when sibling disks
-    /// covered the shift's interval while it ran.
-    fn run_solo(&self, task: &ShiftTask, warm: &[RecycledPair], ws: &mut ArnoldiWorkspace) {
-        let started = Instant::now();
-        match self.attempt(task, self.opts, ws, warm) {
-            Ok(out) => self.record(task, out, started),
-            Err(first) => self.degrade(task, ws, started, first),
-        }
-    }
-
-    /// Records one certified completion under the lock. The pool takes
-    /// the donation, then drops every entry the updated scheduler says no
-    /// shift can gather from again (so no gather sees the difference).
-    fn record(&self, task: &ShiftTask, out: SingleShiftOutcome, started: Instant) {
-        let mut guard = self.shared.lock();
-        let state = &mut *guard;
+    /// Commit, under the lock. A certified disk is recorded — always
+    /// sound to hand the scheduler, even when sibling disks covered the
+    /// shift's interval while it ran: the pool takes the donation, then
+    /// drops every entry the updated scheduler says no shift can gather
+    /// from again (so no gather sees the difference). A failed shift, the
+    /// ladder's last rung, is quarantined.
+    pub(crate) fn commit(
+        &self,
+        state: &mut SharedState,
+        task: &ShiftTask,
+        result: Result<SingleShiftOutcome, SolverError>,
+        wall: Duration,
+    ) {
+        let out = match result {
+            Ok(out) => out,
+            Err(first) => return state.quarantine(task, first),
+        };
         state.scheduler.complete(task, out.theta.im, out.radius);
         state.pairs_converged += out.in_disk.len();
         if self.opts.recycling {
@@ -916,46 +858,79 @@ impl SweepShare<'_> {
             cost_units: cost_units(&out),
             warm_candidates: out.warm_candidates,
             warm_pre_locked: out.warm_pre_locked,
-            wall: started.elapsed(),
+            wall,
         };
-        let kept = axis_pairs(out.in_disk, self.opts, self.scale);
+        let kept = axis_pairs(out.in_disk, &self.opts, self.scale);
         state.completions.push((rec, kept));
-        drop(guard);
-        self.cv.notify_all();
     }
 
-    /// The degradation ladder for a breaking-down shift: one *cold*
-    /// attempt (no recycled warm starts, fresh seed, tolerance widened
-    /// 100x but never past 1e-5), then quarantine. Transient faults —
-    /// a one-shot injected NaN, a flaky near-degenerate start vector —
-    /// recover on the cold attempt; persistent breakdown quarantines the
-    /// shift so sibling shifts and the sweep itself keep going.
-    fn degrade(
-        &self,
-        task: &ShiftTask,
-        ws: &mut ArnoldiWorkspace,
-        started: Instant,
-        first: SolverError,
-    ) {
-        if !self.control.should_stop() {
-            let mut cold = self.opts.clone();
-            cold.arnoldi.tol = (cold.arnoldi.tol * 100.0).min(1e-5);
-            cold.max_shift_retries = 1;
-            cold.recycling = false;
-            cold.seed ^= 0xC01D_C01D;
-            if let Ok(out) = self.attempt(task, &cold, ws, &[]) {
-                self.record(task, out, started);
-                return;
-            }
+    /// The finished sweep's outcome.
+    pub(crate) fn finish(self) -> SolverOutcome {
+        let wall = self.started.elapsed();
+        let state = self.shared.into_inner();
+        let band = self.band;
+        let sched_stats = state.scheduler.stats();
+        let gaps = state.scheduler.coverage_gaps();
+        let mut completions = state.completions;
+        // Under `threads > 1` completions land in mutex-acquisition order,
+        // which varies run to run; sort by shift frequency (radius as the
+        // tie-break) so `shift_log` and everything derived from it is
+        // deterministic for a given completion set.
+        completions.sort_by(|a, b| {
+            a.0.omega
+                .total_cmp(&b.0.omega)
+                .then(a.0.radius.total_cmp(&b.0.radius))
+        });
+        let mut all_pairs = Vec::new();
+        let mut shift_log = Vec::with_capacity(completions.len());
+        let mut total_matvecs = 0usize;
+        let mut warm_started_shifts = 0usize;
+        let mut recycle_candidates = 0usize;
+        let mut recycle_hits = 0usize;
+        for (rec, pairs) in completions {
+            total_matvecs += rec.matvecs;
+            warm_started_shifts += usize::from(rec.warm_candidates > 0);
+            recycle_candidates += rec.warm_candidates;
+            recycle_hits += rec.warm_pre_locked;
+            shift_log.push(rec);
+            all_pairs.extend(pairs);
         }
-        self.shared.lock().quarantine(task, first);
-        self.cv.notify_all();
+        let eigenpairs = reportable(crossings(&all_pairs, &self.opts, self.scale), band);
+        let frequencies = spectrum::frequencies(&eigenpairs);
+        let band_len = (band.1 - band.0).max(f64::MIN_POSITIVE);
+        let gap_len: f64 = gaps.iter().map(|&(lo, hi)| hi - lo).sum();
+        let covered_fraction = (1.0 - gap_len / band_len).clamp(0.0, 1.0);
+        let shifts_quarantined = sched_stats.quarantined;
+        SolverOutcome {
+            frequencies,
+            eigenpairs,
+            band,
+            shift_log,
+            quarantined: state.quarantined,
+            coverage_gaps: gaps,
+            covered_fraction,
+            certificate: Certificate::Disks,
+            stats: SolverStats {
+                scheduler: sched_stats,
+                total_matvecs,
+                warm_started_shifts,
+                recycle_candidates,
+                recycle_hits,
+                shifts_quarantined,
+                faults_injected: self.faults.faults_injected(),
+                pairs_converged: state.pairs_converged,
+                pool_peak_pairs: state.pool_peak_pairs,
+                pool_evicted_entries: state.pool_evicted_entries,
+                wall,
+            },
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::simulate::simulate_parallel;
     use pheig_hamiltonian::dense_hamiltonian;
     use pheig_linalg::eig::eig_real;
     use pheig_model::generator::{generate_case, CaseSpec};
@@ -1129,6 +1104,15 @@ mod tests {
             assert!(out.covered_fraction < 0.01, "T={threads}");
             assert!(out.frequencies.is_empty(), "T={threads}");
         }
+        // The simulator walks the same ladder: a partial result, not an
+        // error.
+        for threads in [4usize, 1] {
+            let sim = simulate_parallel(&ss, threads, &opts, ScheduleMode::Dynamic).unwrap();
+            assert!(sim.stats.shifts_quarantined > 0, "simulated T={threads}");
+            assert!(sim.covered_fraction < 0.01, "simulated T={threads}");
+            assert!(sim.frequencies.is_empty(), "simulated T={threads}");
+            assert_eq!(sim.total_cost, 0, "simulated T={threads}");
+        }
     }
 
     #[test]
@@ -1137,7 +1121,13 @@ mod tests {
             .unwrap()
             .realize();
         // A tiny matvec budget stops the sweep almost immediately.
-        let opts = sweep().with_matvec_budget(1);
+        let budget = |b| {
+            sweep().with_fault_plan(FaultPlan {
+                budget_matvecs: Some(b),
+                ..FaultPlan::default()
+            })
+        };
+        let opts = budget(1);
         let out = find_imaginary_eigenvalues(&ss, &opts).unwrap();
         assert!(out.covered_fraction < 1.0);
         assert!(!out.quarantined.is_empty());
@@ -1158,7 +1148,7 @@ mod tests {
             .sum();
         assert!(gap_len <= quarantined_len + 1e-9 * (out.band.1 - out.band.0));
         // A generous budget changes nothing.
-        let opts = sweep().with_matvec_budget(10_000_000);
+        let opts = budget(10_000_000);
         let full = find_imaginary_eigenvalues(&ss, &opts).unwrap();
         assert_eq!(full.covered_fraction, 1.0);
         assert!(full.quarantined.is_empty());

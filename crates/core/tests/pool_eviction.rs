@@ -5,7 +5,7 @@
 //! does — several shifts in flight, completed out of order with radii from
 //! 0.05x to 3x `rho0` and nudged centres, some quarantined — and donate a
 //! one-pair synthetic entry per completion to two pools: one evicted after
-//! every completion exactly as `SweepShare::record` does, one never
+//! every completion exactly as `SweepShare::commit` does, one never
 //! evicted. Every pull must read identical lists from both.
 //!
 //! The donated eigenvalue sits at the donor disk's centre, so a pair is
@@ -43,7 +43,8 @@ fn donation(center: f64, radius: f64) -> SingleShiftOutcome {
     }
 }
 
-/// What `gather_warm` would hand `task`, uncapped, as eigenvalue bits.
+/// What `SweepShare::pull` would gather for `task`, uncapped, as
+/// eigenvalue bits.
 fn gathered(pool: &RecyclePool, task: &ShiftTask) -> Vec<u64> {
     pool.gather(
         C64::from_imag(task.omega),

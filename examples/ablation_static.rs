@@ -36,14 +36,14 @@ fn main() {
     println!(
         "{:<18} {:>8} {:>10} {:>10} {:>9.3} {:>8}",
         "dynamic",
-        dynamic.shifts_processed,
+        dynamic.shift_log.len(),
         dynamic.total_cost,
         dynamic.makespan,
         dynamic.total_cost as f64 / dynamic.makespan.max(1) as f64,
-        dynamic.stats.deleted_tentative
+        dynamic.stats.scheduler.deleted_tentative
     );
     for factor in [1usize, 2, 4, 8] {
-        let n_shifts = dynamic.shifts_processed * factor;
+        let n_shifts = dynamic.shift_log.len() * factor;
         let sim = simulate_parallel(&ss, threads, &opts, ScheduleMode::StaticGrid { n_shifts })
             .expect("static sim");
         // Sanity: the static grid still finds the same spectrum.
@@ -51,11 +51,11 @@ fn main() {
         println!(
             "{:<18} {:>8} {:>10} {:>10} {:>9.3} {:>8}",
             format!("static x{factor}"),
-            sim.shifts_processed,
+            sim.shift_log.len(),
             sim.total_cost,
             sim.makespan,
             sim.total_cost as f64 / sim.makespan.max(1) as f64,
-            sim.stats.deleted_tentative
+            sim.stats.scheduler.deleted_tentative
         );
     }
     println!(

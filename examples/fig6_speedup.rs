@@ -47,7 +47,7 @@ fn main() {
             let opts = SolverOptions::default().with_seed(seed as u64);
             let sim = simulate_parallel(&ss, t, &opts, ScheduleMode::Dynamic).expect("sim");
             speedups.push(sim.speedup_vs(serial_cost));
-            shifts += sim.shifts_processed;
+            shifts += sim.shift_log.len();
         }
         let mean = speedups.iter().sum::<f64>() / runs as f64;
         let var = speedups

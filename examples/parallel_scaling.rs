@@ -55,8 +55,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "{:>3}   {:>7.3}   {:>6}  {:>7}",
             threads,
             sim.speedup_vs(s1.total_cost),
-            sim.shifts_processed,
-            sim.stats.deleted_tentative
+            sim.shift_log.len(),
+            sim.stats.scheduler.deleted_tentative
         );
     }
 

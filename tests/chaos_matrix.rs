@@ -245,7 +245,10 @@ fn budget_exhaustion_ladder() {
             &format!("matvec_budget={budget}"),
             &ss,
             &oracle,
-            sweep().with_matvec_budget(budget),
+            sweep().with_fault_plan(FaultPlan {
+                budget_matvecs: Some(budget),
+                ..FaultPlan::default()
+            }),
         );
     }
     for budget in [0u64, 4, 1_000_000] {
@@ -253,7 +256,10 @@ fn budget_exhaustion_ladder() {
             &format!("restart_budget={budget}"),
             &ss,
             &oracle,
-            sweep().with_restart_budget(budget),
+            sweep().with_fault_plan(FaultPlan {
+                budget_restarts: Some(budget),
+                ..FaultPlan::default()
+            }),
         );
     }
 }

@@ -3,7 +3,7 @@
 //! and the simulator must expose the paper's scheduling behaviors.
 
 use pheig::core::simulate::{simulate_parallel, ScheduleMode};
-use pheig::core::solver::{find_imaginary_eigenvalues, SolverOptions};
+use pheig::core::solver::{find_imaginary_eigenvalues, ShiftRecord, SolverOptions};
 use pheig::model::generator::{generate_case, CaseSpec};
 use pheig::model::StateSpace;
 
@@ -29,12 +29,11 @@ fn model_large() -> StateSpace {
         .realize()
 }
 
-#[test]
-fn all_modes_agree_on_omega() {
-    let ss = model();
-    let serial = find_imaginary_eigenvalues(&ss, &sweep()).unwrap();
-    let threaded = find_imaginary_eigenvalues(&ss, &sweep().with_threads(3)).unwrap();
-    let simulated = simulate_parallel(&ss, 8, &sweep(), ScheduleMode::Dynamic).unwrap();
+/// Serial, threaded and simulated sweeps of `ss` find the same crossings.
+fn assert_modes_agree(ss: &StateSpace) {
+    let serial = find_imaginary_eigenvalues(ss, &sweep()).unwrap();
+    let threaded = find_imaginary_eigenvalues(ss, &sweep().with_threads(3)).unwrap();
+    let simulated = simulate_parallel(ss, 8, &sweep(), ScheduleMode::Dynamic).unwrap();
     let tol = 1e-5 * serial.band.1;
     assert_eq!(serial.frequencies.len(), threaded.frequencies.len());
     assert_eq!(serial.frequencies.len(), simulated.frequencies.len());
@@ -46,6 +45,11 @@ fn all_modes_agree_on_omega() {
     {
         assert!((a - b).abs() < tol && (a - c).abs() < tol);
     }
+}
+
+#[test]
+fn all_modes_agree_on_omega() {
+    assert_modes_agree(&model());
 }
 
 #[test]
@@ -84,7 +88,7 @@ fn dynamic_beats_static_grid_on_work() {
     let ss = model();
     let opts = sweep();
     let dynamic = simulate_parallel(&ss, 8, &opts, ScheduleMode::Dynamic).unwrap();
-    let n_static = (dynamic.shifts_processed * 2).max(16);
+    let n_static = (dynamic.shift_log.len() * 2).max(16);
     let static_grid = simulate_parallel(
         &ss,
         8,
@@ -132,21 +136,57 @@ fn seed_variation_preserves_results_but_not_work() {
 #[test]
 #[ignore = "paper-scale workload (~10 s debug); run with --ignored (CI slow-tests job)"]
 fn all_modes_agree_on_omega_large() {
-    let ss = model_large();
-    let serial = find_imaginary_eigenvalues(&ss, &sweep()).unwrap();
-    let threaded = find_imaginary_eigenvalues(&ss, &sweep().with_threads(3)).unwrap();
-    let simulated = simulate_parallel(&ss, 8, &sweep(), ScheduleMode::Dynamic).unwrap();
-    let tol = 1e-5 * serial.band.1;
-    assert_eq!(serial.frequencies.len(), threaded.frequencies.len());
-    assert_eq!(serial.frequencies.len(), simulated.frequencies.len());
-    for ((a, b), c) in serial
-        .frequencies
-        .iter()
-        .zip(&threaded.frequencies)
-        .zip(&simulated.frequencies)
-    {
-        assert!((a - b).abs() < tol && (a - c).abs() < tol);
+    assert_modes_agree(&model_large());
+}
+
+/// At `T = 1` the simulator's event order is the driver's pull order, so
+/// it must replay `find_imaginary_eigenvalues` shift for shift, recycling
+/// pool included.
+fn assert_simulator_replays_the_driver(ss: &StateSpace) {
+    for recycling in [true, false] {
+        for seed in [0u64, 1] {
+            let opts = SolverOptions::default()
+                .with_recycling(recycling)
+                .with_seed(seed);
+            let real = find_imaginary_eigenvalues(ss, &opts).unwrap();
+            let sim = simulate_parallel(ss, 1, &opts, ScheduleMode::Dynamic).unwrap();
+            let tag = format!("recycling={recycling} seed={seed}");
+            let key = |log: &[ShiftRecord]| -> Vec<_> {
+                log.iter()
+                    .map(|r| (r.omega, r.radius, r.matvecs, r.cost_units))
+                    .collect()
+            };
+            assert!(!real.shift_log.is_empty(), "{tag}: the driver must sweep");
+            assert_eq!(key(&sim.shift_log), key(&real.shift_log), "{tag}");
+            assert_eq!(sim.stats.total_matvecs, real.stats.total_matvecs, "{tag}");
+            assert_eq!(sim.frequencies, real.frequencies, "{tag}");
+            assert_eq!(sim.covered_fraction, real.covered_fraction, "{tag}");
+            assert_eq!(sim.makespan, sim.total_cost, "{tag}");
+        }
     }
+}
+
+#[test]
+fn simulator_replays_the_driver_at_one_thread() {
+    // The n = 96 pin model of `tests/perf_pins.rs`: 2n = 192 sweeps under
+    // the default `dense_max`.
+    let ss = generate_case(&CaseSpec::new(96, 3).with_target_crossings(4).with_seed(7))
+        .unwrap()
+        .realize();
+    assert_simulator_replays_the_driver(&ss);
+}
+
+#[test]
+#[ignore = "n = 500 model (~10 s release); run with --release --ignored"]
+fn simulator_replays_the_driver_at_one_thread_n500() {
+    let ss = generate_case(
+        &CaseSpec::new(500, 20)
+            .with_target_crossings(6)
+            .with_seed(1000),
+    )
+    .unwrap()
+    .realize();
+    assert_simulator_replays_the_driver(&ss);
 }
 
 #[test]
