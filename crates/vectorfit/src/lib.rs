@@ -12,8 +12,10 @@
 //!
 //! with shared per-column poles `q_m`. Each iteration solves the classic
 //! sigma-augmented linear least-squares problem in a *real* basis (so
-//! conjugate symmetry of residues is structural, not imposed), then
-//! relocates poles to the zeros of the sigma function — the eigenvalues of
+//! conjugate symmetry of residues is structural, not imposed), compressed
+//! port by port as in fast vector fitting (Deschrijver et al., 2008) so
+//! that only the sigma unknowns are solved for. It then relocates poles to
+//! the zeros of the sigma function — the eigenvalues of
 //! `A_sigma - b_sigma c_sigma^T` — and flips any unstable relocation back
 //! into the left half plane.
 

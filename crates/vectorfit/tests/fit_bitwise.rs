@@ -2,13 +2,18 @@
 //!
 //! The benchmark's seed-0 golden counts (`core.solver.matvecs`, the
 //! fitted-model crossings of `pipeline_fit`) are functions of the fitted
-//! poles and residues down to the last bit: reordering the sigma-stage rows
-//! in `fit.rs`, or re-associating one reduction of the Householder QR under
-//! it, moves them. This test says so in a second instead of a failed
-//! benchmark run. The hashes were recorded at the commit before `Qr::new`
-//! stopped walking its row-major matrix column by column (debug and release
-//! agreed there); the arithmetic is plain IEEE multiply / add / divide /
-//! sqrt in a fixed order, so they hold on every host.
+//! poles and residues down to the last bit. Every reduction under the fit
+//! moves them: the Householder QR of the shared `[Φ | 1]` factor, the
+//! `Q^H` projection of each port's sigma columns, the order in which the
+//! ports' projected rows are stacked, the stacked sigma solve, the
+//! relocation eigensolve and the residue solves. This test says so in a
+//! second instead of a failed benchmark run. The hashes were recorded when
+//! the sigma stage became the stacked per-port projection of fast vector
+//! fitting (DESIGN.md, "Least squares"), in debug and release alike; the
+//! 1-port hash is older, because with one port the stacked system is the
+//! trailing block of the full one, reduction for reduction. The arithmetic
+//! is plain IEEE multiply / add / divide / sqrt in a fixed order, so they
+//! hold on every host.
 
 use pheig_linalg::{Matrix, C64};
 use pheig_model::generator::{generate_case, CaseSpec};
@@ -55,7 +60,7 @@ fn fit_hash(spec: &CaseSpec, samples: usize, opts: &VectorFitOptions) -> u64 {
 fn three_port_fit_keeps_every_bit() {
     let spec = CaseSpec::new(24, 3).with_seed(11);
     let hash = fit_hash(&spec, 90, &VectorFitOptions::new(8));
-    assert_eq!(hash, 0x81ee_b587_5022_b0b6, "24-state 3-port fit moved");
+    assert_eq!(hash, 0x1bd6_ef1e_01fa_44b5, "24-state 3-port fit moved");
 }
 
 #[test]
@@ -67,12 +72,12 @@ fn one_port_fit_keeps_every_bit() {
 
 #[test]
 fn fit_without_constant_term_keeps_every_bit() {
-    // No constant columns: the sigma block follows the port blocks directly.
+    // No constant column: the shared factor is `Φ` alone.
     let spec = CaseSpec::new(8, 2).with_seed(3).with_d_sigma(0.0);
     let opts = VectorFitOptions::new(4).with_iterations(4).without_d();
     let hash = fit_hash(&spec, 70, &opts);
     assert_eq!(
-        hash, 0xe4a1_4fe4_30bd_1266,
+        hash, 0x6c02_909c_8317_36a8,
         "8-state 2-port fit without D moved"
     );
 }
