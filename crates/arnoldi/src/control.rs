@@ -96,11 +96,6 @@ impl SweepBudget {
         self.matvecs_left.load(Ordering::Acquire) <= 0
             || self.restarts_left.load(Ordering::Acquire) <= 0
     }
-
-    /// Remaining operator applications (clamped at zero).
-    pub fn matvecs_remaining(&self) -> u64 {
-        self.matvecs_left.load(Ordering::Acquire).max(0) as u64
-    }
 }
 
 /// A deterministic countdown trigger: fires exactly once, on the
@@ -337,7 +332,6 @@ mod tests {
         assert!(!b.exhausted());
         b.charge_matvecs(1);
         assert!(b.exhausted());
-        assert_eq!(b.matvecs_remaining(), 0);
         let r = SweepBudget::new(1000, 2);
         r.charge_restart();
         r.charge_restart();

@@ -47,21 +47,9 @@ impl SingleShiftOptions {
         self
     }
 
-    /// Sets the number of eigenvalues per shift.
-    pub fn with_n_eigs(mut self, n_eigs: usize) -> Self {
-        self.n_eigs = n_eigs;
-        self
-    }
-
     /// Sets the subspace cap.
     pub fn with_max_subspace(mut self, d: usize) -> Self {
         self.max_subspace = d;
-        self
-    }
-
-    /// Attaches a control plane (cancellation, budgets, fault hooks).
-    pub fn with_control(mut self, control: SweepControl) -> Self {
-        self.control = control;
         self
     }
 }
@@ -85,12 +73,8 @@ mod tests {
 
     #[test]
     fn builders() {
-        let o = SingleShiftOptions::new()
-            .with_seed(9)
-            .with_n_eigs(4)
-            .with_max_subspace(40);
+        let o = SingleShiftOptions::new().with_seed(9).with_max_subspace(40);
         assert_eq!(o.seed, 9);
-        assert_eq!(o.n_eigs, 4);
         assert_eq!(o.max_subspace, 40);
     }
 }

@@ -162,8 +162,9 @@ pub struct SingleShiftOutcome {
     /// on. The refinement applies no operator (images are cached or
     /// reconstructed from the build identity), but its projected
     /// eigenproblem and reconstructions still cost wall time proportional
-    /// to this dimension — schedulers charge for it via
-    /// [`cost accounting`](SingleShiftOutcome::matvecs)-style units.
+    /// to this dimension, so the sweep's per-shift `cost_units` charge
+    /// ⌈refine_dim/2⌉ on top of [`matvecs`](SingleShiftOutcome::matvecs)
+    /// and restarts.
     pub refine_dim: usize,
 }
 

@@ -32,36 +32,33 @@ use pheig_hamiltonian::build::port_coupling_inverses;
 use pheig_linalg::{Lu, Matrix, C64};
 use pheig_model::StateSpace;
 
+/// Maximum outer iterations of one enforcement attempt.
+const MAX_ITERATIONS: usize = 60;
+/// Fraction of the edge-to-midpoint distance each crossing is asked to
+/// move per iteration (1 collapses bands at first order).
+///
+/// 1.15 deliberately *overshoots* the band midpoint: edges pushed exactly
+/// to the midpoint (contraction = 1) leave a degenerate tangential
+/// crossing that later iterations cannot displace, while a slight
+/// overshoot annihilates the crossing pair (the removal strategy of the
+/// paper's ref. \[8\]).
+const CONTRACTION: f64 = 1.15;
+/// Relative Tikhonov regularization of the least-norm solve.
+const REGULARIZATION: f64 = 1e-10;
+/// Step halvings attempted when a full step increases the violation.
+const MAX_HALVINGS: usize = 5;
+
 /// Options for [`enforce_passivity`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EnforcementOptions {
-    /// Maximum outer iterations.
-    pub max_iterations: usize,
-    /// Fraction of the edge-to-midpoint distance each crossing is asked to
-    /// move per iteration (1 collapses bands at first order).
-    pub contraction: f64,
-    /// Relative Tikhonov regularization of the least-norm solve.
-    pub regularization: f64,
-    /// Step halvings attempted when a full step increases the violation.
-    pub max_halvings: usize,
     /// Eigensolver configuration used for re-characterization.
     pub solver: SolverOptions,
 }
 
 impl EnforcementOptions {
-    /// Reasonable defaults.
-    ///
-    /// The default contraction of 1.15 deliberately *overshoots* the band
-    /// midpoint: edges pushed exactly to the midpoint (contraction = 1)
-    /// leave a degenerate tangential crossing that later iterations cannot
-    /// displace, while a slight overshoot annihilates the crossing pair
-    /// (the removal strategy of the paper's ref. \[8\]).
+    /// Re-characterization with the default solver options.
     pub fn new() -> Self {
         EnforcementOptions {
-            max_iterations: 60,
-            contraction: 1.15,
-            regularization: 1e-10,
-            max_halvings: 5,
             solver: SolverOptions::default(),
         }
     }
@@ -339,9 +336,7 @@ pub(crate) fn enforce_with_seed(
     // valid across attempts.
     let mut last_err = None;
     for factor in [1.0, 0.6, 1.25, 0.4] {
-        let mut attempt = opts.clone();
-        attempt.contraction = opts.contraction * factor;
-        match enforce_once(ss, &attempt, solver_ws, seed) {
+        match enforce_once(ss, &opts.solver, CONTRACTION * factor, solver_ws, seed) {
             Ok(out) => return Ok(out),
             Err(e @ SolverError::EnforcementStalled { .. }) => last_err = Some(e),
             Err(e) => return Err(e),
@@ -355,7 +350,8 @@ pub(crate) fn enforce_with_seed(
 
 fn enforce_once(
     ss: &StateSpace,
-    opts: &EnforcementOptions,
+    solver: &SolverOptions,
+    contraction: f64,
     solver_ws: &mut SolverWorkspace,
     seed: Option<(&SolverOutcome, &PassivityReport)>,
 ) -> Result<EnforcementOutcome, SolverError> {
@@ -367,7 +363,7 @@ fn enforce_once(
     let (mut outcome, initial_report) = match seed {
         Some((outcome, report)) => (outcome.clone(), report.clone()),
         None => {
-            let outcome = sweep(&current, &opts.solver, solver_ws, SweepOrigin::Enforcement)?;
+            let outcome = sweep(&current, solver, solver_ws, SweepOrigin::Enforcement)?;
             recycle.absorb(&outcome.stats);
             let report = characterize(&current, &outcome.frequencies)?;
             (outcome, report)
@@ -381,7 +377,7 @@ fn enforce_once(
     // harder push), reset on success.
     let mut boost = 1.0f64;
 
-    for iteration in 0..opts.max_iterations {
+    for iteration in 0..MAX_ITERATIONS {
         if report.is_passive() {
             let delta = (&current.c().clone() - &c0).frobenius_norm();
             return Ok(EnforcementOutcome {
@@ -422,7 +418,7 @@ fn enforce_once(
         let target_groups = displacement_targets(
             &wide_bands,
             &outcome.eigenpairs,
-            opts.contraction * boost,
+            contraction * boost,
             match_tol,
         );
         // Materialize edge rows per band; bands whose two edge rows are
@@ -510,7 +506,7 @@ fn enforce_once(
         let gram0 = &g * &gt;
         let trace: f64 = (0..m).map(|i| gram0[(i, i)]).sum();
         let step_cap = 0.5 * current.c().frobenius_norm().max(1e-12);
-        let mut eps = opts.regularization * (trace / m as f64).max(f64::MIN_POSITIVE);
+        let mut eps = REGULARIZATION * (trace / m as f64).max(f64::MIN_POSITIVE);
         let delta_c_flat = loop {
             let mut gram = gram0.clone();
             for i in 0..m {
@@ -529,7 +525,7 @@ fn enforce_once(
         let severity = violation_metrics(&report);
         let mut eta = 1.0f64;
         let mut accepted = None;
-        for _ in 0..=opts.max_halvings {
+        for _ in 0..=MAX_HALVINGS {
             let mut trial = current.clone();
             {
                 let c = trial.c_mut();
@@ -539,7 +535,7 @@ fn enforce_once(
                     }
                 }
             }
-            let trial_outcome = sweep(&trial, &opts.solver, solver_ws, SweepOrigin::Enforcement)?;
+            let trial_outcome = sweep(&trial, solver, solver_ws, SweepOrigin::Enforcement)?;
             recycle.absorb(&trial_outcome.stats);
             let trial_report = characterize(&trial, &trial_outcome.frequencies)?;
             if trial_report.is_passive() || is_progress(violation_metrics(&trial_report), severity)
@@ -573,7 +569,7 @@ fn enforce_once(
         let delta = (&current.c().clone() - &c0).frobenius_norm();
         return Ok(EnforcementOutcome {
             state_space: current,
-            iterations: opts.max_iterations,
+            iterations: MAX_ITERATIONS,
             initial_report,
             final_report: report,
             delta_c_norm: delta,
@@ -581,7 +577,7 @@ fn enforce_once(
         });
     }
     Err(SolverError::EnforcementStalled {
-        iterations: opts.max_iterations,
+        iterations: MAX_ITERATIONS,
         residual_violation: report.total_severity(),
     })
 }
@@ -682,7 +678,6 @@ mod tests {
         // opens no cohort; the telemetry under test is the sweep's.
         let opts = EnforcementOptions {
             solver: SolverOptions::default().with_dense_max(0),
-            ..EnforcementOptions::default()
         };
         let out = enforce_passivity(&ss, &opts).unwrap();
         assert!(out.recycle.sweeps > 0);

@@ -488,7 +488,7 @@ impl Executor {
     /// so scratch persists across calls (batches, enforcement sweeps)
     /// instead of being rebuilt per invocation. The checkout is returned
     /// even when `f` unwinds — a contained panic must not leak the slot.
-    pub fn with_workspace<R>(&self, f: impl FnOnce(&mut SolverWorkspace) -> R) -> R {
+    pub(crate) fn with_workspace<R>(&self, f: impl FnOnce(&mut SolverWorkspace) -> R) -> R {
         let mut ws = self.shared.workspaces.lock().pop().unwrap_or_default();
         let result = catch_unwind(AssertUnwindSafe(|| f(&mut ws)));
         self.shared.workspaces.lock().push(ws);

@@ -30,7 +30,6 @@ use crate::characterization::{characterize, PassivityReport};
 use crate::enforcement::EnforcementOptions;
 use crate::error::SolverError;
 use crate::exec::{Executor, Task, TaskContext};
-use crate::fault::FaultPlan;
 use crate::solver::{
     find_imaginary_eigenvalues_with, Certificate, RecycleCounters, ShiftRecord, SolverOptions,
     SolverStats, SolverWorkspace,
@@ -54,10 +53,10 @@ pub struct PipelineOptions {
     /// the final verification all use this one configuration, so the
     /// before/after reports are directly comparable.
     pub solver: SolverOptions,
-    /// Enforcement tuning (iterations, contraction, regularization).
-    /// Its `solver` sub-options are ignored — [`PipelineOptions::solver`]
-    /// is used instead, so the two sweep configurations cannot drift
-    /// apart.
+    /// Inert: [`Pipeline::run_with`] replaces its only field, `solver`,
+    /// with [`PipelineOptions::solver`], so the two sweep configurations
+    /// cannot drift apart. Kept only while `benchmark/` reads it, as
+    /// [`ExecutorStats::steals`](crate::exec::ExecutorStats::steals) is.
     pub enforcement: EnforcementOptions,
 }
 
@@ -75,19 +74,6 @@ impl PipelineOptions {
     /// Sets the Vector Fitting order (poles per port column).
     pub fn with_poles_per_column(mut self, poles: usize) -> Self {
         self.vectorfit.poles_per_column = poles;
-        self
-    }
-
-    /// Sets the worker-thread count of every eigensolver sweep.
-    pub fn with_solver_threads(mut self, threads: usize) -> Self {
-        self.solver = self.solver.with_threads(threads);
-        self
-    }
-
-    /// Arms a fault-injection plan on every eigensolver sweep of the run
-    /// (chaos testing; forwards to [`SolverOptions::with_fault_plan`]).
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.solver = self.solver.with_fault_plan(plan);
         self
     }
 }
@@ -541,6 +527,29 @@ mod tests {
     }
 
     #[test]
+    fn enforcement_sweeps_run_under_the_pipeline_solver() {
+        // `run_with` replaces `opts.enforcement.solver` with `opts.solver`.
+        // The 16-state deck sits below the dense crossover, so a re-sweep
+        // is dense (0 matvecs) unless `dense_max = 0` forces the sweep.
+        let pipeline = Pipeline::from_touchstone(&nonpassive_deck(), None).unwrap();
+        let run = |opts: &PipelineOptions| {
+            let out = pipeline.run(opts).unwrap();
+            out.report.enforcement.expect("deck has violations").recycle
+        };
+        let mut opts = PipelineOptions::default();
+        opts.enforcement.solver.dense_max = 0;
+        let dense = run(&opts);
+        assert!(dense.sweeps > 0);
+        assert_eq!(dense.matvecs, 0, "enforcement ignored opts.solver");
+
+        let mut opts = PipelineOptions::default();
+        opts.solver.dense_max = 0;
+        let swept = run(&opts);
+        assert!(swept.sweeps > 0);
+        assert!(swept.matvecs > 0, "enforcement ignored opts.solver");
+    }
+
+    #[test]
     fn passive_deck_skips_enforcement() {
         let reference =
             generate_case(&CaseSpec::new(12, 2).with_seed(55).with_target_crossings(0)).unwrap();
@@ -602,7 +611,8 @@ mod tests {
         // cohort: they sweep.
         let mut serial_opts = PipelineOptions::default();
         serial_opts.solver.dense_max = 0;
-        let nested_opts = serial_opts.clone().with_solver_threads(2);
+        let mut nested_opts = serial_opts.clone();
+        nested_opts.solver = nested_opts.solver.with_threads(2);
         let want: Vec<_> = jobs.iter().map(|j| j.run(&serial_opts).unwrap()).collect();
 
         let got = run_batch(&jobs, &nested_opts, 2);

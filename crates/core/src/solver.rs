@@ -626,11 +626,11 @@ impl SharedState {
 
 /// One sweep: its setup, and its shared state behind one lock.
 ///
-/// The per-pull body is three steps — [`pull`](Self::pull) and
-/// [`commit`](Self::commit) under the lock, [`execute`](Self::execute)
-/// outside it — and two clocks drive them: the executor cohort's real
-/// threads ([`SweepShare::run`], a [`Task::ShiftSweep`] payload) and the
-/// simulator's virtual members ([`crate::simulate::simulate_parallel`]).
+/// The per-pull body is three crate-private steps — `pull` and `commit`
+/// under the lock, `execute` outside it — and two clocks drive them: the
+/// executor cohort's real threads (`SweepShare::run`, a
+/// [`Task::ShiftSweep`] payload) and the simulator's virtual members
+/// ([`crate::simulate::simulate_parallel`]).
 pub struct SweepShare<'a> {
     ss: &'a StateSpace,
     opts: Cow<'a, SolverOptions>,
@@ -801,7 +801,6 @@ impl<'a> SweepShare<'a> {
             let mut cold = SolverOptions::clone(&self.opts);
             cold.arnoldi.tol = (cold.arnoldi.tol * 100.0).min(1e-5);
             cold.max_shift_retries = 1;
-            cold.recycling = false;
             cold.seed ^= 0xC01D_C01D;
             if let Ok(out) = self.attempt(task, &cold, ws, &[]) {
                 return Ok(out);

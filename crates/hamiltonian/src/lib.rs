@@ -19,8 +19,13 @@
 //! * [`shift_invert::ShiftInvertOp`] — `y = (M - theta I)^{-1} x` in `O(np)`
 //!   per application after an `O(np + p^3)` per-shift setup, via the
 //!   Sherman–Morrison–Woodbury identity (paper Eq. (6));
-//! * [`immittance`] — the impedance/admittance (positive-realness)
-//!   Hamiltonian variant the paper mentions as an extension (Sec. II).
+//! * [`multi_shift::MultiShiftInvertOp`] — a block of those over one
+//!   model, kept only for a benchmark probe;
+//! * [`op::CLinearOp`] — the operator contract the Arnoldi machinery
+//!   consumes, and [`scratch`] — the operators' apply workspaces.
+//!
+//! Y and Z (immittance) models reach this crate in scattering form: the
+//! Touchstone reader converts them with the reference resistance.
 
 // Unsafe code in this crate must discharge obligations explicitly:
 // every unsafe operation inside an `unsafe fn` needs its own block (and
@@ -29,7 +34,6 @@
 
 pub mod build;
 pub mod error;
-pub mod immittance;
 pub mod matvec;
 pub mod multi_shift;
 pub mod op;

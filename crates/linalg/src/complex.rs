@@ -121,34 +121,12 @@ impl C64 {
         C64 { re, im }
     }
 
-    /// Complex exponential `e^z`.
-    pub fn exp(self) -> Self {
-        let r = self.re.exp();
-        C64 {
-            re: r * self.im.cos(),
-            im: r * self.im.sin(),
-        }
-    }
-
     /// Scales by a real factor.
     #[inline]
     pub fn scale(self, k: f64) -> Self {
         C64 {
             re: self.re * k,
             im: self.im * k,
-        }
-    }
-
-    /// The unit-magnitude phase factor `z/|z|`, or `1` when `z == 0`.
-    pub fn unit_phase(self) -> Self {
-        let m = self.abs();
-        if m == 0.0 {
-            ONE
-        } else {
-            C64 {
-                re: self.re / m,
-                im: self.im / m,
-            }
         }
     }
 
@@ -390,18 +368,10 @@ mod tests {
     }
 
     #[test]
-    fn exp_euler_identity() {
-        let z = C64::new(0.0, std::f64::consts::PI);
-        assert!(close(z.exp(), C64::new(-1.0, 0.0), 1e-14));
-    }
-
-    #[test]
     fn abs_and_phase() {
         let z = C64::new(0.0, -2.0);
         assert_eq!(z.abs(), 2.0);
         assert_eq!(z.arg(), -std::f64::consts::FRAC_PI_2);
-        assert!(close(z.unit_phase(), C64::new(0.0, -1.0), 1e-15));
-        assert_eq!(ZERO.unit_phase(), ONE);
     }
 
     #[test]

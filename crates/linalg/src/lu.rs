@@ -71,18 +71,6 @@ impl<S: Scalar> Lu<S> {
         Ok(x)
     }
 
-    /// Solves `A x = b` into a caller-provided buffer (no heap allocation):
-    /// copies `b` into `x` and runs [`Lu::solve_in_place`] on it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != self.dim()` or `x.len() != self.dim()`.
-    pub fn solve_into(&self, b: &[S], x: &mut [S]) {
-        assert_eq!(x.len(), self.dim(), "solve_into output length mismatch");
-        x.copy_from_slice(b);
-        self.solve_in_place(x);
-    }
-
     /// Solves `A x = b` in place, overwriting `b` with `x`.
     ///
     /// # Panics

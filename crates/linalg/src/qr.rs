@@ -223,12 +223,6 @@ impl<S: Scalar> Qr<S> {
     }
 }
 
-/// Orthonormalizes the columns of `a` in place via repeated QR
-/// (convenience for building orthonormal bases in tests).
-pub fn orthonormal_columns<S: Scalar>(a: Matrix<S>) -> Result<Matrix<S>, LinalgError> {
-    Ok(Qr::new(a)?.q_thin())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

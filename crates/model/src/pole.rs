@@ -22,21 +22,6 @@ pub enum Pole {
 }
 
 impl Pole {
-    /// Builds a pole from a complex location, canonicalizing the sign of the
-    /// imaginary part.
-    ///
-    /// Values with `|im| <= tiny * |re|` are treated as real poles.
-    pub fn from_c64(s: C64) -> Pole {
-        if s.im.abs() <= 1e-12 * s.re.abs().max(1e-300) {
-            Pole::Real(s.re)
-        } else {
-            Pole::Pair {
-                re: s.re,
-                im: s.im.abs(),
-            }
-        }
-    }
-
     /// Number of states contributed to the real realization (1 or 2).
     pub fn order(&self) -> usize {
         match self {
@@ -91,16 +76,6 @@ impl Pole {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn from_c64_canonicalizes() {
-        assert_eq!(Pole::from_c64(C64::new(-1.0, 0.0)), Pole::Real(-1.0));
-        assert_eq!(
-            Pole::from_c64(C64::new(-1.0, -2.0)),
-            Pole::Pair { re: -1.0, im: 2.0 }
-        );
-        assert_eq!(Pole::from_c64(C64::new(-1.0, 1e-15)), Pole::Real(-1.0));
-    }
 
     #[test]
     fn orders() {

@@ -1,25 +1,6 @@
-//! Plain-text import/export of frequency samples: the simple native table
-//! format plus a hardened reader/writer for industry-standard Touchstone
-//! (`.sNp`) decks.
-//!
-//! Two formats live here:
-//!
-//! **Native format** ([`write_samples`] / [`read_samples`]), line-oriented
-//! with `#` comments:
-//!
-//! ```text
-//! # pheig scattering samples, p ports
-//! ports 2
-//! # omega  Re S11 Im S11  Re S12 Im S12  Re S21 Im S21  Re S22 Im S22
-//! 0.000000e0  1.0 0.0  0.0 0.0  0.0 0.0  1.0 0.0
-//! ...
-//! ```
-//!
-//! Entries are row-major over the `p x p` matrix, two columns (real,
-//! imaginary) per entry, frequencies in rad/s, strictly increasing.
-//!
-//! **Touchstone v1** ([`write_touchstone`] / [`read_touchstone`] /
-//! [`read_touchstone_path`]), the format full-wave solvers and VNAs emit:
+//! Touchstone v1 (`.sNp`) import/export: [`write_touchstone`] /
+//! [`read_touchstone`] / [`read_touchstone_path`], a hardened
+//! reader/writer for the format full-wave solvers and VNAs emit:
 //! `!` comments, one option line
 //!
 //! ```text
@@ -41,83 +22,6 @@ use crate::error::ModelError;
 use crate::samples::FrequencySamples;
 use pheig_linalg::{Lu, Matrix, C64};
 use std::fmt::Write as _;
-
-/// Serializes samples to the text format above.
-pub fn write_samples(samples: &FrequencySamples) -> String {
-    let p = samples.ports();
-    let mut out = String::new();
-    let _ = writeln!(out, "# pheig scattering samples");
-    let _ = writeln!(out, "ports {p}");
-    for (k, &w) in samples.omegas().iter().enumerate() {
-        let m = &samples.matrices()[k];
-        let _ = write!(out, "{w:.16e}");
-        for i in 0..p {
-            for j in 0..p {
-                let z = m[(i, j)];
-                let _ = write!(out, " {:.16e} {:.16e}", z.re, z.im);
-            }
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
-/// Parses the text format produced by [`write_samples`].
-///
-/// # Errors
-///
-/// Returns [`ModelError::InvalidArgument`] on malformed input (missing
-/// `ports` header, wrong column counts, unparsable numbers) and propagates
-/// [`FrequencySamples::new`] validation (ordering, shapes).
-pub fn read_samples(text: &str) -> Result<FrequencySamples, ModelError> {
-    let mut ports: Option<usize> = None;
-    let mut omegas = Vec::new();
-    let mut matrices = Vec::new();
-    for (line_no, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("ports") {
-            let p: usize = rest.trim().parse().map_err(|_| {
-                ModelError::invalid(format!("line {}: bad port count", line_no + 1))
-            })?;
-            if p == 0 {
-                return Err(ModelError::invalid("port count must be positive"));
-            }
-            ports = Some(p);
-            continue;
-        }
-        let p = ports.ok_or_else(|| {
-            ModelError::invalid(format!("line {}: data before 'ports' header", line_no + 1))
-        })?;
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        let expected = 1 + 2 * p * p;
-        if fields.len() != expected {
-            return Err(ModelError::invalid(format!(
-                "line {}: expected {expected} columns, found {}",
-                line_no + 1,
-                fields.len()
-            )));
-        }
-        let parse = |s: &str| -> Result<f64, ModelError> {
-            s.parse().map_err(|_| {
-                ModelError::invalid(format!("line {}: unparsable number '{s}'", line_no + 1))
-            })
-        };
-        let w = parse(fields[0])?;
-        let mut m = Matrix::<C64>::zeros(p, p);
-        for i in 0..p {
-            for j in 0..p {
-                let base = 1 + 2 * (i * p + j);
-                m[(i, j)] = C64::new(parse(fields[base])?, parse(fields[base + 1])?);
-            }
-        }
-        omegas.push(w);
-        matrices.push(m);
-    }
-    FrequencySamples::new(omegas, matrices)
-}
 
 /// Frequency unit of a Touchstone option line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -626,47 +530,6 @@ pub fn write_touchstone(samples: &FrequencySamples, options: &TouchstoneOptions)
 mod tests {
     use super::*;
     use crate::generator::{generate_case, CaseSpec};
-
-    #[test]
-    fn roundtrip_preserves_samples() {
-        let model = generate_case(&CaseSpec::new(10, 3).with_seed(4)).unwrap();
-        let samples = FrequencySamples::from_model(&model, 0.1, 8.0, 25).unwrap();
-        let text = write_samples(&samples);
-        let back = read_samples(&text).unwrap();
-        assert_eq!(back.ports(), 3);
-        assert_eq!(back.len(), 25);
-        for (k, &w) in samples.omegas().iter().enumerate() {
-            assert!((back.omegas()[k] - w).abs() <= 1e-15 * w.max(1.0));
-            let a = &samples.matrices()[k];
-            let b = &back.matrices()[k];
-            assert!((a - b).max_abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn comments_and_blank_lines_ignored() {
-        let text = "# header\n\nports 1\n# data\n1.0 0.5 -0.25  # trailing comment\n2.0 0.1 0.0\n";
-        let s = read_samples(text).unwrap();
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.matrices()[0][(0, 0)], C64::new(0.5, -0.25));
-    }
-
-    #[test]
-    fn malformed_inputs_rejected() {
-        assert!(read_samples("1.0 0.0 0.0\n").is_err()); // data before header
-        assert!(read_samples("ports 0\n").is_err());
-        assert!(read_samples("ports x\n").is_err());
-        assert!(read_samples("ports 1\n1.0 0.5\n").is_err()); // short row
-        assert!(read_samples("ports 1\n1.0 abc 0.0\n").is_err());
-        assert!(read_samples("ports 1\n2.0 1.0 0.0\n1.0 1.0 0.0\n").is_err()); // not increasing
-    }
-
-    #[test]
-    fn empty_input_rejected() {
-        assert!(read_samples("ports 2\n").is_err());
-    }
-
-    // ---- Touchstone v1 ------------------------------------------------
 
     fn reference_samples(p: usize, seed: u64) -> FrequencySamples {
         let model = generate_case(&CaseSpec::new(4 * p, p).with_seed(seed)).unwrap();

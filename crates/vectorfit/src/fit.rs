@@ -31,32 +31,8 @@ impl VectorFitOutcome {
     }
 }
 
-/// Flips unstable poles into the open left half plane, leaving stable ones
-/// untouched: `re >= 0` becomes `-re` (with a small floor so marginal
-/// poles do not land exactly on the axis). This is the safeguard applied
-/// to user-supplied starting poles
-/// ([`VectorFitOptions::initial_poles`]); the sigma-iteration relocation
-/// applies the same left-half-plane flip internally while pairing the
-/// relocated spectrum (`pair_spectrum`, which additionally mirrors by
-/// `|re|` since its input is a raw eigenvalue set).
-pub fn flip_unstable(poles: &[Pole]) -> Vec<Pole> {
-    let scale = poles
-        .iter()
-        .map(Pole::natural_frequency)
-        .fold(0.0, f64::max)
-        .max(1e-300);
-    poles
-        .iter()
-        .map(|&p| match p {
-            Pole::Real(re) if re >= 0.0 => Pole::Real(-re.max(1e-12 * scale)),
-            Pole::Pair { re, im } if re >= 0.0 => Pole::Pair {
-                re: -re.max(1e-9 * im.abs().max(1e-12 * scale)),
-                im: im.abs(),
-            },
-            stable => stable,
-        })
-        .collect()
-}
+/// Damping ratio of the log-spaced starting poles.
+const INITIAL_DAMPING: f64 = 0.01;
 
 /// Fits a rational macromodel to tabulated frequency samples.
 ///
@@ -97,19 +73,10 @@ pub fn vector_fit(
     let omegas = samples.omegas();
     let w_lo = omegas[0].max(omegas[omegas.len() - 1] * 1e-4);
     let w_hi = omegas[omegas.len() - 1];
-    // Starting poles: explicit (stabilized by pole flipping) or log-spaced.
-    let start_poles = match &opts.initial_poles {
-        Some(poles) if poles.is_empty() => {
-            return Err(VectorFitError::invalid("initial_poles must be non-empty"));
-        }
-        Some(poles) => flip_unstable(poles),
-        None => {
-            if opts.poles_per_column == 0 {
-                return Err(VectorFitError::invalid("poles_per_column must be positive"));
-            }
-            initial_poles(w_lo, w_hi, opts.poles_per_column, opts.initial_damping)
-        }
-    };
+    if opts.poles_per_column == 0 {
+        return Err(VectorFitError::invalid("poles_per_column must be positive"));
+    }
+    let start_poles = initial_poles(w_lo, w_hi, opts.poles_per_column, INITIAL_DAMPING);
     let nb = coefficient_count(&start_poles); // real coefficients per pole set
     let sigma_cols = nb * p + if opts.fit_d { p } else { 0 } + nb;
     if 2 * k_samples * p < sigma_cols {
@@ -266,7 +233,9 @@ fn relocate_poles(poles: &[Pole], sigma_coeffs: &[f64]) -> Result<Vec<Pole>, Vec
 }
 
 /// Robustly pairs a real-matrix spectrum into stable poles: conjugate
-/// partners are matched greedily, then unstable real parts are flipped.
+/// partners are matched greedily, then every real part is mirrored into
+/// the open left half plane (`-|re|`, with a small floor so marginal
+/// poles do not land exactly on the axis).
 pub(crate) fn pair_spectrum(eigs: &[C64]) -> Vec<Pole> {
     let scale = eigs.iter().map(|z| z.abs()).fold(0.0, f64::max).max(1e-300);
     let tol = 1e-7 * scale;
@@ -407,7 +376,7 @@ mod tests {
     fn start_poles(samples: &FrequencySamples, count: usize) -> Vec<Pole> {
         let omegas = samples.omegas();
         let w_hi = omegas[omegas.len() - 1];
-        initial_poles(omegas[0].max(w_hi * 1e-4), w_hi, count, 0.01)
+        initial_poles(omegas[0].max(w_hi * 1e-4), w_hi, count, INITIAL_DAMPING)
     }
 
     /// A 20-port deck built directly, without the generator's calibration
@@ -609,48 +578,6 @@ mod tests {
         assert!(vector_fit(&samples, &VectorFitOptions::new(4).with_iterations(0)).is_err());
         // Far too many poles for the sample count.
         assert!(vector_fit(&samples, &VectorFitOptions::new(60)).is_err());
-    }
-
-    #[test]
-    fn flip_unstable_mirrors_into_left_half_plane() {
-        let flipped = flip_unstable(&[
-            Pole::Real(2.0),
-            Pole::Real(-3.0),
-            Pole::Pair { re: 0.5, im: 4.0 },
-            Pole::Pair { re: -0.1, im: 1.0 },
-        ]);
-        assert!(flipped.iter().all(Pole::is_stable), "{flipped:?}");
-        assert_eq!(flipped[1], Pole::Real(-3.0)); // stable poles untouched
-        assert_eq!(flipped[3], Pole::Pair { re: -0.1, im: 1.0 });
-        assert!(matches!(flipped[0], Pole::Real(re) if (re + 2.0).abs() < 1e-12));
-        assert!(matches!(flipped[2], Pole::Pair { re, im }
-            if (re + 0.5).abs() < 1e-12 && (im - 4.0).abs() < 1e-12));
-        // A marginal pole on the axis gets a strictly negative real part.
-        assert!(flip_unstable(&[Pole::Real(0.0), Pole::Real(-1.0)])[0].is_stable());
-    }
-
-    #[test]
-    fn explicit_initial_poles_are_used_and_stabilized() {
-        let reference = generate_case(&CaseSpec::new(8, 2).with_seed(3)).unwrap();
-        let samples = FrequencySamples::from_model(&reference, 0.01, 12.0, 120).unwrap();
-        // Deliberately unstable starts: flipping must rescue the fit.
-        let starts = vec![
-            Pole::Pair { re: 0.05, im: 0.5 },
-            Pole::Pair { re: 0.05, im: 2.0 },
-            Pole::Pair { re: -0.1, im: 5.0 },
-            Pole::Pair { re: 0.02, im: 9.0 },
-        ];
-        let opts = VectorFitOptions::new(0)
-            .with_initial_poles(starts)
-            .with_iterations(8);
-        let fit = vector_fit(&samples, &opts).unwrap();
-        assert!(fit.rms_error < 1e-6, "rms {}", fit.rms_error);
-        // Empty explicit starts are rejected.
-        assert!(vector_fit(
-            &samples,
-            &VectorFitOptions::new(4).with_initial_poles(vec![])
-        )
-        .is_err());
     }
 
     #[test]

@@ -25,5 +25,5 @@ pub mod fit;
 pub mod options;
 
 pub use error::VectorFitError;
-pub use fit::{flip_unstable, vector_fit, VectorFitOutcome};
+pub use fit::{vector_fit, VectorFitOutcome};
 pub use options::VectorFitOptions;

@@ -1,37 +1,25 @@
 //! Vector Fitting tuning knobs.
 
-use pheig_model::Pole;
-
 /// Options for [`crate::vector_fit`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct VectorFitOptions {
     /// Number of poles fitted per port column (complex pairs preferred;
-    /// an odd count adds one real pole). Ignored when
-    /// [`VectorFitOptions::initial_poles`] supplies explicit starts.
+    /// an odd count adds one real pole).
     pub poles_per_column: usize,
     /// Pole-relocation iterations (3–10 typical).
     pub iterations: usize,
-    /// Damping ratio of the log-spaced starting poles.
-    pub initial_damping: f64,
     /// Whether to fit a constant (direct coupling) term per column.
     pub fit_d: bool,
-    /// Explicit starting poles shared by every column (e.g. from a prior
-    /// fit of a related structure). Unstable entries are flipped into the
-    /// left half plane before use ([`crate::fit::flip_unstable`]), so a
-    /// start set harvested from a raw eigenvalue computation is safe.
-    pub initial_poles: Option<Vec<Pole>>,
 }
 
 impl VectorFitOptions {
-    /// Defaults: 10 poles/column, 6 relocation iterations, 1% starting
-    /// damping, constant term fitted.
+    /// `poles_per_column` poles per column, 6 relocation iterations,
+    /// constant term fitted.
     pub fn new(poles_per_column: usize) -> Self {
         VectorFitOptions {
             poles_per_column,
             iterations: 6,
-            initial_damping: 0.01,
             fit_d: true,
-            initial_poles: None,
         }
     }
 
@@ -46,12 +34,6 @@ impl VectorFitOptions {
         self.fit_d = false;
         self
     }
-
-    /// Supplies explicit starting poles (stabilized automatically).
-    pub fn with_initial_poles(mut self, poles: Vec<Pole>) -> Self {
-        self.initial_poles = Some(poles);
-        self
-    }
 }
 
 #[cfg(test)]
@@ -64,9 +46,5 @@ mod tests {
         assert_eq!(o.poles_per_column, 8);
         assert_eq!(o.iterations, 3);
         assert!(!o.fit_d);
-        assert!(o.initial_damping > 0.0);
-        assert!(o.initial_poles.is_none());
-        let o = o.with_initial_poles(vec![Pole::Real(-1.0)]);
-        assert_eq!(o.initial_poles.as_deref(), Some(&[Pole::Real(-1.0)][..]));
     }
 }

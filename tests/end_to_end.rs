@@ -7,6 +7,7 @@ use pheig::core::characterization::characterize;
 use pheig::core::enforcement::{enforce_passivity, EnforcementOptions};
 use pheig::core::solver::{find_imaginary_eigenvalues, SolverOptions};
 use pheig::model::generator::{generate_case, CaseSpec};
+use pheig::model::touchstone::{read_touchstone, write_touchstone, TouchstoneOptions};
 use pheig::model::transfer::sigma_max;
 use pheig::model::FrequencySamples;
 use pheig::vectorfit::{vector_fit, VectorFitOptions};
@@ -42,7 +43,6 @@ fn samples_to_passive_model() {
     // Enforcement.
     let enf = EnforcementOptions {
         solver: sweep.clone(),
-        ..EnforcementOptions::default()
     };
     let enforced = enforce_passivity(&ss, &enf).unwrap();
     assert!(enforced.final_report.is_passive());
@@ -74,6 +74,24 @@ fn passive_reference_stays_passive_through_fit() {
         outcome.frequencies.is_empty(),
         "tight fit of a passive model must be passive, got {:?}",
         outcome.frequencies
+    );
+}
+
+#[test]
+fn touchstone_roundtrip_feeds_vector_fitting() {
+    // Serialize samples to a Touchstone deck, parse it back, and fit: the
+    // "import measurement data" path a downstream user would run.
+    let reference = generate_case(&CaseSpec::new(8, 2).with_seed(6)).unwrap();
+    let samples = FrequencySamples::from_model(&reference, 0.05, 11.0, 120).unwrap();
+    let text = write_touchstone(&samples, &TouchstoneOptions::default());
+    let deck = read_touchstone(&text, None).unwrap();
+    assert_eq!(deck.ports(), 2);
+    let parsed = deck.into_scattering_samples().unwrap();
+    let fit = vector_fit(&parsed, &VectorFitOptions::new(8)).unwrap();
+    assert!(
+        fit.rms_error < 1e-6,
+        "rms through Touchstone roundtrip: {}",
+        fit.rms_error
     );
 }
 
