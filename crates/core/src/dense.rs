@@ -54,6 +54,7 @@ pub(crate) fn solve(ss: &StateSpace, opts: &SolverOptions) -> Result<SolverOutco
         }
     }
     let pairs_converged = eigs.len();
+    spectrum::polish(ss, &mut eigs, axis);
     let eigenpairs = reportable(spectrum::dedupe(eigs, merge), band);
     Ok(SolverOutcome {
         frequencies: spectrum::frequencies(&eigenpairs),

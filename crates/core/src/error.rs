@@ -7,11 +7,12 @@ use std::fmt;
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum SolverError {
-    /// A single-shift iteration kept failing even after reseeded retries.
+    /// A shift that no rung of the degradation ladder certified, or that
+    /// a cancel or budget stop left unrun.
     ShiftFailed {
         /// The shift frequency that could not be processed.
         omega: f64,
-        /// The final attempt's error, rendered.
+        /// The first rung's error, or the stop, rendered.
         reason: String,
     },
     /// The search band could not be estimated.

@@ -114,7 +114,7 @@ pub fn simulate_parallel(
             };
             let started = Instant::now();
             let result = share.execute(&task, &warm, &mut ws);
-            let cost = result.as_ref().map_or(0, cost_units);
+            let cost = result.as_ref().map_or(0, |(_, out)| cost_units(out));
             heap.push(Reverse((clock + cost, executed.len())));
             executed.push(Some((task, result, started.elapsed())));
             idle -= 1;

@@ -59,15 +59,15 @@ pub struct SolverOptions {
     pub kappa: usize,
     /// Initial-radius overlap factor `alpha >= 1` (paper Eq. (23)).
     pub alpha: f64,
-    /// Single-shift Arnoldi tuning.
+    /// Single-shift Arnoldi tuning of a shift's first attempt; the
+    /// degradation ladder's retries derive theirs from it (DESIGN.md "The
+    /// degradation ladder").
     pub arnoldi: SingleShiftOptions,
     /// Search band override; `None` estimates `[0, omega_max]` from the
     /// largest Hamiltonian eigenvalue (Sec. IV.A).
     pub band: Option<(f64, f64)>,
     /// Base RNG seed; per-shift start vectors derive from it.
     pub seed: u64,
-    /// Reseeded retries when a single-shift iteration fails to certify.
-    pub max_shift_retries: usize,
     /// Krylov recycling across the shifts of one sweep: converged Ritz
     /// vectors of completed disks warm-start nearby shifts (kill switch
     /// for A/B measurement; on by default).
@@ -111,7 +111,6 @@ impl SolverOptions {
             arnoldi: SingleShiftOptions::default(),
             band: None,
             seed: 0,
-            max_shift_retries: 4,
             recycling: true,
             cancel: None,
             fault_plan: None,
@@ -175,9 +174,10 @@ pub struct ShiftRecord {
     pub omega: f64,
     /// Certified disk radius.
     pub radius: f64,
-    /// Operator applications spent.
+    /// Operator applications spent by the certifying rung (a failed
+    /// rung's are not counted here or anywhere else).
     pub matvecs: usize,
-    /// Restarts spent.
+    /// Restarts spent by the certifying rung.
     pub restarts: usize,
     /// Deterministic cost units (matvecs + 3 per restart + half a unit,
     /// rounded up, per vector of the refined locked subspace) used by the
@@ -187,6 +187,9 @@ pub struct ShiftRecord {
     pub warm_candidates: usize,
     /// Warm candidates that locked immediately (one matvec each).
     pub warm_pre_locked: usize,
+    /// The degradation-ladder rung that certified the shift (0: the
+    /// first, warm attempt; see DESIGN.md "The degradation ladder").
+    pub rung: usize,
     /// Wall-clock time of the iteration.
     pub wall: Duration,
 }
@@ -272,9 +275,9 @@ impl RecycleCounters {
     }
 }
 
-/// A shift the sweep gave up on after the degradation ladder (retries,
-/// then one cold attempt with widened tolerance) was exhausted, or that
-/// was abandoned by a cancellation / budget stop.
+/// A shift the sweep gave up on after all five rungs of the degradation
+/// ladder failed (DESIGN.md "The degradation ladder"), or that was
+/// abandoned by a cancellation / budget stop.
 ///
 /// Its interval contribution to [`SolverOutcome::coverage_gaps`] is the
 /// part of the band the sweep makes *no claim about*: crossings there may
@@ -285,7 +288,8 @@ pub struct QuarantinedShift {
     pub omega: f64,
     /// The interval the shift was responsible for when quarantined.
     pub interval: (f64, f64),
-    /// The first error that sent the shift down the degradation ladder.
+    /// The first error that sent the shift down the degradation ladder:
+    /// rung 0's, or "sweep stopped" when a stop came before it ran.
     pub reason: SolverError,
 }
 
@@ -340,89 +344,10 @@ pub(crate) fn cost_units(out: &SingleShiftOutcome) -> u64 {
     (out.matvecs + 3 * out.restarts) as u64 + (out.refine_dim as u64).div_ceil(2)
 }
 
-/// Start-vector seed of attempt `attempt` at `task`.
-fn shift_seed(opts: &SolverOptions, task: &ShiftTask, attempt: usize) -> u64 {
-    opts.seed
-        .wrapping_add((task.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .wrapping_add(attempt as u64)
-}
-
-/// Tolerances must track the *local* magnitude: the global spectral
-/// radius of M can exceed the pole band by orders of magnitude (large
-/// real eigenvalues from strong residues), and tying eigenvalue
-/// resolution to it would swallow genuine crossing separations.
-fn shift_scale(task: &ShiftTask, scale_floor: f64) -> f64 {
-    task.omega.abs().max(scale_floor)
-}
-
-/// A certified radius at or below this is "below resolution" at `scale`:
-/// the shift made no progress and must be retried.
-fn min_radius(scale: f64) -> f64 {
-    1e-12 * scale.max(1.0)
-}
-
-/// Runs one shift task with reseeded retries.
-///
-/// Retries also *nudge* the shift frequency by a small fraction of the
-/// initial radius: exactly symmetric shift placements (notably
-/// `omega = 0`, where the Hamiltonian quadruple symmetry makes every
-/// shift-inverted shell multiply degenerate) can defeat the Krylov
-/// iteration, while any nearby asymmetric shift covers the same interval.
-/// The scheduler accepts disks centered at the *actual* shift used.
-fn run_shift(
-    ss: &StateSpace,
-    task: &ShiftTask,
-    scale_floor: f64,
-    opts: &SolverOptions,
-    ws: &mut ArnoldiWorkspace,
-    warm: &[RecycledPair],
-    control: &SweepControl,
-) -> Result<SingleShiftOutcome, SolverError> {
-    let scale = shift_scale(task, scale_floor);
-    let mut last = String::from("no attempts made");
-    for attempt in 0..opts.max_shift_retries.max(1) {
-        if control.should_stop() {
-            last = String::from("sweep stopped (cancelled or budget exhausted)");
-            break;
-        }
-        // Later attempts enlarge the Krylov subspace and restart budget:
-        // dense pole clusters (hundreds of log-spaced poles per column)
-        // produce nearly-degenerate eigenvalue shells that a 60-vector
-        // space cannot always split.
-        let mut aopts = opts
-            .arnoldi
-            .clone()
-            .with_seed(shift_seed(opts, task, attempt));
-        aopts.control = control.clone();
-        aopts.max_subspace += 30 * attempt;
-        aopts.max_restarts += 8 * attempt;
-        let nudge = match attempt {
-            0 => 0.0,
-            k => task.rho0 * 0.017 * k as f64 * if k % 2 == 0 { -1.0 } else { 1.0 },
-        };
-        let omega = (task.omega + nudge).max(0.0);
-        // Warm candidates apply to the first attempt only: a warm attempt
-        // that failed to certify retries cold (the recycled vectors did
-        // not help, and the nudged shift invalidates their distances).
-        let attempt_warm = if attempt == 0 { warm } else { &[] };
-        match single_shift_iteration_recycled_with(
-            ss,
-            omega,
-            task.rho0,
-            scale,
-            &aopts,
-            ws,
-            attempt_warm,
-        ) {
-            Ok(out) if out.radius > min_radius(scale) => return Ok(out),
-            Ok(out) => last = format!("radius {} below resolution", out.radius),
-            Err(e) => last = e.to_string(),
-        }
-    }
-    Err(SolverError::ShiftFailed {
-        omega: task.omega,
-        reason: last,
-    })
+/// Start-vector seed of ladder step `k` at `task` from seed `base`.
+fn shift_seed(base: u64, task: &ShiftTask, k: usize) -> u64 {
+    base.wrapping_add((task.id as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .wrapping_add(k as u64)
 }
 
 /// The frequency scale on which crossings live: the fastest pole resonance.
@@ -430,16 +355,20 @@ pub(crate) fn pole_scale(ss: &StateSpace) -> f64 {
     ss.a().max_natural_frequency().max(f64::MIN_POSITIVE)
 }
 
-/// Converged in-disk eigenpairs of every completed shift -> the deduped
-/// crossings. "Purely imaginary" is classified with a safety factor above
-/// the Arnoldi eigenvalue tolerance, scaled by the pole band `scale`
-/// ([`pole_scale`]; crossings cannot occur beyond the model's resonances).
+/// Converged in-disk eigenpairs of every completed shift -> the polished
+/// ([`spectrum::polish`]), deduped crossings. "Purely imaginary" is
+/// classified with a safety factor above the Arnoldi eigenvalue tolerance,
+/// scaled by the pole band `scale` ([`pole_scale`]; crossings cannot occur
+/// beyond the model's resonances).
 fn crossings(
+    ss: &StateSpace,
     pairs: &[ConvergedEigenpair],
     opts: &SolverOptions,
     scale: f64,
 ) -> Vec<ImaginaryEigenpair> {
-    let eigs = spectrum::extract_imaginary(pairs, axis_tol(opts, scale));
+    let axis = axis_tol(opts, scale);
+    let mut eigs = spectrum::extract_imaginary(pairs, axis);
+    spectrum::polish(ss, &mut eigs, axis);
     spectrum::dedupe(eigs, merge_tol(opts, scale))
 }
 
@@ -498,10 +427,11 @@ fn axis_pairs(
 /// * [`SolverError::TaskPanicked`] when a sweep task panicked and the
 ///   remaining members could not finish the band without it.
 ///
-/// A shift that cannot be certified even after reseeded retries is *not*
-/// an error: the degradation ladder retries it once cold, then
-/// quarantines it, and the sweep returns a partial result whose
-/// [`SolverOutcome::coverage_gaps`] name the unexamined intervals.
+/// A shift that cannot be certified is *not* an error: the degradation
+/// ladder retries it four times (nudged and enlarged, then once with a
+/// widened tolerance), then quarantines it, and the sweep returns a
+/// partial result whose [`SolverOutcome::coverage_gaps`] name the
+/// unexamined intervals.
 ///
 /// # Example
 ///
@@ -779,49 +709,70 @@ impl<'a> SweepShare<'a> {
         Some((task, warm))
     }
 
-    /// Execute, outside the lock: the first two rungs of the degradation
-    /// ladder. The shift runs warm with its reseeded retries; if that
-    /// fails (and the sweep was not stopped) it gets one *cold* attempt:
-    /// no recycled warm starts, fresh seed, tolerance widened 100x but
-    /// never past 1e-5. Transient faults — a one-shot injected NaN, a
-    /// flaky near-degenerate start vector — recover there. `Err` carries
-    /// the first failure, which [`commit`](Self::commit) quarantines the
-    /// shift with.
+    /// Execute, outside the lock: the degradation ladder (DESIGN.md "The
+    /// degradation ladder"), up to five rungs, each run only if the sweep
+    /// was not stopped and under its own `catch_unwind`:
+    ///
+    /// | rung | shift | start | subspace / restarts | tolerance |
+    /// |---|---|---|---|---|
+    /// | 0 | `omega` | warm | as set | `tol` |
+    /// | `k` = 1..3 | `max(omega ± 0.017 k rho0, 0)`, `+` for odd `k` | cold, seed `+ k` | `+30k` / `+8k` | `tol` |
+    /// | 4 | `omega` | cold, seed base `seed ^ 0xC01D_C01D` | as set | `100 tol`, at most 1e-5 |
+    ///
+    /// `Ok` carries the certifying rung; `Err` the first rung's error,
+    /// which [`commit`](Self::commit) quarantines the shift with.
     pub(crate) fn execute(
         &self,
         task: &ShiftTask,
         warm: &[RecycledPair],
         ws: &mut ArnoldiWorkspace,
-    ) -> Result<SingleShiftOutcome, SolverError> {
-        let first = match self.attempt(task, &self.opts, ws, warm) {
-            Ok(out) => return Ok(out),
-            Err(first) => first,
+    ) -> Result<(usize, SingleShiftOutcome), SolverError> {
+        const LAST: usize = 4;
+        // Tolerances track the *local* magnitude: the spectral radius of M
+        // can exceed the pole band by orders of magnitude, and resolving
+        // eigenvalues at it would swallow genuine crossing separations.
+        let scale = task.omega.abs().max(self.scale);
+        let failed = |reason: String| SolverError::ShiftFailed {
+            omega: task.omega,
+            reason,
         };
-        if !self.control.should_stop() {
-            let mut cold = SolverOptions::clone(&self.opts);
-            cold.arnoldi.tol = (cold.arnoldi.tol * 100.0).min(1e-5);
-            cold.max_shift_retries = 1;
-            cold.seed ^= 0xC01D_C01D;
-            if let Ok(out) = self.attempt(task, &cold, ws, &[]) {
-                return Ok(out);
+        let mut first = None;
+        for rung in 0..=LAST {
+            if self.control.should_stop() {
+                break;
             }
+            // Rung 4 takes rung 0's shift and size.
+            let k = rung % LAST;
+            let mut aopts = self.opts.arnoldi.clone();
+            let base = if rung == LAST {
+                aopts.tol = (aopts.tol * 100.0).min(1e-5);
+                self.opts.seed ^ 0xC01D_C01D
+            } else {
+                self.opts.seed
+            };
+            aopts.seed = shift_seed(base, task, k);
+            aopts.control = self.control.clone();
+            aopts.max_subspace += 30 * k;
+            aopts.max_restarts += 8 * k;
+            let nudge = match k {
+                0 => 0.0,
+                k => task.rho0 * 0.017 * k as f64 * if k % 2 == 0 { -1.0 } else { 1.0 },
+            };
+            let omega = (task.omega + nudge).max(0.0);
+            let warm = if rung == 0 { warm } else { &[] };
+            let error = match catch_unwind(AssertUnwindSafe(|| {
+                single_shift_iteration_recycled_with(
+                    self.ss, omega, task.rho0, scale, &aopts, ws, warm,
+                )
+            })) {
+                Ok(Ok(out)) if out.radius > 1e-12 * scale.max(1.0) => return Ok((rung, out)),
+                Ok(Ok(out)) => failed(format!("radius {} below resolution", out.radius)),
+                Ok(Err(e)) => failed(e.to_string()),
+                Err(panic) => SolverError::from_panic(panic.as_ref()),
+            };
+            first.get_or_insert(error);
         }
-        Err(first)
-    }
-
-    /// [`run_shift`] with a panicking iteration contained per shift, so it
-    /// feeds the same degradation ladder as an ordinary failure.
-    fn attempt(
-        &self,
-        task: &ShiftTask,
-        opts: &SolverOptions,
-        ws: &mut ArnoldiWorkspace,
-        warm: &[RecycledPair],
-    ) -> Result<SingleShiftOutcome, SolverError> {
-        catch_unwind(AssertUnwindSafe(|| {
-            run_shift(self.ss, task, self.scale, opts, ws, warm, &self.control)
-        }))
-        .unwrap_or_else(|p| Err(SolverError::from_panic(p.as_ref())))
+        Err(first.unwrap_or_else(|| failed("sweep stopped (cancelled or budget exhausted)".into())))
     }
 
     /// Commit, under the lock. A certified disk is recorded — always
@@ -834,11 +785,11 @@ impl<'a> SweepShare<'a> {
         &self,
         state: &mut SharedState,
         task: &ShiftTask,
-        result: Result<SingleShiftOutcome, SolverError>,
+        result: Result<(usize, SingleShiftOutcome), SolverError>,
         wall: Duration,
     ) {
-        let out = match result {
-            Ok(out) => out,
+        let (rung, out) = match result {
+            Ok(certified) => certified,
             Err(first) => return state.quarantine(task, first),
         };
         state.scheduler.complete(task, out.theta.im, out.radius);
@@ -857,6 +808,7 @@ impl<'a> SweepShare<'a> {
             cost_units: cost_units(&out),
             warm_candidates: out.warm_candidates,
             warm_pre_locked: out.warm_pre_locked,
+            rung,
             wall,
         };
         let kept = axis_pairs(out.in_disk, &self.opts, self.scale);
@@ -894,7 +846,7 @@ impl<'a> SweepShare<'a> {
             shift_log.push(rec);
             all_pairs.extend(pairs);
         }
-        let eigenpairs = reportable(crossings(&all_pairs, &self.opts, self.scale), band);
+        let eigenpairs = reportable(crossings(self.ss, &all_pairs, &self.opts, self.scale), band);
         let frequencies = spectrum::frequencies(&eigenpairs);
         let band_len = (band.1 - band.0).max(f64::MIN_POSITIVE);
         let gap_len: f64 = gaps.iter().map(|&(lo, hi)| hi - lo).sum();
@@ -1072,17 +1024,17 @@ mod tests {
 
     #[test]
     fn persistent_breakdown_quarantines_with_honest_gaps() {
-        // Force every shift to fail: a zero restart budget means no Ritz
-        // value can ever converge, so the degradation ladder (retries,
-        // then one cold widened-tolerance attempt) is exhausted on every
-        // shift. The sweep must terminate with an honest partial result —
-        // named gaps spanning the band — not an error and not a deadlock.
+        // Force every shift to fail: at a zero tolerance no Ritz value can
+        // ever converge, so all five rungs of the degradation ladder (the
+        // widened last one included: 100 x 0 is 0) fail on every shift.
+        // The sweep must terminate with an honest partial result — named
+        // gaps spanning the band — not an error and not a deadlock.
         let ss = generate_case(&CaseSpec::new(16, 2).with_seed(4).with_target_crossings(2))
             .unwrap()
             .realize();
         let mut opts = sweep().with_threads(4);
         opts.arnoldi.max_restarts = 0;
-        opts.max_shift_retries = 1;
+        opts.arnoldi.tol = 0.0;
         for threads in [4usize, 1] {
             opts.threads = threads;
             let out = find_imaginary_eigenvalues(&ss, &opts).unwrap();
@@ -1112,6 +1064,25 @@ mod tests {
             assert!(sim.frequencies.is_empty(), "simulated T={threads}");
             assert_eq!(sim.total_cost, 0, "simulated T={threads}");
         }
+    }
+
+    #[test]
+    fn shift_log_names_the_certifying_rung() {
+        // Without restarts rung 0 cannot converge (recycling off: a warm
+        // shift whose candidates all lock needs none); rungs 1-3 bring
+        // 8-24 of their own, so every shift certifies on a retry and says
+        // so.
+        let ss = generate_case(&CaseSpec::new(16, 2).with_seed(4).with_target_crossings(2))
+            .unwrap()
+            .realize();
+        let mut opts = sweep().with_recycling(false);
+        let healthy = find_imaginary_eigenvalues(&ss, &opts).unwrap();
+        assert!(healthy.shift_log.iter().all(|r| r.rung == 0));
+        opts.arnoldi.max_restarts = 0;
+        let retried = find_imaginary_eigenvalues(&ss, &opts).unwrap();
+        assert_eq!(retried.covered_fraction, 1.0);
+        assert!(!retried.shift_log.is_empty());
+        assert!(retried.shift_log.iter().all(|r| r.rung >= 1));
     }
 
     #[test]

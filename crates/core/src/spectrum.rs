@@ -2,7 +2,10 @@
 //! eigenvalues.
 
 use pheig_arnoldi::ConvergedEigenpair;
+use pheig_hamiltonian::{CLinearOp, HamiltonianOp};
+use pheig_linalg::vector::dot;
 use pheig_linalg::C64;
+use pheig_model::StateSpace;
 use std::sync::Arc;
 
 /// A located purely imaginary Hamiltonian eigenvalue with its eigenvector
@@ -11,7 +14,8 @@ use std::sync::Arc;
 pub struct ImaginaryEigenpair {
     /// Crossing frequency `omega >= 0` (rad/s).
     pub omega: f64,
-    /// The raw eigenvalue as computed (real part is round-off).
+    /// The eigenvalue: on the axis (real part `0.0`, `|Im| = omega`) once
+    /// [`polish`] moved it there, else the raw estimate as computed.
     pub lambda: C64,
     /// Unit-norm eigenvector in `C^{2n}` (the block the converging shift
     /// produced, shared rather than copied).
@@ -45,6 +49,40 @@ pub fn extract_imaginary(pairs: &[ConvergedEigenpair], axis_tol: f64) -> Vec<Ima
             error_estimate: e.error_estimate,
         })
         .collect()
+}
+
+/// Polishes crossing estimates onto the imaginary axis with the
+/// Hamiltonian's two-sided Rayleigh quotient.
+///
+/// For an imaginary eigenvalue of the Hamiltonian `M` of `ss`, with right
+/// eigenvector `x`, `J x` is a left eigenvector (`J = [[0, I], [-I, 0]]`;
+/// `JM` is Hermitian), so `rho = x^H J M x / x^H J x` is accurate to
+/// second order in the eigenvector's error, and purely imaginary. One
+/// operator application per candidate: a candidate within `axis_tol` of
+/// `j Im rho` takes `lambda = j Im rho` and `omega = |Im rho|`; any other
+/// keeps its raw estimate (near a tangency `x^H J x -> 0` and the quotient
+/// is no better than the estimate).
+pub fn polish(ss: &StateSpace, eigs: &mut [ImaginaryEigenpair], axis_tol: f64) {
+    if eigs.is_empty() {
+        return;
+    }
+    // A model without a Hamiltonian has no crossings to polish.
+    let Ok(op) = HamiltonianOp::new(ss) else {
+        return;
+    };
+    let n = ss.order();
+    // `x^H J y` of `x = [x1; x2]`, `y = [y1; y2]`.
+    let j_form = |x: &[C64], y: &[C64]| dot(&x[..n], &y[n..]) - dot(&x[n..], &y[..n]);
+    let mut mx = vec![C64::zero(); 2 * n];
+    for e in eigs {
+        op.apply_into(&e.vector, &mut mx);
+        let rho = j_form(&e.vector, &mx) / j_form(&e.vector, &e.vector);
+        let polished = C64::from_imag(rho.im);
+        if (polished - e.lambda).abs() <= axis_tol {
+            e.lambda = polished;
+            e.omega = rho.im.abs();
+        }
+    }
 }
 
 /// Sorts by `omega` and merges duplicates closer than `merge_tol`

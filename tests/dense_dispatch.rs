@@ -16,10 +16,13 @@
 //!   or the crossing is tangent (`sigma_max` on the threshold itself).
 //!
 //! And a batch of full pipelines on the dense path gives bitwise the same
-//! results on 1, 2 and 4 workers as one job at a time.
+//! results on 1, 2 and 4 workers as one job at a time; the crossing polish
+//! both paths apply puts perturbed dense crossings back on the axis.
 
 use pheig::core::solver::{find_imaginary_eigenvalues, Certificate, SolverOptions, SolverOutcome};
+use pheig::core::spectrum::polish;
 use pheig::hamiltonian::dense_hamiltonian;
+use pheig::linalg::vector::normalize;
 use pheig::linalg::C64;
 use pheig::model::generator::{generate_case, CaseSpec};
 use pheig::model::transfer::sigma_max;
@@ -197,4 +200,57 @@ fn batch_on_the_dense_path_is_bitwise_across_thread_counts() {
             );
         }
     }
+}
+
+/// `spectrum::polish` on the dense crossings of a small model, each
+/// eigenvector moved by 1e-6 in norm and its estimate off the axis:
+/// the two-sided Rayleigh quotient returns every crossing to within 1e-9
+/// of the dense one, exactly on the axis. A candidate whose `x^H J x` is 0
+/// keeps its raw estimate.
+#[test]
+fn polish_returns_perturbed_crossings_to_the_axis() {
+    let ss = generate_case(&CaseSpec::new(24, 2).with_seed(31).with_target_crossings(4))
+        .unwrap()
+        .realize();
+    let dense = find_imaginary_eigenvalues(&ss, &SolverOptions::default()).unwrap();
+    assert_eq!(dense.certificate, Certificate::DenseWholeBand);
+    assert!(!dense.eigenpairs.is_empty());
+    let axis_tol = 1e-6 * dense.band.1;
+    let raw = |lambda: C64| C64::new(1e-7, lambda.im + 1e-7);
+    // A unit direction, so each eigenvector moves by exactly 1e-6 in norm.
+    let mut dir: Vec<C64> = (0..2 * ss.order())
+        .map(|i| C64::new((0.7 * i as f64).sin(), (0.3 * i as f64).cos()))
+        .collect();
+    normalize(&mut dir);
+    let mut eigs = dense.eigenpairs.clone();
+    for e in &mut eigs {
+        let perturbed: Vec<C64> = e
+            .vector
+            .iter()
+            .zip(&dir)
+            .map(|(&x, &d)| x + d * 1e-6)
+            .collect();
+        e.vector = perturbed.into();
+        e.lambda = raw(e.lambda);
+    }
+    polish(&ss, &mut eigs, axis_tol);
+    for (got, want) in eigs.iter().zip(&dense.eigenpairs) {
+        assert_eq!(got.lambda.re, 0.0, "crossing {}", want.omega);
+        assert_eq!(got.omega, got.lambda.im.abs());
+        assert!(
+            (got.omega - want.omega).abs() <= 1e-9,
+            "polished {} vs dense {}",
+            got.omega,
+            want.omega
+        );
+    }
+    // `x = [x1; 0]`: `x^H J x = x1^H 0 - 0^H x1 = 0`.
+    let mut tangent = dense.eigenpairs[0].clone();
+    let mut half = tangent.vector.to_vec();
+    half[ss.order()..].fill(C64::zero());
+    tangent.vector = half.into();
+    tangent.lambda = raw(tangent.lambda);
+    let before = (tangent.lambda, tangent.omega.to_bits());
+    polish(&ss, std::slice::from_mut(&mut tangent), axis_tol);
+    assert_eq!((tangent.lambda, tangent.omega.to_bits()), before);
 }
