@@ -943,9 +943,10 @@ pub fn largest_eigenvalue_magnitude(
     let mut best = 0.0f64;
     let mut matvecs = 0usize;
     let d = opts.max_subspace.min(n).max(2);
-    let restarts = 4usize;
+    let mut restarts = 0usize;
     let mut fact = ArnoldiFactorization::empty();
-    for _ in 0..restarts {
+    while restarts < 4 {
+        restarts += 1;
         arnoldi_into(op, &start, &[], d, &mut fact);
         matvecs += fact.steps;
         if fact.steps == 0 {
@@ -1100,6 +1101,24 @@ mod tests {
         assert!(
             (got - want).abs() < 1e-3 * want,
             "largest |eig|: arnoldi {got} vs dense {want}"
+        );
+    }
+
+    #[test]
+    fn largest_magnitude_of_zero_operator_reports_the_rounds_it_ran() {
+        // The Krylov space of a zero operator breaks down after one
+        // matvec, so the estimate stops after its first round.
+        let zero = Matrix::<C64>::zeros(4, 4);
+        let err = largest_eigenvalue_magnitude(&zero, &SingleShiftOptions::new()).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                ArnoldiError::NoConvergence {
+                    restarts: 1,
+                    matvecs: 1
+                }
+            ),
+            "{err:?}"
         );
     }
 

@@ -25,7 +25,6 @@
 
 use crate::characterization::{characterize, PassivityReport};
 use crate::error::SolverError;
-use crate::exec::SweepOrigin;
 use crate::solver::{sweep, SolverOptions, SolverOutcome, SolverWorkspace};
 use crate::spectrum::ImaginaryEigenpair;
 use pheig_hamiltonian::build::port_coupling_inverses;
@@ -363,7 +362,7 @@ fn enforce_once(
     let (mut outcome, initial_report) = match seed {
         Some((outcome, report)) => (outcome.clone(), report.clone()),
         None => {
-            let outcome = sweep(&current, solver, solver_ws, SweepOrigin::Enforcement)?;
+            let outcome = sweep(&current, solver, solver_ws)?;
             recycle.absorb(&outcome.stats);
             let report = characterize(&current, &outcome.frequencies)?;
             (outcome, report)
@@ -535,7 +534,7 @@ fn enforce_once(
                     }
                 }
             }
-            let trial_outcome = sweep(&trial, solver, solver_ws, SweepOrigin::Enforcement)?;
+            let trial_outcome = sweep(&trial, solver, solver_ws)?;
             recycle.absorb(&trial_outcome.stats);
             let trial_report = characterize(&trial, &trial_outcome.frequencies)?;
             if trial_report.is_passive() || is_progress(violation_metrics(&trial_report), severity)
@@ -660,10 +659,11 @@ mod tests {
     }
 
     #[test]
-    fn serial_resweeps_are_tagged_and_counted_on_the_executor() {
+    fn serial_resweeps_are_counted_on_the_executor() {
         // A `T = 1` sweep is a cohort of one on the zero-worker pool, so
-        // its enforcement re-sweeps must show up in that pool's telemetry
-        // (other tests may add to the same pool concurrently, hence `>=`).
+        // each enforcement re-sweep must add one membership to that pool's
+        // telemetry (other tests may add to the same pool concurrently,
+        // hence `>=`).
         let ss = generate_case(
             &CaseSpec::new(16, 2)
                 .with_seed(5)
@@ -673,7 +673,7 @@ mod tests {
         .unwrap()
         .realize();
         let pool = crate::exec::Executor::pool(0);
-        let before = pool.stats().enforcement_sweeps;
+        let before = pool.stats().tasks_executed;
         // Below the dense crossover a re-sweep is a dense solve, which
         // opens no cohort; the telemetry under test is the sweep's.
         let opts = EnforcementOptions {
@@ -681,10 +681,10 @@ mod tests {
         };
         let out = enforce_passivity(&ss, &opts).unwrap();
         assert!(out.recycle.sweeps > 0);
-        let counted = pool.stats().enforcement_sweeps - before;
+        let counted = pool.stats().tasks_executed - before;
         assert!(
             counted >= out.recycle.sweeps as u64,
-            "{counted} enforcement sweeps counted, {} run",
+            "{counted} memberships counted, {} sweeps run",
             out.recycle.sweeps
         );
     }

@@ -1,14 +1,6 @@
 //! The persistent execution layer (Sec. IV.C's "one pool of long-lived
 //! workers pulling shifts", lifted to every parallel layer of the
-//! workspace).
-//!
-//! Before this module existed, each parallel layer spawned its own
-//! `std::thread::scope` pool per call: [`crate::pipeline::run_batch`] per
-//! batch, the sweep driver in [`crate::solver`] per sweep, and the
-//! enforcement loop per re-characterization — so nested layers
-//! oversubscribed cores and rebuilt workers (and their Krylov scratch) on
-//! every invocation. This module replaces all of that with **one**
-//! persistent executor per configured width:
+//! workspace). There is **one** persistent executor per configured width:
 //!
 //! * **Workers are spawned once.** [`Executor::pool`] caches one executor
 //!   per worker count for the lifetime of the process; repeated batches,
@@ -16,52 +8,49 @@
 //!   ([`threads_spawned_total`] is pinned flat in steady state by
 //!   `crates/core/tests/exec_steady_state.rs`).
 //! * **Workers own the solver scratch.** The executor keeps a checkout
-//!   pool of [`SolverWorkspace`]s; every task executes against one, so the
+//!   pool of [`SolverWorkspace`]s; every job executes against one, so the
 //!   workspace-reuse contract ("whoever loops owns the scratch") has a
 //!   single owner: the execution layer.
-//! * **One task taxonomy.** [`Task`] is the unified currency: batch
-//!   pipeline jobs, multi-shift sweep membership (characterization *and*
-//!   enforcement re-sweeps, distinguished by [`SweepOrigin`]), and a
-//!   telemetry probe. All layers schedule on the same queue, so an idle
-//!   worker takes whatever is queued — batch jobs or sweep memberships
-//!   alike. (One asymmetry remains: a sweep member that finds the shift
-//!   queue momentarily empty parks on the sweep's own condvar rather
-//!   than returning to the pool, so it is unavailable to other cohorts
-//!   until its sweep completes — the same behavior the pre-executor
-//!   dedicated sweep threads had.)
+//! * **A job is a closure.** A cohort member is a [`Job`], a shared
+//!   `Fn(&mut SolverWorkspace)` borrowed for the cohort's lifetime: a
+//!   batch's job loop, a sweep's shift loop, or a test's counter. All
+//!   layers schedule on the same queue, so an idle worker takes whatever
+//!   is queued. (One asymmetry remains: a sweep member that finds the
+//!   shift queue momentarily empty parks on the sweep's own condvar
+//!   rather than returning to the pool, so it is unavailable to other
+//!   cohorts until its sweep completes.)
 //! * **One queue, one lock.** Each pool holds a single
 //!   `Mutex<VecDeque<_>>` of entries and one condvar that idle workers and
 //!   waiting cohort owners share. Load balancing happens per *item*
 //!   (below), so the queue only ever hands each cohort member one entry;
 //!   entries are single machine words and the queue's capacity is reserved
 //!   at construction, so steady-state submission and execution allocate
-//!   nothing per task.
+//!   nothing per job.
 //!
 //! # Cohorts
 //!
 //! The submission unit is a *cohort* ([`Executor::run_cohort`]): `extra`
-//! copies of one [`Task`] are pushed to the pool while the calling thread
-//! runs the same task inline as the cohort's first member, then waits for
-//! the copies — **helping** with any queued work while it waits, which is
-//! what makes nested cohorts (a batch job whose sweep fans out on the same
-//! pool) deadlock-free by construction: every cohort's owner participates,
-//! so progress never depends on a pool worker being free.
+//! entries for one job are pushed to the pool while the calling thread
+//! runs the same job inline as the cohort's first member, then waits for
+//! the queued members — **helping** with any queued work while it waits,
+//! which is what makes nested cohorts (a batch job whose sweep fans out on
+//! the same pool) deadlock-free by construction: every cohort's owner
+//! participates, so progress never depends on a pool worker being free.
 //!
-//! Cohort tasks are pull loops over shared state (an atomic job counter, a
+//! Cohort jobs are pull loops over shared state (an atomic job counter, a
 //! locked [`Scheduler`](crate::scheduler::Scheduler)), so a queue entry is
 //! a whole pull loop while load balancing happens at the item level —
 //! stragglers cannot serialize a batch, and a cohort with more members
 //! than free workers degrades gracefully (queued members find the shared
 //! state drained and return immediately).
 
-use crate::pipeline::BatchShare;
-use crate::solver::{SolverWorkspace, SweepShare};
+use crate::solver::SolverWorkspace;
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -84,166 +73,41 @@ pub fn threads_spawned_total() -> usize {
     SPAWNED.load(Ordering::Relaxed)
 }
 
-/// Which layer a [`Task::ShiftSweep`] serves: the pipeline's one-shot
-/// characterization sweep, or one of the enforcement loop's
-/// re-characterization sweeps. Purely telemetry — both schedule
-/// identically — but it makes [`ExecutorStats`] show where sweep work
-/// actually comes from (enforcement typically dominates).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SweepOrigin {
-    /// A passivity-characterization sweep (pipeline stage 2, or a direct
-    /// `find_imaginary_eigenvalues` call).
-    Characterization,
-    /// An enforcement-loop re-characterization sweep (line-search trials
-    /// and verification sweeps).
-    Enforcement,
-}
-
-/// Shared state of a telemetry probe cohort: counts executions and
-/// nothing else. Used by the steady-state tests (and available to
-/// monitoring) to measure the executor's own overhead — a probe cohort
-/// exercises the full submit/execute/complete machinery with a no-op
-/// payload.
-#[derive(Debug, Default)]
-pub struct ProbeShare {
-    hits: AtomicUsize,
-}
-
-impl ProbeShare {
-    /// A fresh probe with zero hits.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Number of times the probe task has executed (inline run included).
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::SeqCst)
-    }
-
-    pub(crate) fn run(&self) {
-        self.hits.fetch_add(1, Ordering::SeqCst);
-    }
-}
-
-/// The unified task taxonomy: everything the workspace schedules in
-/// parallel is one of these, so all layers share one pool instead of
-/// nesting scoped thread pools.
-///
-/// Each variant borrows the *shared state* of one cohort; running a task
-/// means joining that cohort's pull loop (jobs from an atomic counter,
-/// shifts from the locked scheduler) until the shared state is drained.
-#[derive(Clone, Copy)]
-pub enum Task<'env> {
-    /// Pull-and-run pipeline jobs from a batch
-    /// ([`crate::pipeline::run_batch`]).
-    BatchJob(&'env BatchShare<'env>),
-    /// Pull [`Scheduler::next_shift`](crate::scheduler::Scheduler::next_shift)
-    /// tasks for one multi-shift sweep; covers both characterization
-    /// sweeps and enforcement re-sweeps (see [`SweepOrigin`]).
-    ShiftSweep(&'env SweepShare<'env>),
-    /// Telemetry probe measuring executor overhead (see [`ProbeShare`]).
-    Probe(&'env ProbeShare),
-    /// Test-only probe whose run panics, exercising the worker-side
-    /// unwind path.
-    #[cfg(test)]
-    PanicProbe(&'env ProbeShare),
-}
-
-impl fmt::Debug for Task<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Task::BatchJob(_) => f.write_str("Task::BatchJob"),
-            Task::ShiftSweep(s) => write!(f, "Task::ShiftSweep({:?})", s.origin),
-            Task::Probe(_) => f.write_str("Task::Probe"),
-            #[cfg(test)]
-            Task::PanicProbe(_) => f.write_str("Task::PanicProbe"),
-        }
-    }
-}
-
-impl Task<'_> {
-    /// Runs one cohort membership to completion.
-    fn run(&self, ctx: &mut TaskContext<'_>) {
-        match self {
-            Task::BatchJob(share) => share.run(ctx),
-            Task::ShiftSweep(share) => share.run(ctx),
-            Task::Probe(share) => share.run(),
-            #[cfg(test)]
-            Task::PanicProbe(share) => {
-                share.run();
-                panic!("PanicProbe membership failed by design");
-            }
-        }
-    }
-}
-
-/// Execution context handed to every running task: the worker's
-/// checked-out solver scratch. Workspace contents never influence results
-/// (pinned by `reused_workspace_gives_identical_results`), so any task can
-/// run against any workspace.
-pub struct TaskContext<'a> {
-    pub(crate) workspace: &'a mut SolverWorkspace,
-}
-
-impl<'a> TaskContext<'a> {
-    /// Wraps caller-owned scratch as an execution context (the cohort
-    /// owner's inline membership uses its own workspace, preserving the
-    /// caller-owned-scratch contract of `find_imaginary_eigenvalues_with`).
-    pub fn new(workspace: &'a mut SolverWorkspace) -> Self {
-        TaskContext { workspace }
-    }
-
-    /// The solver scratch this task executes against.
-    pub fn workspace(&mut self) -> &mut SolverWorkspace {
-        self.workspace
-    }
-}
+/// One cohort membership: joins the cohort's pull loop over its shared
+/// state until that state is drained, against the solver scratch of
+/// whichever thread runs it. Workspace contents never influence results
+/// (pinned by `reused_workspace_gives_identical_results`), so any member
+/// can run against any workspace.
+pub type Job<'env> = dyn Fn(&mut SolverWorkspace) + Sync + 'env;
 
 /// Aggregate executor telemetry (monotonic counters since pool creation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorStats {
     /// Pool width (worker threads; the cohort owner adds one more).
     pub workers: usize,
-    /// Task executions, inline cohort memberships included.
+    /// Cohort memberships run, inline ones included.
     pub tasks_executed: u64,
-    /// Executions that were batch pipeline jobs.
-    pub batch_jobs: u64,
-    /// Executions that were characterization sweep memberships.
-    pub characterization_sweeps: u64,
-    /// Executions that were enforcement re-sweep memberships.
-    pub enforcement_sweeps: u64,
-    /// Executions that were telemetry probes.
-    pub probes: u64,
     /// Always 0 since the pool has a single shared queue; kept while
     /// `benchmark/` reads it as `core.exec.steals`.
     pub steals: u64,
 }
 
-#[derive(Default)]
-struct Counters {
-    executed: AtomicU64,
-    batch_jobs: AtomicU64,
-    characterization_sweeps: AtomicU64,
-    enforcement_sweeps: AtomicU64,
-    probes: AtomicU64,
-}
-
 /// One erased cohort entry: the address of a stack-pinned `GroupRecord`.
 type Entry = usize;
 
-/// The stack-pinned record behind every pool copy of a cohort task.
+/// The stack-pinned record behind every queued member of a cohort.
 ///
 /// # Safety contract
 ///
-/// The record lives in [`Executor::run_cohort_caught`]'s stack frame,
-/// which does not return (and therefore does not unwind past the record)
-/// until `remaining` reads zero under the pool's queue lock. Exactly
+/// The record lives in [`Executor::run_cohort`]'s stack frame, which
+/// does not return (and therefore does not unwind past the record) until
+/// `remaining` reads zero under the pool's queue lock. Exactly
 /// `remaining` entries pointing at the record are pushed, each entry is
 /// popped exactly once (under that lock), and a consumer's decrement of
 /// `remaining` under the lock is its last touch of the record — so no
 /// entry can outlive the frame it points into.
 struct GroupRecord<'env> {
-    task: Task<'env>,
+    job: &'env Job<'env>,
     /// Members still queued or running. Changed and read only under the
     /// pool's queue lock, which orders every access; the atomic is just
     /// the `Sync` interior mutability.
@@ -261,7 +125,8 @@ struct PoolShared {
     /// completes; idle workers and waiting cohort owners both sleep here.
     wake: Condvar,
     workspaces: Mutex<Vec<SolverWorkspace>>,
-    counters: Counters,
+    /// Memberships run ([`ExecutorStats::tasks_executed`]).
+    executed: AtomicU64,
 }
 
 thread_local! {
@@ -316,38 +181,27 @@ impl PoolShared {
         }
     }
 
-    fn record(&self, task: &Task<'_>) {
-        self.counters.executed.fetch_add(1, Ordering::Relaxed);
-        let per_kind = match task {
-            Task::BatchJob(_) => &self.counters.batch_jobs,
-            Task::ShiftSweep(share) => match share.origin {
-                SweepOrigin::Characterization => &self.counters.characterization_sweeps,
-                SweepOrigin::Enforcement => &self.counters.enforcement_sweeps,
-            },
-            Task::Probe(_) => &self.counters.probes,
-            #[cfg(test)]
-            Task::PanicProbe(_) => &self.counters.probes,
-        };
-        per_kind.fetch_add(1, Ordering::Relaxed);
+    /// Runs one membership of `group` against `ws`, counted, keeping the
+    /// cohort's first panic payload.
+    fn run_member(&self, group: &GroupRecord<'_>, ws: &mut SolverWorkspace) {
+        self.executed.fetch_add(1, Ordering::Relaxed);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (group.job)(ws))) {
+            group.panic.lock().get_or_insert(payload);
+        }
     }
 
-    /// Executes one popped entry against `ctx`, storing any panic in the
+    /// Executes one popped entry against `ws`, storing any panic in the
     /// cohort record, then counts the member complete under the queue
     /// lock (see [`GroupRecord`]'s safety contract).
-    fn execute(&self, entry: Entry, ctx: &mut TaskContext<'_>) {
+    fn execute(&self, entry: Entry, ws: &mut SolverWorkspace) {
         // SAFETY: `entry` is the exposed provenance of a `GroupRecord`
-        // pinned in a `run_cohort_caught` frame that cannot return before
-        // the record's `remaining` reads zero under the queue lock. This
-        // entry was popped exactly once, and the decrement under the lock
-        // below is this consumer's last touch of the record.
+        // pinned in a `run_cohort` frame that cannot return before the
+        // record's `remaining` reads zero under the queue lock. This entry
+        // was popped exactly once, and the decrement under the lock below
+        // is this consumer's last touch of the record.
         let group: &GroupRecord<'_> =
             unsafe { &*std::ptr::with_exposed_provenance::<GroupRecord<'_>>(entry) };
-        let task = group.task;
-        self.record(&task);
-        let result = catch_unwind(AssertUnwindSafe(|| task.run(ctx)));
-        if let Err(payload) = result {
-            *group.panic.lock() = Some(payload);
-        }
+        self.run_member(group, ws);
         let _queue = self.queue.lock();
         if group.remaining.fetch_sub(1, Ordering::Relaxed) == 1 {
             // The owner may be asleep on `wake`, beside idle workers.
@@ -355,13 +209,17 @@ impl PoolShared {
         }
     }
 
-    /// Executes an entry against a checked-out pool workspace.
-    fn execute_pooled(&self, entry: Entry) {
+    /// Runs `f` against a workspace checked out from the pool and returned
+    /// after it, so scratch persists across memberships and calls. Every
+    /// `f` here runs memberships, which contain their own panics, so
+    /// nothing unwinds past the checkout.
+    fn with_workspace<R>(&self, f: impl FnOnce(&mut SolverWorkspace) -> R) -> R {
         // `SolverWorkspace::default` is an empty Vec — creating one when
         // the checkout pool is momentarily dry allocates nothing.
         let mut ws = self.workspaces.lock().pop().unwrap_or_default();
-        self.execute(entry, &mut TaskContext::new(&mut ws));
+        let result = f(&mut ws);
         self.workspaces.lock().push(ws);
+        result
     }
 }
 
@@ -377,7 +235,7 @@ fn worker_loop(shared: Arc<PoolShared>) {
                 shared.wake.wait(&mut queue);
             }
         };
-        shared.execute_pooled(entry);
+        shared.with_workspace(|ws| shared.execute(entry, ws));
     }
 }
 
@@ -408,7 +266,7 @@ impl Executor {
             queue: Mutex::new(VecDeque::with_capacity(QUEUE_RESERVE)),
             wake: Condvar::new(),
             workspaces: Mutex::new(Vec::with_capacity(WORKSPACE_RESERVE)),
-            counters: Counters::default(),
+            executed: AtomicU64::new(0),
         });
         for index in 0..workers {
             let shared = Arc::clone(&shared);
@@ -472,51 +330,27 @@ impl Executor {
 
     /// Telemetry snapshot.
     pub fn stats(&self) -> ExecutorStats {
-        let c = &self.shared.counters;
         ExecutorStats {
             workers: self.workers(),
-            tasks_executed: c.executed.load(Ordering::Relaxed),
-            batch_jobs: c.batch_jobs.load(Ordering::Relaxed),
-            characterization_sweeps: c.characterization_sweeps.load(Ordering::Relaxed),
-            enforcement_sweeps: c.enforcement_sweeps.load(Ordering::Relaxed),
-            probes: c.probes.load(Ordering::Relaxed),
+            tasks_executed: self.shared.executed.load(Ordering::Relaxed),
             steals: 0,
         }
     }
 
-    /// Runs `f` against a workspace checked out from the executor's pool,
-    /// so scratch persists across calls (batches, enforcement sweeps)
-    /// instead of being rebuilt per invocation. The checkout is returned
-    /// even when `f` unwinds — a contained panic must not leak the slot.
+    /// Runs `f` against a workspace checked out from the executor's pool
+    /// (a batch's inline membership), so scratch persists across calls
+    /// instead of being rebuilt per invocation. `f` must not unwind: pass
+    /// it a [`Executor::run_cohort`], which contains panics.
     pub(crate) fn with_workspace<R>(&self, f: impl FnOnce(&mut SolverWorkspace) -> R) -> R {
-        let mut ws = self.shared.workspaces.lock().pop().unwrap_or_default();
-        let result = catch_unwind(AssertUnwindSafe(|| f(&mut ws)));
-        self.shared.workspaces.lock().push(ws);
-        match result {
-            Ok(r) => r,
-            Err(payload) => resume_unwind(payload),
-        }
+        self.shared.with_workspace(f)
     }
 
-    /// [`Executor::run_cohort`] with the caller's workspace checked out
-    /// from the executor pool.
-    pub fn run(&self, task: Task<'_>, extra: usize) {
-        self.with_workspace(|ws| self.run_cohort(task, extra, &mut TaskContext::new(ws)));
-    }
-
-    /// [`Executor::run_cohort_caught`] with the caller's workspace checked
-    /// out from the executor pool: a panicking cohort surfaces as an `Err`
-    /// payload here, with the workspace already returned to the pool.
-    pub fn run_caught(&self, task: Task<'_>, extra: usize) -> Result<(), Box<dyn Any + Send>> {
-        self.with_workspace(|ws| self.run_cohort_caught(task, extra, &mut TaskContext::new(ws)))
-    }
-
-    /// Runs a cohort of `extra + 1` copies of `task`: `extra` copies on
-    /// the pool, plus one inline on the calling thread (the cohort
-    /// owner). Returns when **all** copies have finished; the owner helps
-    /// execute queued work — from this or any other cohort — while it
-    /// waits, which keeps nested cohorts deadlock-free on any pool width
-    /// (including zero workers).
+    /// Runs a cohort of `extra + 1` memberships of `job`: `extra` on the
+    /// pool, plus one inline on the calling thread (the cohort owner)
+    /// against the caller's `ws`. Returns when **all** memberships have
+    /// finished; the owner helps execute queued work — from this or any
+    /// other cohort, against `ws` — while it waits, which keeps nested
+    /// cohorts deadlock-free on any pool width (including zero workers).
     ///
     /// Helping is deliberately indiscriminate (the rayon `join`
     /// trade-off): an owner may claim another cohort's pull loop and run
@@ -526,51 +360,36 @@ impl Executor {
     /// independent latency-sensitive batches on one pool should use
     /// separate pools.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Re-raises a panic observed in a cohort member after the whole
-    /// cohort has completed.
-    pub fn run_cohort(&self, task: Task<'_>, extra: usize, ctx: &mut TaskContext<'_>) {
-        if let Err(payload) = self.run_cohort_caught(task, extra, ctx) {
-            resume_unwind(payload);
-        }
-    }
-
-    /// [`Executor::run_cohort`] with panic *containment* instead of
-    /// propagation: the whole cohort still runs to completion (a panicked
-    /// member counts as completed-with-error, so no member is lost and no
-    /// waiter deadlocks), but the observed panic payload is returned as
-    /// `Err` rather than re-raised. This is the boundary the solver layers
-    /// use to convert unwinds into typed
-    /// [`SolverError::TaskPanicked`](crate::error::SolverError::TaskPanicked)
+    /// Panics are *contained*, never propagated: the whole cohort still
+    /// runs to completion (a panicked member counts as
+    /// completed-with-error, so no member is lost and no waiter
+    /// deadlocks), and an observed panic payload is returned as `Err`.
+    /// This is the boundary the solver layers use to convert unwinds into
+    /// typed [`SolverError::TaskPanicked`](crate::error::SolverError::TaskPanicked)
     /// values.
-    pub fn run_cohort_caught(
+    pub fn run_cohort(
         &self,
-        task: Task<'_>,
         extra: usize,
-        ctx: &mut TaskContext<'_>,
+        ws: &mut SolverWorkspace,
+        job: &Job<'_>,
     ) -> Result<(), Box<dyn Any + Send>> {
         let shared = &self.shared;
         let _bind = CurrentGuard::enter(shared);
-        if extra == 0 {
-            // Degenerate cohort: just the owner. Still bound to the pool
-            // so nested layers reuse it — and still caught, so a panicking
-            // solo membership is contained like any other.
-            shared.record(&task);
-            return catch_unwind(AssertUnwindSafe(|| task.run(ctx)));
-        }
         let group = GroupRecord {
-            task,
+            job,
             remaining: AtomicUsize::new(extra),
             panic: Mutex::new(None),
         };
-        // Expose the record's provenance so consumers can soundly rebuild
-        // a reference from the word-sized entry (`execute`'s
-        // `with_exposed_provenance` counterpart).
-        let entry = std::ptr::from_ref(&group).expose_provenance();
-        shared.submit(entry, extra);
-        shared.record(&task);
-        let inline_result = catch_unwind(AssertUnwindSafe(|| task.run(ctx)));
+        if extra > 0 {
+            // Expose the record's provenance so consumers can soundly
+            // rebuild a reference from the word-sized entry (`execute`'s
+            // `with_exposed_provenance` counterpart).
+            let entry = std::ptr::from_ref(&group).expose_provenance();
+            shared.submit(entry, extra);
+        }
+        shared.run_member(&group, ws);
         // Completion barrier: every pushed entry must be consumed before
         // `group` leaves scope (see the GroupRecord safety contract). The
         // count is read under the same lock the last member decrements it
@@ -580,17 +399,17 @@ impl Executor {
             match queue.pop_front() {
                 Some(queued) => {
                     drop(queue);
-                    shared.execute(queued, ctx);
+                    shared.execute(queued, ws);
                     queue = shared.queue.lock();
                 }
                 None => shared.wake.wait(&mut queue),
             }
         }
         drop(queue);
-        if let Some(payload) = group.panic.lock().take() {
-            return Err(payload);
+        match group.panic.into_inner() {
+            Some(payload) => Err(payload),
+            None => Ok(()),
         }
-        inline_result
     }
 }
 
@@ -598,17 +417,38 @@ impl Executor {
 mod tests {
     use super::*;
 
-    fn probe_cohort(exec: &Executor, extra: usize) -> usize {
-        let probe = ProbeShare::new();
-        exec.run(Task::Probe(&probe), extra);
-        probe.hits()
+    /// Runs a cohort of a counting job, the owner's workspace checked out
+    /// from the pool, and returns how many memberships ran.
+    fn counted_cohort(exec: &Executor, extra: usize) -> usize {
+        let hits = AtomicUsize::new(0);
+        exec.with_workspace(|ws| {
+            exec.run_cohort(extra, ws, &|_| {
+                hits.fetch_add(1, Ordering::SeqCst);
+            })
+        })
+        .expect("a counting cohort does not panic");
+        hits.into_inner()
+    }
+
+    /// Runs a cohort whose every membership counts itself, then panics.
+    fn panicking_cohort(
+        exec: &Executor,
+        extra: usize,
+        hits: &AtomicUsize,
+    ) -> Result<(), Box<dyn Any + Send>> {
+        exec.with_workspace(|ws| {
+            exec.run_cohort(extra, ws, &|_| {
+                hits.fetch_add(1, Ordering::SeqCst);
+                panic!("membership failed by design");
+            })
+        })
     }
 
     #[test]
     fn cohort_runs_exactly_extra_plus_one_times() {
         let exec = Executor::spawn_pool(2);
         for extra in [0usize, 1, 2, 7] {
-            assert_eq!(probe_cohort(&exec, extra), extra + 1, "extra = {extra}");
+            assert_eq!(counted_cohort(&exec, extra), extra + 1, "extra = {extra}");
         }
     }
 
@@ -616,8 +456,8 @@ mod tests {
     fn zero_worker_pool_still_completes_cohorts() {
         // All pool copies are executed by the helping owner.
         let exec = Executor::spawn_pool(0);
-        assert_eq!(probe_cohort(&exec, 5), 6);
-        assert_eq!(exec.stats().probes, 6);
+        assert_eq!(counted_cohort(&exec, 5), 6);
+        assert_eq!(exec.stats().tasks_executed, 6);
     }
 
     #[test]
@@ -625,7 +465,7 @@ mod tests {
         // The queue grows past its reserve instead of refusing entries.
         let exec = Executor::spawn_pool(0);
         let copies = QUEUE_RESERVE + 257;
-        assert_eq!(probe_cohort(&exec, copies), copies + 1);
+        assert_eq!(counted_cohort(&exec, copies), copies + 1);
     }
 
     #[test]
@@ -635,27 +475,28 @@ mod tests {
         // owner), never lost or double-run.
         let exec = Executor::spawn_pool(1);
         for round in 1..=20usize {
-            assert_eq!(probe_cohort(&exec, 6), 7, "round {round}");
+            assert_eq!(counted_cohort(&exec, 6), 7, "round {round}");
         }
-        assert_eq!(exec.stats().probes, 20 * 7);
+        assert_eq!(exec.stats().tasks_executed, 20 * 7);
     }
 
     #[test]
-    fn back_to_back_cohorts_share_one_context() {
+    fn back_to_back_cohorts_share_one_workspace() {
         // The enforcement-loop shape: many cohorts in a row against one
         // caller-owned workspace, same pool throughout. (Genuine *nested*
-        // cohorts — a task that opens a cohort — are exercised end-to-end
+        // cohorts — a job that opens a cohort — are exercised end-to-end
         // by the batch-with-parallel-sweeps pipeline test.)
         let exec = Executor::spawn_pool(1);
-        let a = ProbeShare::new();
-        let b = ProbeShare::new();
-        exec.with_workspace(|ws| {
-            let mut ctx = TaskContext::new(ws);
-            exec.run_cohort(Task::Probe(&a), 2, &mut ctx);
-            exec.run_cohort(Task::Probe(&b), 3, &mut ctx);
-        });
-        assert_eq!(a.hits(), 3);
-        assert_eq!(b.hits(), 4);
+        let a = AtomicUsize::new(0);
+        let b = AtomicUsize::new(0);
+        let count = |hits: &AtomicUsize| {
+            hits.fetch_add(1, Ordering::SeqCst);
+        };
+        let mut ws = SolverWorkspace::new();
+        assert!(exec.run_cohort(2, &mut ws, &|_| count(&a)).is_ok());
+        assert!(exec.run_cohort(3, &mut ws, &|_| count(&b)).is_ok());
+        assert_eq!(a.into_inner(), 3);
+        assert_eq!(b.into_inner(), 4);
     }
 
     #[test]
@@ -669,13 +510,12 @@ mod tests {
     }
 
     #[test]
-    fn stats_count_probe_executions() {
+    fn stats_count_memberships() {
         let exec = Executor::spawn_pool(1);
         let before = exec.stats();
         assert_eq!(before.tasks_executed, 0);
-        assert_eq!(probe_cohort(&exec, 4), 5);
+        assert_eq!(counted_cohort(&exec, 4), 5);
         let after = exec.stats();
-        assert_eq!(after.probes, 5);
         assert_eq!(after.tasks_executed, 5);
         assert_eq!(after.workers, 1);
         assert_eq!(after.steals, 0);
@@ -685,23 +525,30 @@ mod tests {
     fn current_binding_is_cleared_after_a_cohort() {
         assert!(Executor::current().is_none());
         let exec = Executor::spawn_pool(1);
-        assert_eq!(probe_cohort(&exec, 1), 2);
+        assert_eq!(counted_cohort(&exec, 1), 2);
         // The cohort owner's pool binding must not leak past run_cohort.
         assert!(Executor::current().is_none());
     }
 
     #[test]
-    fn caught_cohort_surfaces_the_payload_without_unwinding() {
+    fn panicking_cohort_surfaces_its_payload_and_the_pool_survives() {
+        // Every membership of this cohort panics (worker-side and inline
+        // alike); run_cohort must still complete the whole cohort, then
+        // return the payload, and the pool must stay usable afterwards.
         let exec = Executor::spawn_pool(1);
-        let probe = ProbeShare::new();
-        let result = exec.run_caught(Task::PanicProbe(&probe), 2);
-        let payload = result.expect_err("panic payload must surface as Err");
+        let hits = AtomicUsize::new(0);
+        let payload =
+            panicking_cohort(&exec, 2, &hits).expect_err("panic payload must surface as Err");
         let msg = payload
             .downcast_ref::<&str>()
-            .expect("PanicProbe panics with a &str");
+            .expect("the job panics with a &str");
         assert!(msg.contains("by design"));
-        assert_eq!(probe.hits(), 3, "all memberships ran before returning");
-        assert_eq!(probe_cohort(&exec, 2), 3, "pool survives caught panics");
+        assert_eq!(hits.into_inner(), 3, "all memberships ran before returning");
+        assert_eq!(
+            counted_cohort(&exec, 2),
+            3,
+            "pool survives contained panics"
+        );
     }
 
     #[test]
@@ -710,12 +557,12 @@ mod tests {
         // executes on the owner thread, so the checkout-pool length is
         // deterministic at every observation point.
         let exec = Executor::spawn_pool(0);
-        assert_eq!(probe_cohort(&exec, 3), 4); // prime the checkout pool
+        assert_eq!(counted_cohort(&exec, 3), 4); // prime the checkout pool
         let before = exec.shared.workspaces.lock().len();
-        let probe = ProbeShare::new();
-        assert!(exec.run_caught(Task::PanicProbe(&probe), 3).is_err());
+        let hits = AtomicUsize::new(0);
+        assert!(panicking_cohort(&exec, 3, &hits).is_err());
         assert_eq!(
-            probe.hits(),
+            hits.into_inner(),
             4,
             "every panicked member was counted complete"
         );
@@ -724,21 +571,6 @@ mod tests {
             before,
             "every checkout must be returned despite the unwinds"
         );
-        assert_eq!(probe_cohort(&exec, 2), 3, "pool stays usable");
-    }
-
-    #[test]
-    fn cohort_member_panic_is_propagated_and_the_pool_survives() {
-        // Every membership of this cohort panics (worker-side and inline
-        // alike); run_cohort must still complete the whole cohort, then
-        // re-raise, and the pool must stay usable afterwards.
-        let exec = Executor::spawn_pool(1);
-        let probe = ProbeShare::new();
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            exec.run(Task::PanicProbe(&probe), 2);
-        }));
-        assert!(result.is_err(), "panic must propagate to the cohort owner");
-        assert_eq!(probe.hits(), 3, "all memberships ran before re-raising");
-        assert_eq!(probe_cohort(&exec, 2), 3, "pool survives task panics");
+        assert_eq!(counted_cohort(&exec, 2), 3, "pool stays usable");
     }
 }

@@ -29,7 +29,7 @@
 use crate::characterization::{characterize, PassivityReport};
 use crate::enforcement::EnforcementOptions;
 use crate::error::SolverError;
-use crate::exec::{Executor, Task, TaskContext};
+use crate::exec::Executor;
 use crate::solver::{
     find_imaginary_eigenvalues_with, Certificate, RecycleCounters, ShiftRecord, SolverOptions,
     SolverStats, SolverWorkspace,
@@ -400,10 +400,9 @@ impl Pipeline {
 }
 
 /// Shared state of one batch cohort: the job list, the pull counter, and
-/// the per-slot result cells. Public only as a
-/// [`Task::BatchJob`](crate::exec::Task) payload; constructed and owned
-/// by [`run_batch`], which joins the cohort itself.
-pub struct BatchShare<'a> {
+/// the per-slot result cells. Constructed and owned by [`run_batch`],
+/// which joins the cohort itself.
+struct BatchShare<'a> {
     pipelines: &'a [Pipeline],
     opts: &'a PipelineOptions,
     next: AtomicUsize,
@@ -415,7 +414,7 @@ impl BatchShare<'_> {
     /// batch is drained. Job-level load balancing falls out of the pull
     /// discipline — an idle member takes the next job wherever it is, so
     /// one hard enforcement job cannot serialize the batch behind it.
-    pub(crate) fn run(&self, ctx: &mut TaskContext<'_>) {
+    fn run(&self, ws: &mut SolverWorkspace) {
         loop {
             let idx = self.next.fetch_add(1, Ordering::Relaxed);
             let Some(pipeline) = self.pipelines.get(idx) else {
@@ -424,10 +423,8 @@ impl BatchShare<'_> {
             // A panicking job is contained here, at the job boundary: its
             // slot reports a typed error while sibling jobs (and this
             // member, which moves on to the next slot) run unaffected.
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                pipeline.run_with(self.opts, ctx.workspace())
-            }))
-            .unwrap_or_else(|payload| Err(SolverError::from_panic(payload.as_ref())));
+            let result = catch_unwind(AssertUnwindSafe(|| pipeline.run_with(self.opts, ws)))
+                .unwrap_or_else(|payload| Err(SolverError::from_panic(payload.as_ref())));
             *self.results[idx].lock() = Some(result);
         }
     }
@@ -468,9 +465,10 @@ pub fn run_batch(
     };
     let exec = Executor::current_or_pool(concurrency - 1);
     // Job-body panics are contained per slot inside `BatchShare::run`;
-    // `run_caught` additionally contains anything that unwinds outside a
+    // the cohort additionally contains anything that unwinds outside a
     // job body, so a batch can never abort the process.
-    let cohort = exec.run_caught(Task::BatchJob(&share), concurrency - 1);
+    let cohort =
+        exec.with_workspace(|ws| exec.run_cohort(concurrency - 1, ws, &|ws| share.run(ws)));
     results
         .into_iter()
         .map(|slot| {

@@ -3,7 +3,7 @@
 //! **Why this exists.** The paper measures speedups on a 16-core Opteron
 //! blade. On hosts with fewer cores, wall-clock speedup physically cannot
 //! appear, so this module drives the sweep's own per-pull body —
-//! [`SweepShare`]'s pull -> execute -> commit, with its recycle pool,
+//! `SweepShare`'s pull -> execute -> commit, with its recycle pool,
 //! degradation ladder, quarantine and fault plan — with `T` *virtual*
 //! members under a discrete-event clock instead of the executor's
 //! threads. A member that goes idle pulls a shift and executes it at once
@@ -32,7 +32,6 @@
 //! never fires here.
 
 use crate::error::SolverError;
-use crate::exec::SweepOrigin;
 use crate::solver::{cost_units, ShiftRecord, SolverOptions, SolverStats, SweepShare};
 use pheig_arnoldi::ArnoldiWorkspace;
 use pheig_model::StateSpace;
@@ -98,7 +97,7 @@ pub fn simulate_parallel(
     mode: ScheduleMode,
 ) -> Result<SimulatedRun, SolverError> {
     let threads = threads.max(1);
-    let share = SweepShare::new(ss, opts, threads, mode, SweepOrigin::Characterization)?;
+    let share = SweepShare::new(ss, opts, threads, mode)?;
     // Every virtual member executes on the caller's thread, against one
     // workspace.
     let mut ws = ArnoldiWorkspace::new();

@@ -3,17 +3,16 @@
 //! One loop serves every thread count: idle cohort members pull
 //! [`Scheduler::next_shift`] exactly as Sec. IV.C prescribes, and the
 //! paper's serial algorithm is that loop at `T = 1`. The workers are not
-//! spawned here: a sweep submits a [`Task::ShiftSweep`](crate::exec::Task)
-//! cohort of `T - 1` extra members to the persistent [`Executor`] and
-//! joins it as the first member, so repeated sweeps (the enforcement loop,
-//! batches of models) reuse one long-lived pool instead of respawning
-//! scoped threads per sweep. The simulator runs the same per-pull body
-//! ([`SweepShare`]) under a virtual clock.
+//! spawned here: a sweep submits a cohort of `T - 1` extra members to the
+//! persistent [`Executor`] and joins it as the first member, so repeated
+//! sweeps (the enforcement loop, batches of models) reuse one long-lived
+//! pool instead of respawning scoped threads per sweep. The simulator runs
+//! the same per-pull body under a virtual clock.
 
 use crate::band::estimate_band;
 use crate::dense;
 use crate::error::SolverError;
-use crate::exec::{Executor, SweepOrigin, Task, TaskContext};
+use crate::exec::Executor;
 use crate::fault::{self, ActiveFaults, FaultPlan};
 use crate::scheduler::{Scheduler, SchedulerStats, ShiftTask, GATHER_FACTOR};
 use crate::simulate::ScheduleMode;
@@ -264,15 +263,6 @@ impl RecycleCounters {
         self.recycle_candidates += stats.recycle_candidates;
         self.recycle_hits += stats.recycle_hits;
     }
-
-    /// Fraction of validated candidates that locked immediately.
-    pub fn hit_rate(&self) -> f64 {
-        if self.recycle_candidates == 0 {
-            0.0
-        } else {
-            self.recycle_hits as f64 / self.recycle_candidates as f64
-        }
-    }
 }
 
 /// A shift the sweep gave up on after all five rungs of the degradation
@@ -470,33 +460,27 @@ pub fn find_imaginary_eigenvalues_with(
     opts: &SolverOptions,
     ws: &mut SolverWorkspace,
 ) -> Result<SolverOutcome, SolverError> {
-    sweep(ss, opts, ws, SweepOrigin::Characterization)
+    sweep(ss, opts, ws)
 }
 
 /// The one sweep driver: a cohort of `opts.threads` memberships of
-/// [`SweepShare::run`] on the persistent executor — this thread plus
+/// `SweepShare::run` on the persistent executor — this thread plus
 /// `threads - 1` pool members (none at `T = 1`, where the cohort is the
 /// inline, uncontended membership). Inside a pool already (a batch job
 /// fanning out its sweep) the cohort lands on that same pool instead of a
-/// nested one. `origin` tags the executor telemetry: the enforcement loop
-/// marks its re-characterization sweeps [`SweepOrigin::Enforcement`].
+/// nested one.
 pub(crate) fn sweep(
     ss: &StateSpace,
     opts: &SolverOptions,
     ws: &mut SolverWorkspace,
-    origin: SweepOrigin,
 ) -> Result<SolverOutcome, SolverError> {
     if takes_dense_path(ss, opts) {
         validate_options(opts)?;
         return dense::solve(ss, opts);
     }
-    let share = SweepShare::new(ss, opts, opts.threads, ScheduleMode::Dynamic, origin)?;
+    let share = SweepShare::new(ss, opts, opts.threads, ScheduleMode::Dynamic)?;
     let extra = opts.threads.saturating_sub(1);
-    let run = Executor::current_or_pool(extra).run_cohort_caught(
-        Task::ShiftSweep(&share),
-        extra,
-        &mut TaskContext::new(ws),
-    );
+    let run = Executor::current_or_pool(extra).run_cohort(extra, ws, &|ws| share.run(ws));
     // A panic payload only becomes an error when the sweep did not
     // finish: an injected worker panic whose siblings still completed the
     // band is a *contained* fault, not a failure.
@@ -558,17 +542,15 @@ impl SharedState {
 ///
 /// The per-pull body is three crate-private steps — `pull` and `commit`
 /// under the lock, `execute` outside it — and two clocks drive them: the
-/// executor cohort's real threads (`SweepShare::run`, a
-/// [`Task::ShiftSweep`] payload) and the simulator's virtual members
-/// ([`crate::simulate::simulate_parallel`]).
-pub struct SweepShare<'a> {
+/// executor cohort's real threads (`SweepShare::run`) and the
+/// simulator's virtual members ([`crate::simulate::simulate_parallel`]).
+pub(crate) struct SweepShare<'a> {
     ss: &'a StateSpace,
     opts: Cow<'a, SolverOptions>,
     band: (f64, f64),
     scale: f64,
     pub(crate) shared: Mutex<SharedState>,
     cv: Condvar,
-    pub(crate) origin: SweepOrigin,
     control: SweepControl,
     faults: ActiveFaults,
     started: Instant,
@@ -585,7 +567,6 @@ impl<'a> SweepShare<'a> {
         opts: &'a SolverOptions,
         threads: usize,
         mode: ScheduleMode,
-        origin: SweepOrigin,
     ) -> Result<Self, SolverError> {
         validate_options(opts)?;
         let started = Instant::now();
@@ -633,7 +614,6 @@ impl<'a> SweepShare<'a> {
                 pool_evicted_entries: 0,
             }),
             cv: Condvar::new(),
-            origin,
             control,
             faults,
             opts,
@@ -645,7 +625,7 @@ impl<'a> SweepShare<'a> {
     /// execute -> commit until the scheduler is done. A member finding the
     /// queue momentarily empty *waits* (another member's completion may
     /// split intervals and refill it) and wakes on every completion.
-    pub(crate) fn run(&self, ctx: &mut TaskContext<'_>) {
+    pub(crate) fn run(&self, ws: &mut SolverWorkspace) {
         loop {
             // An injected worker panic fires here, at the pull boundary
             // with nothing in flight and no lock held: what's under test
@@ -668,7 +648,7 @@ impl<'a> SweepShare<'a> {
                 }
             };
             let started = Instant::now();
-            let result = self.execute(&task, &warm, &mut ctx.workspace.arnoldi);
+            let result = self.execute(&task, &warm, &mut ws.arnoldi);
             self.commit(&mut self.shared.lock(), &task, result, started.elapsed());
             self.cv.notify_all();
         }

@@ -4,21 +4,22 @@
 //! complete) runs entirely on the pool's pre-reserved queue and
 //! stack-pinned cohort records.
 //!
-//! Probe cohorts isolate the executor's own overhead from task payloads
-//! (a pipeline job naturally allocates; the scheduling around it must
-//! not). The counting global allocator is `common/mod.rs` (same pattern as
-//! `crates/hamiltonian/tests/alloc_free.rs`); one test per file because a
-//! concurrently running test would pollute the counter.
+//! Cohorts of a counting job isolate the executor's own overhead from
+//! real payloads (a pipeline job naturally allocates; the scheduling
+//! around it must not). The counting global allocator is `common/mod.rs`
+//! (same pattern as `crates/hamiltonian/tests/alloc_free.rs`); one test
+//! per file because a concurrently running test would pollute the counter.
 
 mod common;
 
 use common::allocations;
-use pheig_core::exec::{self, Executor, ProbeShare, Task, TaskContext};
+use pheig_core::exec::{self, Executor};
 use pheig_core::pipeline::{run_batch, Pipeline, PipelineOptions};
 use pheig_core::solver::SolverWorkspace;
 use pheig_hamiltonian::scratch_contention_total;
 use pheig_model::generator::{generate_case, CaseSpec};
 use pheig_model::FrequencySamples;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 #[test]
@@ -31,6 +32,15 @@ fn executor_steady_state_spawns_no_threads_and_allocates_nothing_per_task() {
 
     let exec = Executor::pool(WORKERS);
     let mut ws = SolverWorkspace::new();
+    let hits = AtomicUsize::new(0);
+    let count = |_: &mut SolverWorkspace| {
+        hits.fetch_add(1, Ordering::SeqCst);
+    };
+    // One cohort of the counting job; returns how many memberships ran.
+    let mut cohort = || {
+        assert!(exec.run_cohort(EXTRA, &mut ws, &count).is_ok());
+        hits.swap(0, Ordering::SeqCst)
+    };
 
     // Warm-up: first rounds settle worker TLS, the workspace checkout
     // pool, and any lazy OS/runtime state. A round takes microseconds, so
@@ -48,9 +58,7 @@ fn executor_steady_state_spawns_no_threads_and_allocates_nothing_per_task() {
             "executor machinery never stopped allocating during warm-up"
         );
         let before = allocations();
-        let probe = ProbeShare::new();
-        exec.run_cohort(Task::Probe(&probe), EXTRA, &mut TaskContext::new(&mut ws));
-        assert_eq!(probe.hits(), EXTRA + 1, "cohort must run extra + 1 times");
+        assert_eq!(cohort(), EXTRA + 1, "cohort must run extra + 1 times");
         quiet = if allocations() == before {
             quiet + 1
         } else {
@@ -64,15 +72,13 @@ fn executor_steady_state_spawns_no_threads_and_allocates_nothing_per_task() {
     // the queue's reserved capacity, and workspace checkout reuses pooled
     // scratch.
     let spawned_before = exec::threads_spawned_total();
-    let probes_before = exec.stats().probes;
+    let tasks_before = exec.stats().tasks_executed;
     let allocs_before = allocations();
     for _ in 0..MEASURED_ROUNDS {
-        let probe = ProbeShare::new();
-        exec.run_cohort(Task::Probe(&probe), EXTRA, &mut TaskContext::new(&mut ws));
-        assert_eq!(probe.hits(), EXTRA + 1);
+        assert_eq!(cohort(), EXTRA + 1);
     }
     let allocs = allocations() - allocs_before;
-    let tasks = (exec.stats().probes - probes_before) as usize;
+    let tasks = (exec.stats().tasks_executed - tasks_before) as usize;
 
     assert_eq!(tasks, MEASURED_ROUNDS * (EXTRA + 1));
     assert_eq!(

@@ -88,10 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for width in [1usize, 3, 7, 15] {
         let stats = Executor::pool(width).stats();
         if stats.tasks_executed > 0 {
-            println!(
-                "  pool({width}): {} sweep task(s)",
-                stats.characterization_sweeps
-            );
+            println!("  pool({width}): {} task(s) executed", stats.tasks_executed);
         }
     }
     Ok(())

@@ -4,19 +4,20 @@
 //!
 //! Every case runs under a watchdog thread, so a lost wakeup or a
 //! deadlock fails the test instead of wedging the suite. Under Miri only
-//! the probe-cohort case runs, at a few repetitions: it drives the
+//! the counting-cohort case runs, at a few repetitions: it drives the
 //! executor's one unsafe site (the cohort record rebuilt from its exposed
 //! provenance) through submission, execution and completion on several
 //! threads at once.
 
-use pheig::core::exec::{Executor, ProbeShare, Task};
-use pheig::core::solver::{find_imaginary_eigenvalues, SolverOptions};
+use pheig::core::exec::Executor;
+use pheig::core::solver::{find_imaginary_eigenvalues, SolverOptions, SolverWorkspace};
 use pheig::core::FaultPlan;
 use pheig::hamiltonian::{CLinearOp, ShiftInvertOp};
 use pheig::linalg::C64;
 use pheig::model::generator::{generate_case, CaseSpec};
 use pheig::model::FrequencySamples;
 use pheig::{run_batch, PassiveModel, Pipeline, PipelineOptions};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Barrier};
 use std::time::Duration;
 
@@ -24,7 +25,7 @@ use std::time::Duration;
 /// healthy case finishes in seconds.
 const WATCHDOG: Duration = Duration::from_secs(240);
 
-/// Rounds per owner thread of the probe-cohort case. Under Miri the
+/// Rounds per owner thread of the counting-cohort case. Under Miri the
 /// interpreter runs ~1000x slower, so a handful of rounds is the trade.
 #[cfg(not(miri))]
 const PROBE_ROUNDS: usize = 300;
@@ -65,10 +66,17 @@ fn result_bits(m: &PassiveModel) -> Vec<u64> {
     out
 }
 
-/// Sweep memberships a pool has executed, of either origin.
-fn sweep_memberships(exec: &Executor) -> u64 {
-    let s = exec.stats();
-    s.characterization_sweeps + s.enforcement_sweeps
+/// Runs a cohort of `extra + 1` counting memberships on `exec` and
+/// returns how many ran.
+fn counted_cohort(exec: &Executor, extra: usize) -> usize {
+    let hits = AtomicUsize::new(0);
+    let count = |_: &mut SolverWorkspace| {
+        hits.fetch_add(1, Ordering::SeqCst);
+    };
+    assert!(exec
+        .run_cohort(extra, &mut SolverWorkspace::new(), &count)
+        .is_ok());
+    hits.into_inner()
 }
 
 #[test]
@@ -100,24 +108,26 @@ fn cohort_latch_park_and_help_stress() {
         nested.solver.threads = 3;
         nested.solver.kappa = 2;
 
+        // A one-wide batch is one membership of its own; every T = 1
+        // sweep under it adds one more.
         let pool = Executor::pool(0);
-        let before = sweep_memberships(&pool);
+        let before = pool.stats().tasks_executed;
         let want: Vec<Vec<u64>> = run_batch(&jobs, &serial, 1)
             .iter()
             .map(|r| result_bits(r.as_ref().expect("serial batch job succeeded")))
             .collect();
-        let sweeps = sweep_memberships(&pool) - before;
+        let sweeps = pool.stats().tasks_executed - before - 1;
         assert!(
             sweeps >= jobs.len() as u64,
             "every job sweeps at least once"
         );
 
         for round in 0..3 {
-            let before = sweep_memberships(&pool);
+            let before = pool.stats().tasks_executed;
             let got = run_batch(&jobs, &nested, 1);
             assert_eq!(
-                sweep_memberships(&pool) - before,
-                3 * sweeps,
+                pool.stats().tasks_executed - before,
+                1 + 3 * sweeps,
                 "round {round}: every nested sweep ran all three members on the zero-width pool"
             );
             for (slot, (result, expected)) in got.iter().zip(&want).enumerate() {
@@ -133,11 +143,11 @@ fn cohort_latch_park_and_help_stress() {
 
 #[test]
 fn cohort_record_lifecycle_stress() {
-    // Three owners open probe cohorts on one 1-worker pool at once: each
+    // Three owners open counting cohorts on one 1-worker pool at once: each
     // owner's queued members land beside the others', any thread may run
     // any cohort's members, and every cohort must still count exactly
     // `extra + 1` runs before its owner returns.
-    with_watchdog("probe-owners", || {
+    with_watchdog("counting-owners", || {
         let exec = Executor::pool(1);
         std::thread::scope(|s| {
             for owner in 0..3usize {
@@ -145,9 +155,11 @@ fn cohort_record_lifecycle_stress() {
                 s.spawn(move || {
                     for round in 0..PROBE_ROUNDS {
                         let extra = 1 + (owner + round) % 4;
-                        let probe = ProbeShare::new();
-                        exec.run(Task::Probe(&probe), extra);
-                        assert_eq!(probe.hits(), extra + 1, "owner {owner}, round {round}");
+                        assert_eq!(
+                            counted_cohort(&exec, extra),
+                            extra + 1,
+                            "owner {owner}, round {round}"
+                        );
                     }
                 });
             }
@@ -189,9 +201,11 @@ fn panicking_cohort_task_contained_stress() {
             for (a, b) in out.frequencies.iter().zip(&clean.frequencies) {
                 assert!((a - b).abs() < tol, "round {round}: crossing {a} vs {b}");
             }
-            let probe = ProbeShare::new();
-            Executor::pool(1).run(Task::Probe(&probe), 3);
-            assert_eq!(probe.hits(), 4, "round {round}: pool stays usable");
+            assert_eq!(
+                counted_cohort(&Executor::pool(1), 3),
+                4,
+                "round {round}: pool stays usable"
+            );
         }
     });
 }
