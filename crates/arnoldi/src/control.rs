@@ -12,8 +12,9 @@
 //!   exhaustion degrades to a partial result instead of an error;
 //! * **Fault injection** ([`FirePoint`]): deterministic countdown
 //!   triggers the fault plan uses to corrupt an operator apply, force a
-//!   near-singular factorization, or stall a decision point — exactly
-//!   once, at a reproducible position in the work stream.
+//!   near-singular factorization, stall a decision point, or panic a
+//!   sweep member at its pull boundary — exactly once, at a reproducible
+//!   position in the work stream.
 //!
 //! Everything is bundled into a [`SweepControl`] carried by
 //! [`crate::SingleShiftOptions`]. The default control is inert: every
@@ -171,6 +172,9 @@ pub struct SweepControl {
     pub singular_shift: Option<Arc<FirePoint>>,
     /// Sleep this long at one restart-decision point (stall fault).
     pub stall: Option<(Arc<FirePoint>, Duration)>,
+    /// Panic one sweep member at its pull boundary (the task-panic
+    /// fault). Read by the sweep driver, never by the iteration.
+    pub panic_task: Option<Arc<FirePoint>>,
 }
 
 impl SweepControl {
@@ -186,6 +190,7 @@ impl SweepControl {
             && self.corrupt_apply.is_none()
             && self.singular_shift.is_none()
             && self.stall.is_none()
+            && self.panic_task.is_none()
     }
 
     /// `true` when the sweep should stop building (cancelled or out of
@@ -247,6 +252,12 @@ impl SweepControl {
         self.singular_shift.as_ref().is_some_and(|p| p.check())
     }
 
+    /// Fault hook: `true` exactly once, on the armed task-panic occurrence
+    /// (checked by the sweep driver at each pull).
+    pub fn fire_panic_task(&self) -> bool {
+        self.panic_task.as_ref().is_some_and(|p| p.check())
+    }
+
     /// Fault hook: sleeps at a decision point when the stall fires.
     pub fn maybe_stall(&self) {
         if let Some((point, pause)) = &self.stall {
@@ -266,6 +277,9 @@ impl SweepControl {
             total += point.times_fired();
         }
         if let Some((point, _)) = &self.stall {
+            total += point.times_fired();
+        }
+        if let Some(point) = &self.panic_task {
             total += point.times_fired();
         }
         total
@@ -294,6 +308,7 @@ impl PartialEq for SweepControl {
                 (Some((a, da)), Some((b, db))) => Arc::ptr_eq(a, b) && da == db,
                 _ => false,
             }
+            && arc_eq(&self.panic_task, &other.panic_task)
     }
 }
 

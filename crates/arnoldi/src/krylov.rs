@@ -13,8 +13,7 @@
 //! so the working vector streams from memory a constant number of times
 //! per step instead of the `2j` dependent sweeps of element-wise modified
 //! Gram-Schmidt. Only the operator speaks interleaved complex: one in/out
-//! vector pair per factorization is that boundary
-//! ([`ArnoldiFactorization::io_mut`]).
+//! vector pair per factorization is that boundary.
 //! CGS2 carries the same orthogonality guarantee as MGS with
 //! re-orthogonalization ("twice is enough": the basis is orthonormal to a
 //! small multiple of machine epsilon even for clustered spectra — pinned
@@ -64,11 +63,6 @@ pub struct ArnoldiFactorization {
     wi: Vec<f64>,
     /// Batched projection coefficients.
     coeff: Vec<C64>,
-    /// Incremental-build cursor (step index), valid between
-    /// [`Self::begin_build`] and the final [`Self::absorb`].
-    build_j: usize,
-    /// Incremental-build step cap.
-    build_max: usize,
 }
 
 impl Default for ArnoldiFactorization {
@@ -93,8 +87,6 @@ impl ArnoldiFactorization {
             wr: Vec::new(),
             wi: Vec::new(),
             coeff: Vec::new(),
-            build_j: 0,
-            build_max: 0,
         }
     }
 
@@ -161,28 +153,24 @@ impl ArnoldiFactorization {
         self.locked_split.push_split(xr, xi);
     }
 
-    /// Starts an incremental (caller-driven) rebuild of the factorization.
-    ///
-    /// Performs everything [`arnoldi_into`] does up to the first operator
-    /// application: storage setup, deflation of `start` against the locked
-    /// set ([`Self::set_locked`] / [`Self::push_locked`]), and
-    /// normalization of `v_0`. Returns `false` when no operator
-    /// applications are needed (degenerate start inside the locked span,
-    /// or `max_steps == 0`) — the factorization is then already final.
-    /// Otherwise the caller alternates [`Self::io_mut`] (apply the
-    /// operator into the returned target) and [`Self::absorb`] until
-    /// `absorb` returns `false`.
-    ///
-    /// This split exists so a driver can own the operator application — a
-    /// *block* driver steps several independent factorizations round-robin,
-    /// one apply per lane per pass; the math per factorization is identical
-    /// to [`arnoldi_into`] (which is itself written on top of this API).
+    /// Rebuilds the factorization as an Arnoldi factorization of `op` from
+    /// `start`, deflating the current locked set ([`Self::set_locked`] /
+    /// [`Self::push_locked`]); see [`arnoldi_into`]. `after_apply` sees
+    /// each operator output before it is orthogonalized — the fault
+    /// plan's corruption point; [`arnoldi_into`] passes a no-op.
     ///
     /// # Panics
     ///
-    /// Panics if `start.len() != n` or the locked set holds vectors of
-    /// another length.
-    pub fn begin_build(&mut self, n: usize, start: &[C64], max_steps: usize) -> bool {
+    /// Panics if `start.len() != op.dim()` or the locked set holds vectors
+    /// of another length.
+    pub(crate) fn build(
+        &mut self,
+        op: &dyn CLinearOp,
+        start: &[C64],
+        max_steps: usize,
+        mut after_apply: impl FnMut(&mut [C64]),
+    ) {
+        let n = op.dim();
         assert_eq!(start.len(), n, "start vector length mismatch");
         let locked = self.locked_split.rows();
         assert!(
@@ -202,6 +190,7 @@ impl ArnoldiFactorization {
         self.coeff.resize(locked.max(max_steps + 1), C64::zero());
         self.split.reset(n);
         self.boundary_mut(n);
+        self.steps = 0;
         // v0 = start with the locked span batch-projected out; the second
         // pass is the CGS2 insurance for a start nearly inside that span.
         kernels::split(start, &mut self.wr, &mut self.wi);
@@ -210,88 +199,64 @@ impl ArnoldiFactorization {
         self.locked_split
             .project_out(&mut self.wr, &mut self.wi, &mut self.coeff);
         let n0 = kernels::nrm2(&self.wr, &self.wi);
-        if n0 == 0.0 {
-            self.steps = 0;
-            self.breakdown = true;
-            return false;
+        // A start inside the locked span: no direction, nothing to apply.
+        self.breakdown = n0 == 0.0;
+        if self.breakdown {
+            return;
         }
         kernels::scal_real(1.0 / n0, &mut self.wr, &mut self.wi);
-        kernels::merge(&self.wr, &self.wi, &mut self.x);
         self.split.push_split(&self.wr, &self.wi);
-        self.steps = 0;
-        self.breakdown = false;
-        self.build_j = 0;
-        self.build_max = max_steps;
-        max_steps > 0
+        for j in 0..max_steps {
+            kernels::merge(&self.wr, &self.wi, &mut self.x);
+            op.apply_into(&self.x, &mut self.w);
+            after_apply(&mut self.w);
+            kernels::split(&self.w, &mut self.wr, &mut self.wi);
+            // Deflation: keep the recursion inside the complement of `locked`.
+            self.locked_split
+                .project_out(&mut self.wr, &mut self.wi, &mut self.coeff);
+            for q in 0..locked {
+                self.hl[(q, j)] += self.coeff[q];
+            }
+            let before = kernels::nrm2(&self.wr, &self.wi);
+            // Blocked CGS2: one batched classical Gram-Schmidt projection
+            // against the whole basis, then an unconditional second pass
+            // (re-projecting the locked set as well). Each pass streams the
+            // working vector once per block of four basis rows.
+            for pass in 0..2 {
+                if pass == 1 {
+                    self.locked_split
+                        .project_out(&mut self.wr, &mut self.wi, &mut self.coeff);
+                    for q in 0..locked {
+                        self.hl[(q, j)] += self.coeff[q];
+                    }
+                }
+                self.split
+                    .project_out(&mut self.wr, &mut self.wi, &mut self.coeff);
+                for i in 0..=j {
+                    self.h[(i, j)] += self.coeff[i];
+                }
+            }
+            let beta = kernels::nrm2(&self.wr, &self.wi);
+            self.steps = j + 1;
+            self.h[(j + 1, j)] = C64::from_real(beta);
+            if beta <= 1e-14 * before.max(1.0) {
+                // The basis ends at `v_j`: the residual is not a direction.
+                self.breakdown = true;
+                return;
+            }
+            kernels::scal_real(1.0 / beta, &mut self.wr, &mut self.wi);
+            self.split.push_split(&self.wr, &self.wi);
+        }
     }
 
-    /// The operator boundary of the current incremental step: the source
-    /// basis vector `v_j` and the target for `w = Op v_j`. Call only
-    /// between a `true` return from [`Self::begin_build`]/[`Self::absorb`]
-    /// and the matching [`Self::absorb`].
-    pub fn io_mut(&mut self) -> (&[C64], &mut [C64]) {
-        (&self.x, &mut self.w)
-    }
-
-    /// The same pair sized for vectors of length `n`, both sides writable:
-    /// between builds a caller may put a vector of its own through the
-    /// operator here (warm validation does). The next
-    /// [`Self::begin_build`] overwrites it.
+    /// The operator boundary sized for vectors of length `n`, both sides
+    /// writable: between builds a caller may put a vector of its own
+    /// through the operator here (warm validation does). The next
+    /// [`Self::build`] overwrites it.
     pub(crate) fn boundary_mut(&mut self, n: usize) -> (&mut [C64], &mut [C64]) {
         self.x.resize(n, C64::zero());
         self.w.resize(n, C64::zero());
         (&mut self.x, &mut self.w)
-    }
-
-    /// Orthogonalizes the operator output written via [`Self::io_mut`]
-    /// into the next basis vector (deflation + blocked CGS2), advancing
-    /// the factorization by one step. Returns `false` when the build is
-    /// finished (happy breakdown or the step cap was reached); the
-    /// factorization is then final.
-    pub fn absorb(&mut self) -> bool {
-        let j = self.build_j;
-        kernels::split(&self.w, &mut self.wr, &mut self.wi);
-        // Deflation: keep the recursion inside the complement of `locked`.
-        self.locked_split
-            .project_out(&mut self.wr, &mut self.wi, &mut self.coeff);
-        for q in 0..self.locked_split.rows() {
-            self.hl[(q, j)] += self.coeff[q];
-        }
-        let before = kernels::nrm2(&self.wr, &self.wi);
-        // Blocked CGS2: one batched classical Gram-Schmidt projection
-        // against the whole basis, then an unconditional second pass
-        // (re-projecting the locked set as well). Each pass streams the
-        // working vector once per block of four basis rows.
-        for pass in 0..2 {
-            if pass == 1 {
-                self.locked_split
-                    .project_out(&mut self.wr, &mut self.wi, &mut self.coeff);
-                for q in 0..self.locked_split.rows() {
-                    self.hl[(q, j)] += self.coeff[q];
-                }
-            }
-            self.split
-                .project_out(&mut self.wr, &mut self.wi, &mut self.coeff);
-            for i in 0..=j {
-                self.h[(i, j)] += self.coeff[i];
-            }
-        }
-        let beta = kernels::nrm2(&self.wr, &self.wi);
-        self.steps = j + 1;
-        self.h[(j + 1, j)] = C64::from_real(beta);
-        if beta <= 1e-14 * before.max(1.0) {
-            // The basis ends at `v_j`: the residual is not a direction.
-            self.breakdown = true;
-            return false;
-        }
-        kernels::scal_real(1.0 / beta, &mut self.wr, &mut self.wi);
-        self.split.push_split(&self.wr, &self.wi);
-        if j + 1 == self.build_max {
-            return false;
-        }
-        kernels::merge(&self.wr, &self.wi, &mut self.x);
-        self.build_j = j + 1;
-        true
     }
 }
 
@@ -316,16 +281,7 @@ pub fn arnoldi_into(
     fact: &mut ArnoldiFactorization,
 ) {
     fact.set_locked(op.dim(), locked);
-    if !fact.begin_build(op.dim(), start, max_steps) {
-        return;
-    }
-    loop {
-        let (v, w) = fact.io_mut();
-        op.apply_into(v, w);
-        if !fact.absorb() {
-            break;
-        }
-    }
+    fact.build(op, start, max_steps, |_| {});
 }
 
 #[cfg(test)]

@@ -447,11 +447,14 @@ impl<'a> ShiftCore<'a> {
             && !self.opts.control.should_stop()
     }
 
-    /// Prepares the start vector and opens the incremental Arnoldi build
-    /// for one round. Returns `false` when the round is degenerate (start
-    /// fully inside the locked span) — skip straight to
-    /// [`Self::finish_round`], which will report exhaustion.
-    fn begin_round(&mut self) -> bool {
+    /// Builds one round's Arnoldi factorization: sizes it, prepares the
+    /// start vector and runs the build, one operator application per
+    /// Krylov step. The fault hook corrupts an operator output before its
+    /// orthogonalization when the control's corruption fire-point
+    /// triggers (a no-op for an inert control). A degenerate round (start
+    /// fully inside the locked span) applies nothing and leaves 0 steps,
+    /// which [`Self::finish_round`] reports as exhaustion.
+    fn build_round(&mut self, op: &dyn CLinearOp) {
         self.opts.control.maybe_stall();
         let steps = if self.locked_lambdas.len() >= self.collect_target {
             // Post-warm probe: a short deflated pass is enough to surface
@@ -480,27 +483,9 @@ impl<'a> ShiftCore<'a> {
             }
         }
         self.have_next_start = false;
+        let control = &self.opts.control;
         let ArnoldiWorkspace { fact, start, .. } = &mut *self.ws;
-        fact.begin_build(self.n, start, steps)
-    }
-
-    /// Runs the open round's build to its end: one operator application
-    /// per Krylov step through the factorization's operator boundary
-    /// ([`ArnoldiFactorization::io_mut`]). The fault hook corrupts each
-    /// output between the apply and its absorption when the control's
-    /// corruption fire-point triggers (a no-op for an inert control).
-    fn build_round(&mut self, op: &dyn CLinearOp) {
-        let fact = &mut self.ws.fact;
-        loop {
-            let (v, w) = fact.io_mut();
-            op.apply_into(v, w);
-            if self.opts.control.corrupt_apply.is_some() {
-                self.opts.control.corrupt(w);
-            }
-            if !fact.absorb() {
-                return;
-            }
-        }
+        fact.build(op, start, steps, |w| control.corrupt(w));
     }
 
     /// Closes one round: extracts Ritz pairs, locks converged ones,
@@ -625,9 +610,7 @@ impl<'a> ShiftCore<'a> {
             // A degenerate round (start inside the locked span) applies
             // nothing; closing it lets `building()` and the verdict decide
             // what happens next.
-            if self.begin_round() {
-                self.build_round(op);
-            }
+            self.build_round(op);
             if !self.finish_round(map)? {
                 break;
             }

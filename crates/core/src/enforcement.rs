@@ -25,10 +25,12 @@
 
 use crate::characterization::{characterize, PassivityReport};
 use crate::error::SolverError;
-use crate::solver::{sweep, SolverOptions, SolverOutcome, SolverWorkspace};
+use crate::solver::{
+    find_imaginary_eigenvalues_with, SolverOptions, SolverOutcome, SolverWorkspace,
+};
 use crate::spectrum::ImaginaryEigenpair;
 use pheig_hamiltonian::build::port_coupling_inverses;
-use pheig_linalg::{Lu, Matrix, C64};
+use pheig_linalg::{kernels, Lu, Matrix, C64};
 use pheig_model::StateSpace;
 
 /// Maximum outer iterations of one enforcement attempt.
@@ -88,6 +90,22 @@ pub struct EnforcementOutcome {
     pub recycle: crate::solver::RecycleCounters,
 }
 
+/// `f` (one of the model's split-plane products) applied to the
+/// interleaved `v`, into a fresh interleaved vector of length `out_len`.
+fn through_planes(
+    v: &[C64],
+    out_len: usize,
+    f: impl Fn(&[f64], &[f64], &mut [f64], &mut [f64]),
+) -> Vec<C64> {
+    let (mut vr, mut vi) = (vec![0.0; v.len()], vec![0.0; v.len()]);
+    kernels::split(v, &mut vr, &mut vi);
+    let (mut yr, mut yi) = (vec![0.0; out_len], vec![0.0; out_len]);
+    f(&vr, &vi, &mut yr, &mut yi);
+    let mut y = vec![C64::zero(); out_len];
+    kernels::merge(&yr, &yi, &mut y);
+    y
+}
+
 /// First-order displacement sensitivity of one imaginary eigenvalue with
 /// respect to the entries of `C`, as a real row (the imaginary part of the
 /// complex gradient; the real part vanishes by Hamiltonian symmetry).
@@ -117,15 +135,16 @@ fn sensitivity_row(
         }
         out
     };
-    let d = ss.d();
+    let bt = |v: &[C64]| through_planes(v, p, |xr, xi, ur, ui| ss.apply_bt_split(xr, xi, ur, ui));
+    let (c, d) = (ss.c(), ss.d());
     // a = D R^{-1} B^T conj(x2)
-    let a = mixed(d, &mixed(r_inv, &ss.apply_bt(&x2c)));
+    let a = mixed(d, &mixed(r_inv, &bt(&x2c)));
     // w = S^{-1} C x1
-    let w = mixed(s_inv, &ss.apply_c(x1));
+    let w = mixed(s_inv, &mixed(c, x1));
     // b = S^{-1} C conj(x1)
-    let b = mixed(s_inv, &ss.apply_c(&x1c));
+    let b = mixed(s_inv, &mixed(c, &x1c));
     // w3 = D R^{-1} B^T x2
-    let w3 = mixed(d, &mixed(r_inv, &ss.apply_bt(x2)));
+    let w3 = mixed(d, &mixed(r_inv, &bt(x2)));
     // denom = x2^H x1 - x1^H x2 (purely imaginary for a genuine pair).
     let mut denom = C64::zero();
     for i in 0..n {
@@ -201,8 +220,10 @@ fn sigma_descent_row(ss: &StateSpace, omega: f64) -> Result<(Vec<f64>, f64), Sol
     let inv_sigma = 1.0 / sigma.max(1e-300);
     let u: Vec<C64> = hv.iter().map(|z| z.scale(inv_sigma)).collect();
     // q = (j omega I - A)^{-1} B v = -(A - j omega I)^{-1} B v.
-    let bv = ss.apply_b(&v);
-    let mut q = ss.a().shift_invert_apply(C64::from_imag(omega), false, &bv);
+    let bv = through_planes(&v, n, |ur, ui, xr, xi| ss.apply_b_split(ur, ui, xr, xi));
+    let mut q = vec![C64::zero(); n];
+    ss.a()
+        .solve_shifted(C64::from_imag(omega), false, &bv, &mut q);
     for z in q.iter_mut() {
         *z = -*z;
     }
@@ -362,7 +383,7 @@ fn enforce_once(
     let (mut outcome, initial_report) = match seed {
         Some((outcome, report)) => (outcome.clone(), report.clone()),
         None => {
-            let outcome = sweep(&current, solver, solver_ws)?;
+            let outcome = find_imaginary_eigenvalues_with(&current, solver, solver_ws)?;
             recycle.absorb(&outcome.stats);
             let report = characterize(&current, &outcome.frequencies)?;
             (outcome, report)
@@ -534,7 +555,7 @@ fn enforce_once(
                     }
                 }
             }
-            let trial_outcome = sweep(&trial, solver, solver_ws)?;
+            let trial_outcome = find_imaginary_eigenvalues_with(&trial, solver, solver_ws)?;
             recycle.absorb(&trial_outcome.stats);
             let trial_report = characterize(&trial, &trial_outcome.frequencies)?;
             if trial_report.is_passive() || is_progress(violation_metrics(&trial_report), severity)

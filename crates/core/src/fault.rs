@@ -4,8 +4,8 @@
 //! operator applies, a near-singular shift factorization, a panicking
 //! sweep task, artificial stalls at restart decision points — and *when*
 //! they fire (a deterministic occurrence index per fault). Plans are inert data; arming one via
-//! [`FaultPlan::activate`] compiles it into the arnoldi layer's
-//! [`SweepControl`] fire-points plus a task-panic trigger that
+//! [`FaultPlan::activate`] compiles it into the fire-points of one
+//! arnoldi-layer [`SweepControl`], whose task-panic trigger
 //! [`crate::solver`] checks at each shift-task pull.
 //!
 //! Activation is explicit and per-sweep: a solver run with no plan carries
@@ -148,10 +148,11 @@ impl FaultPlan {
     }
 
     /// Arms the plan: allocates the shared fire-points and packages them
-    /// as a [`SweepControl`] (corruption, singular shift, stall, budgets)
-    /// plus the solver-level task-panic trigger. Each activation counts
-    /// occurrences from zero — one activation per sweep.
-    pub fn activate(&self) -> ActiveFaults {
+    /// as one [`SweepControl`] (corruption, singular shift, stall, budgets
+    /// and the pull-boundary task panic). Clones share the fire-points.
+    /// Each activation counts occurrences from zero — one activation per
+    /// sweep.
+    pub fn activate(&self) -> SweepControl {
         let mut control = SweepControl::none();
         match (self.nan_apply, self.inf_apply) {
             (Some(k), _) => control.corrupt_apply = Some((FirePoint::after(k), CorruptKind::Nan)),
@@ -172,42 +173,8 @@ impl FaultPlan {
                 self.budget_restarts.unwrap_or(u64::MAX),
             )));
         }
-        ActiveFaults {
-            control,
-            panic_task: self.panic_task.map(FirePoint::after),
-        }
-    }
-}
-
-/// An armed [`FaultPlan`]: live fire-points shared by every shift of one
-/// sweep. Cloning shares the counters (clones observe and advance the
-/// same occurrence counts).
-#[derive(Debug, Clone, Default)]
-pub struct ActiveFaults {
-    /// The arnoldi-layer control plane to attach to each shift's options.
-    pub control: SweepControl,
-    panic_task: Option<Arc<FirePoint>>,
-}
-
-impl ActiveFaults {
-    /// Inert activation (what a run with no plan uses).
-    pub fn none() -> Self {
-        Self::default()
-    }
-
-    /// `true` exactly once: on the armed task-panic occurrence.
-    pub fn should_panic_task(&self) -> bool {
-        self.panic_task.as_ref().is_some_and(|p| p.check())
-    }
-
-    /// Total faults that actually fired through this activation
-    /// (corruption + singular shift + stall + task panic).
-    pub fn faults_injected(&self) -> u64 {
-        self.control.faults_injected() as u64
-            + self
-                .panic_task
-                .as_ref()
-                .map_or(0, |p| p.times_fired() as u64)
+        control.panic_task = self.panic_task.map(FirePoint::after);
+        control
     }
 }
 
@@ -231,8 +198,8 @@ mod tests {
     #[test]
     fn empty_plan_activates_to_an_inert_control() {
         let active = FaultPlan::new().activate();
-        assert!(active.control.is_inert());
-        assert!(!active.should_panic_task());
+        assert!(active.is_inert());
+        assert!(!active.fire_panic_task());
         assert_eq!(active.faults_injected(), 0);
         assert!(FaultPlan::new().is_empty());
     }
@@ -276,15 +243,15 @@ mod tests {
     fn activation_arms_the_requested_fire_points() {
         let plan = FaultPlan::parse("panic_task=1,matvecs=10").unwrap();
         let active = plan.activate();
-        assert!(!active.control.is_inert(), "budget makes control live");
-        assert!(!active.should_panic_task(), "occurrence 0 does not fire");
-        assert!(active.should_panic_task(), "occurrence 1 fires");
-        assert!(!active.should_panic_task(), "fires exactly once");
+        assert!(!active.is_inert(), "budget makes control live");
+        assert!(!active.fire_panic_task(), "occurrence 0 does not fire");
+        assert!(active.fire_panic_task(), "occurrence 1 fires");
+        assert!(!active.fire_panic_task(), "fires exactly once");
         assert_eq!(active.faults_injected(), 1);
         // The shared budget exhausts across clones.
         let clone = active.clone();
-        clone.control.charge_matvecs(11);
-        assert!(active.control.budget_exhausted());
+        clone.charge_matvecs(11);
+        assert!(active.budget_exhausted());
     }
 
     #[test]

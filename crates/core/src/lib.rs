@@ -55,7 +55,7 @@ pub mod spectrum;
 
 pub use error::SolverError;
 pub use exec::Executor;
-pub use fault::{ActiveFaults, FaultPlan};
+pub use fault::FaultPlan;
 pub use pheig_arnoldi::CancelToken;
 pub use pipeline::{run_batch, PassiveModel, Pipeline, PipelineOptions, PipelineReport};
 pub use solver::{

@@ -13,7 +13,7 @@ use crate::band::estimate_band;
 use crate::dense;
 use crate::error::SolverError;
 use crate::exec::Executor;
-use crate::fault::{self, ActiveFaults, FaultPlan};
+use crate::fault::{self, FaultPlan};
 use crate::scheduler::{Scheduler, SchedulerStats, ShiftTask, GATHER_FACTOR};
 use crate::simulate::ScheduleMode;
 use crate::spectrum::{self, ImaginaryEigenpair};
@@ -24,9 +24,7 @@ use pheig_arnoldi::{
 };
 use pheig_linalg::C64;
 use pheig_model::StateSpace;
-use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Reusable solver scratch of *one* sweep worker (each cohort member
@@ -450,26 +448,19 @@ pub fn find_imaginary_eigenvalues(
 /// each worker thread then reuses its Krylov storage across shifts *and*
 /// across sweeps.
 ///
+/// This is the one sweep driver: a cohort of `opts.threads` memberships
+/// of the sweep's pull -> execute -> commit loop on the persistent
+/// executor — this thread plus `threads - 1` pool members (none at
+/// `T = 1`, where the cohort is the inline, uncontended membership).
+/// Inside a pool already (a batch job fanning out its sweep) the cohort
+/// lands on that same pool instead of a nested one.
+///
 /// # Errors
 ///
 /// Same as [`find_imaginary_eigenvalues`], plus
 /// [`SolverError::InvalidBand`] / [`SolverError::InvalidAlpha`] for
 /// unusable option overrides.
 pub fn find_imaginary_eigenvalues_with(
-    ss: &StateSpace,
-    opts: &SolverOptions,
-    ws: &mut SolverWorkspace,
-) -> Result<SolverOutcome, SolverError> {
-    sweep(ss, opts, ws)
-}
-
-/// The one sweep driver: a cohort of `opts.threads` memberships of
-/// `SweepShare::run` on the persistent executor — this thread plus
-/// `threads - 1` pool members (none at `T = 1`, where the cohort is the
-/// inline, uncontended membership). Inside a pool already (a batch job
-/// fanning out its sweep) the cohort lands on that same pool instead of a
-/// nested one.
-pub(crate) fn sweep(
     ss: &StateSpace,
     opts: &SolverOptions,
     ws: &mut SolverWorkspace,
@@ -546,22 +537,22 @@ impl SharedState {
 /// simulator's virtual members ([`crate::simulate::simulate_parallel`]).
 pub(crate) struct SweepShare<'a> {
     ss: &'a StateSpace,
-    opts: Cow<'a, SolverOptions>,
+    opts: &'a SolverOptions,
     band: (f64, f64),
     scale: f64,
     pub(crate) shared: Mutex<SharedState>,
     cv: Condvar,
+    /// The armed fault plan with the caller's cancel token: the one
+    /// control every shift of the sweep and the pull boundary share.
     control: SweepControl,
-    faults: ActiveFaults,
     started: Instant,
 }
 
 impl<'a> SweepShare<'a> {
-    /// The setup both clocks share: the `PHEIG_NO_RECYCLE` override, the
-    /// armed fault plan (the options' own, else `PHEIG_FAULT_PLAN`) with
-    /// the caller's cancel token, the band, the pole scale, and the
-    /// scheduler `mode` builds for `threads` members beside an empty
-    /// recycle pool.
+    /// The setup both clocks share: the armed fault plan (the options'
+    /// own, else `PHEIG_FAULT_PLAN`) with the caller's cancel token, the
+    /// band, the pole scale, and the scheduler `mode` builds for `threads`
+    /// members beside an empty recycle pool.
     pub(crate) fn new(
         ss: &'a StateSpace,
         opts: &'a SolverOptions,
@@ -570,21 +561,10 @@ impl<'a> SweepShare<'a> {
     ) -> Result<Self, SolverError> {
         validate_options(opts)?;
         let started = Instant::now();
-        // `PHEIG_NO_RECYCLE` kill switch: force recycling off regardless
-        // of options, so A/B and incident triage never require a rebuild.
-        static NO_RECYCLE: OnceLock<bool> = OnceLock::new();
-        let no_recycle = *NO_RECYCLE
-            .get_or_init(|| std::env::var_os("PHEIG_NO_RECYCLE").is_some_and(|v| v != "0"));
-        let opts = if no_recycle && opts.recycling {
-            Cow::Owned(opts.clone().with_recycling(false))
-        } else {
-            Cow::Borrowed(opts)
-        };
-        let faults = match &opts.fault_plan {
+        let mut control = match &opts.fault_plan {
             Some(plan) => plan.activate(),
             None => fault::plan_from_env()?.unwrap_or_default().activate(),
         };
-        let mut control = faults.control.clone();
         if let Some(token) = &opts.cancel {
             control.cancel = Some(token.clone());
         }
@@ -615,7 +595,6 @@ impl<'a> SweepShare<'a> {
             }),
             cv: Condvar::new(),
             control,
-            faults,
             opts,
             started,
         })
@@ -631,7 +610,7 @@ impl<'a> SweepShare<'a> {
             // with nothing in flight and no lock held: what's under test
             // is the containment machinery (latch completion, workspace
             // return, typed surfacing), not torn scheduler state.
-            if self.faults.should_panic_task() {
+            if self.control.fire_panic_task() {
                 panic!("injected fault: solver task panic at pull boundary");
             }
             let (task, warm) = {
@@ -791,7 +770,7 @@ impl<'a> SweepShare<'a> {
             rung,
             wall,
         };
-        let kept = axis_pairs(out.in_disk, &self.opts, self.scale);
+        let kept = axis_pairs(out.in_disk, self.opts, self.scale);
         state.completions.push((rec, kept));
     }
 
@@ -826,7 +805,7 @@ impl<'a> SweepShare<'a> {
             shift_log.push(rec);
             all_pairs.extend(pairs);
         }
-        let eigenpairs = reportable(crossings(self.ss, &all_pairs, &self.opts, self.scale), band);
+        let eigenpairs = reportable(crossings(self.ss, &all_pairs, self.opts, self.scale), band);
         let frequencies = spectrum::frequencies(&eigenpairs);
         let band_len = (band.1 - band.0).max(f64::MIN_POSITIVE);
         let gap_len: f64 = gaps.iter().map(|&(lo, hi)| hi - lo).sum();
@@ -848,7 +827,7 @@ impl<'a> SweepShare<'a> {
                 recycle_candidates,
                 recycle_hits,
                 shifts_quarantined,
-                faults_injected: self.faults.faults_injected(),
+                faults_injected: self.control.faults_injected() as u64,
                 pairs_converged: state.pairs_converged,
                 pool_peak_pairs: state.pool_peak_pairs,
                 pool_evicted_entries: state.pool_evicted_entries,

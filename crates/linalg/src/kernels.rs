@@ -866,20 +866,6 @@ impl SplitBasis {
         self.rows += 1;
     }
 
-    /// Drops rows beyond `rows`, keeping storage.
-    pub fn truncate(&mut self, rows: usize) {
-        if rows < self.rows {
-            self.re.truncate(rows * self.n);
-            self.im.truncate(rows * self.n);
-            self.rows = rows;
-        }
-    }
-
-    /// The stored planes, each `rows * n` long.
-    pub fn planes(&self) -> (&[f64], &[f64]) {
-        (&self.re, &self.im)
-    }
-
     /// Batched conjugated inner products of every row against `w`:
     /// `out[r] = q_r^H w` (see [`basis_dot`]).
     pub fn dot_into(&self, wr: &[f64], wi: &[f64], out: &mut [C64]) {
@@ -1069,9 +1055,7 @@ mod tests {
         sb.push_interleaved(&cvec(4, 1));
         assert_eq!(sb.rows(), 2);
         assert_eq!(sb.row_len(), 4);
-        assert_eq!(sb.planes().0.len(), 8);
-        sb.truncate(1);
-        assert_eq!(sb.rows(), 1);
+        assert_eq!(sb.row(0), (&[1.0, 2.0, 3.0, 4.0][..], &[0.0; 4][..]));
         sb.reset(2);
         assert!(sb.is_empty());
         assert_eq!(sb.row_len(), 2);

@@ -128,50 +128,11 @@ impl BlockDiagonal {
         m
     }
 
-    /// Matrix-vector product `y = A x` over complex vectors, `O(n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn matvec(&self, x: &[C64], y: &mut [C64]) {
-        assert_eq!(x.len(), self.dim, "matvec length mismatch");
-        assert_eq!(y.len(), self.dim, "matvec output length mismatch");
-        for (k, b) in self.blocks.iter().enumerate() {
-            let o = self.offsets[k];
-            match *b {
-                DiagBlock::Real(a) => y[o] = x[o] * a,
-                DiagBlock::Pair { re, im } => {
-                    y[o] = x[o] * re + x[o + 1] * im;
-                    y[o + 1] = x[o] * (-im) + x[o + 1] * re;
-                }
-            }
-        }
-    }
-
-    /// Matrix-vector product with the transpose, `y = A^T x`, `O(n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.dim()`.
-    pub fn matvec_transpose(&self, x: &[C64], y: &mut [C64]) {
-        assert_eq!(x.len(), self.dim, "matvec_transpose length mismatch");
-        assert_eq!(y.len(), self.dim, "matvec_transpose output length mismatch");
-        for (k, b) in self.blocks.iter().enumerate() {
-            let o = self.offsets[k];
-            match *b {
-                DiagBlock::Real(a) => y[o] = x[o] * a,
-                DiagBlock::Pair { re, im } => {
-                    // A^T block = [[re, -im], [im, re]].
-                    y[o] = x[o] * re - x[o + 1] * im;
-                    y[o + 1] = x[o] * im + x[o + 1] * re;
-                }
-            }
-        }
-    }
-
     /// Solves `(A - theta I) y = x` exactly, block by block, `O(n)`.
     ///
-    /// Set `transpose` to solve with `A^T` instead of `A`.
+    /// Set `transpose` to solve with `A^T` instead of `A`. One complex
+    /// division per element: operators that apply a shift repeatedly use
+    /// [`Self::shift_solve_factors`], which is tested against this.
     ///
     /// # Panics
     ///
@@ -199,13 +160,6 @@ impl BlockDiagonal {
                 }
             }
         }
-    }
-
-    /// Applies `(A - theta I)^{-1}` to `x`, allocating the result.
-    pub fn shift_invert_apply(&self, theta: C64, transpose: bool, x: &[C64]) -> Vec<C64> {
-        let mut y = vec![C64::zero(); self.dim];
-        self.solve_shifted(theta, transpose, x, &mut y);
-        y
     }
 
     /// Split-complex matrix-vector product `y = A x` (`A` is real, so the
@@ -544,32 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn matvec_matches_dense() {
-        let a = sample();
-        let dense = a.to_dense().to_c64();
-        let x = cvec(a.dim(), 3);
-        let mut y = vec![C64::zero(); a.dim()];
-        a.matvec(&x, &mut y);
-        let yd = dense.matvec(&x);
-        for (u, v) in y.iter().zip(&yd) {
-            assert!((*u - *v).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn matvec_transpose_matches_dense() {
-        let a = sample();
-        let dense = a.to_dense().transpose().to_c64();
-        let x = cvec(a.dim(), 5);
-        let mut y = vec![C64::zero(); a.dim()];
-        a.matvec_transpose(&x, &mut y);
-        let yd = dense.matvec(&x);
-        for (u, v) in y.iter().zip(&yd) {
-            assert!((*u - *v).abs() < 1e-14);
-        }
-    }
-
-    #[test]
     fn solve_shifted_matches_dense_lu() {
         let a = sample();
         let theta = C64::new(0.2, 1.3);
@@ -586,7 +514,8 @@ mod tests {
             let lu = Lu::new(m).unwrap();
             let x = cvec(a.dim(), 9);
             let want = lu.solve(&x).unwrap();
-            let got = a.shift_invert_apply(theta, transpose, &x);
+            let mut got = vec![C64::zero(); a.dim()];
+            a.solve_shifted(theta, transpose, &x, &mut got);
             for (u, v) in got.iter().zip(&want) {
                 assert!((*u - *v).abs() < 1e-12, "transpose={transpose}");
             }
@@ -598,10 +527,10 @@ mod tests {
         let a = sample();
         let theta = C64::new(-0.7, 4.2);
         let x = cvec(a.dim(), 11);
-        let y = a.shift_invert_apply(theta, false, &x);
+        let mut y = vec![C64::zero(); a.dim()];
+        a.solve_shifted(theta, false, &x, &mut y);
         // (A - theta) y must reproduce x.
-        let mut ay = vec![C64::zero(); a.dim()];
-        a.matvec(&y, &mut ay);
+        let ay = a.to_dense().to_c64().matvec(&y);
         let mut resid = 0.0f64;
         for i in 0..a.dim() {
             resid = resid.max((ay[i] - y[i] * theta - x[i]).abs());
@@ -615,7 +544,8 @@ mod tests {
         // block is still nonsingular because the pole has a real part.
         let a = BlockDiagonal::new(vec![DiagBlock::Pair { re: -0.01, im: 5.0 }]);
         let theta = C64::from_imag(5.0);
-        let y = a.shift_invert_apply(theta, false, &[C64::one(), C64::zero()]);
+        let mut y = vec![C64::zero(); 2];
+        a.solve_shifted(theta, false, &[C64::one(), C64::zero()], &mut y);
         assert!(y.iter().all(|v| v.is_finite()));
         assert!(nrm2(&y) > 1.0); // near-resonant -> large response
     }
@@ -633,24 +563,23 @@ mod tests {
     }
 
     #[test]
-    fn split_matvecs_match_interleaved() {
+    fn split_matvecs_match_dense() {
         let a = sample();
+        let dense = a.to_dense().to_c64();
         let x = cvec(a.dim(), 21);
         let (xr, xi) = planes(&x);
         let mut yr = vec![0.0; a.dim()];
         let mut yi = vec![0.0; a.dim()];
         a.matvec_split(&xr, &xi, &mut yr, &mut yi);
-        let mut want = vec![C64::zero(); a.dim()];
-        a.matvec(&x, &mut want);
+        let want = dense.matvec(&x);
         for i in 0..a.dim() {
             assert!((C64::new(yr[i], yi[i]) - want[i]).abs() < 1e-14);
         }
-        // Fused y -= A^T x against the plain transpose product.
+        // Fused y -= A^T x.
         let y0 = cvec(a.dim(), 23);
         let (mut yr, mut yi) = planes(&y0);
         a.matvec_transpose_sub_split(&xr, &xi, &mut yr, &mut yi);
-        let mut at_x = vec![C64::zero(); a.dim()];
-        a.matvec_transpose(&x, &mut at_x);
+        let at_x = dense.transpose().matvec(&x);
         for i in 0..a.dim() {
             let want = y0[i] - at_x[i];
             assert!((C64::new(yr[i], yi[i]) - want).abs() < 1e-14);

@@ -13,6 +13,15 @@
 //! The key consequence exploited by `pheig-hamiltonian` is that `A` and `B`
 //! have `O(n)` nonzeros, so shifted solves with `(A ± theta I)` cost `O(n)`.
 //!
+//! Split re/im planes are the one layout of every structured product here
+//! (`StateSpace::{apply_b_split, apply_bt_split, apply_c_split,
+//! apply_ct_split}`, `BlockDiagonal::matvec_split`, `ShiftSolveFactors`):
+//! the layout the Hamiltonian operators compute in. The dense forms
+//! (`BlockDiagonal::to_dense`, `StateSpace::{a_dense, b_dense}`) are the
+//! references their tests compare against. `BlockDiagonal::solve_shifted`
+//! stays interleaved: it serves passivity enforcement's one-off solves and
+//! is the reference `shift_solve_factors` is tested against.
+//!
 //! Modules:
 //!
 //! * [`pole`] — stable pole descriptions (real / complex pair);

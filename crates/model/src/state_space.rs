@@ -15,9 +15,9 @@ use std::ops::Range;
 /// * `C` is dense `p x n`;
 /// * `D` is dense `p x p`.
 ///
-/// All matvec helpers run in `O(n)` or `O(np)` as appropriate; nothing in
-/// this type materializes an `n x n` dense matrix except the explicitly
-/// named `*_dense` methods used for validation.
+/// The products run over split re/im planes in `O(n)` or `O(np)` as
+/// appropriate; nothing in this type materializes an `n x n` dense matrix
+/// except the explicitly named `*_dense` methods, the test references.
 #[derive(Debug, Clone)]
 pub struct StateSpace {
     a: BlockDiagonal,
@@ -124,130 +124,7 @@ impl StateSpace {
         }
     }
 
-    /// `x = B u`, `O(n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u.len() != self.ports()`.
-    pub fn apply_b(&self, u: &[C64]) -> Vec<C64> {
-        let mut x = vec![C64::zero(); self.order()];
-        self.apply_b_into(u, &mut x);
-        x
-    }
-
-    /// `x = B u` into a caller-provided buffer (no heap allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u.len() != self.ports()` or `x.len() != self.order()`.
-    pub fn apply_b_into(&self, u: &[C64], x: &mut [C64]) {
-        assert_eq!(u.len(), self.ports(), "apply_b length mismatch");
-        assert_eq!(x.len(), self.order(), "apply_b output length mismatch");
-        x.fill(C64::zero());
-        for (k, range) in self.col_blocks.iter().enumerate() {
-            let uk = u[k];
-            for bi in range.clone() {
-                let o = self.a.offset(bi);
-                for (j, &g) in Self::block_gains(&self.a.blocks()[bi]).iter().enumerate() {
-                    if g != 0.0 {
-                        x[o + j] = uk * g;
-                    }
-                }
-            }
-        }
-    }
-
-    /// `u = B^T x`, `O(n)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.order()`.
-    pub fn apply_bt(&self, x: &[C64]) -> Vec<C64> {
-        let mut u = vec![C64::zero(); self.ports()];
-        self.apply_bt_into(x, &mut u);
-        u
-    }
-
-    /// `u = B^T x` into a caller-provided buffer (no heap allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.order()` or `u.len() != self.ports()`.
-    pub fn apply_bt_into(&self, x: &[C64], u: &mut [C64]) {
-        assert_eq!(x.len(), self.order(), "apply_bt length mismatch");
-        assert_eq!(u.len(), self.ports(), "apply_bt output length mismatch");
-        for (k, range) in self.col_blocks.iter().enumerate() {
-            let mut acc = C64::zero();
-            for bi in range.clone() {
-                let o = self.a.offset(bi);
-                for (j, &g) in Self::block_gains(&self.a.blocks()[bi]).iter().enumerate() {
-                    if g != 0.0 {
-                        acc += x[o + j] * g;
-                    }
-                }
-            }
-            u[k] = acc;
-        }
-    }
-
-    /// `y = C x`, `O(np)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.order()`.
-    pub fn apply_c(&self, x: &[C64]) -> Vec<C64> {
-        let mut y = vec![C64::zero(); self.ports()];
-        self.apply_c_into(x, &mut y);
-        y
-    }
-
-    /// `y = C x` into a caller-provided buffer (no heap allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != self.order()` or `y.len() != self.ports()`.
-    pub fn apply_c_into(&self, x: &[C64], y: &mut [C64]) {
-        assert_eq!(x.len(), self.order(), "apply_c length mismatch");
-        assert_eq!(y.len(), self.ports(), "apply_c output length mismatch");
-        for (i, yi) in y.iter_mut().enumerate() {
-            let row = self.c.row(i);
-            let mut acc = C64::zero();
-            for (cij, xj) in row.iter().zip(x.iter()) {
-                acc += *xj * *cij;
-            }
-            *yi = acc;
-        }
-    }
-
-    /// `x = C^T y`, `O(np)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != self.ports()`.
-    pub fn apply_ct(&self, y: &[C64]) -> Vec<C64> {
-        let mut x = vec![C64::zero(); self.order()];
-        self.apply_ct_into(y, &mut x);
-        x
-    }
-
-    /// `x = C^T y` into a caller-provided buffer (no heap allocation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `y.len() != self.ports()` or `x.len() != self.order()`.
-    pub fn apply_ct_into(&self, y: &[C64], x: &mut [C64]) {
-        assert_eq!(y.len(), self.ports(), "apply_ct length mismatch");
-        assert_eq!(x.len(), self.order(), "apply_ct output length mismatch");
-        x.fill(C64::zero());
-        for (i, &yi) in y.iter().enumerate() {
-            let row = self.c.row(i);
-            for (xj, cij) in x.iter_mut().zip(row.iter()) {
-                *xj += yi * *cij;
-            }
-        }
-    }
-
-    /// Split-complex `x = B u` (see [`StateSpace::apply_b_into`]).
+    /// `x = B u` over split re/im planes, `O(n)`.
     ///
     /// # Panics
     ///
@@ -300,7 +177,7 @@ impl StateSpace {
         }
     }
 
-    /// Split-complex `u = B^T x` (see [`StateSpace::apply_bt_into`]).
+    /// `u = B^T x` over split re/im planes, `O(n)`.
     ///
     /// # Panics
     ///
@@ -328,8 +205,8 @@ impl StateSpace {
         }
     }
 
-    /// Split-complex `y = C x`: `p` fused two-plane real dot products
-    /// over the dense residue matrix (see [`StateSpace::apply_c_into`]).
+    /// `y = C x` over split re/im planes, `O(np)`: `p` fused two-plane
+    /// real dot products over the dense residue matrix.
     ///
     /// # Panics
     ///
@@ -339,8 +216,8 @@ impl StateSpace {
         kernels::real_gemv(&self.c, xr, xi, yr, yi);
     }
 
-    /// Split-complex `x = C^T y`: `p` fused two-plane real axpys (see
-    /// [`StateSpace::apply_ct_into`]).
+    /// `x = C^T y` over split re/im planes, `O(np)`: `p` fused two-plane
+    /// real axpys.
     ///
     /// # Panics
     ///
@@ -449,47 +326,11 @@ mod tests {
     }
 
     #[test]
-    fn apply_b_bt_match_dense() {
-        let ss = small_ss();
-        let bd = ss.b_dense().to_c64();
-        let u = vec![C64::new(1.0, -1.0), C64::new(0.5, 2.0)];
-        let x = ss.apply_b(&u);
-        let xd = bd.matvec(&u);
-        for (a, b) in x.iter().zip(&xd) {
-            assert!((*a - *b).abs() < 1e-15);
-        }
-        let z: Vec<C64> = (0..6).map(|i| C64::new(i as f64, -0.5)).collect();
-        let ut = ss.apply_bt(&z);
-        let utd = bd.transpose().matvec(&z);
-        for (a, b) in ut.iter().zip(&utd) {
-            assert!((*a - *b).abs() < 1e-15);
-        }
-    }
-
-    #[test]
-    fn apply_c_ct_match_dense() {
-        let ss = small_ss();
-        let cd = ss.c().to_c64();
-        let x: Vec<C64> = (0..6)
-            .map(|i| C64::new((i as f64).cos(), (i as f64).sin()))
-            .collect();
-        let y = ss.apply_c(&x);
-        let yd = cd.matvec(&x);
-        for (a, b) in y.iter().zip(&yd) {
-            assert!((*a - *b).abs() < 1e-14);
-        }
-        let w = vec![C64::new(1.0, 2.0), C64::new(-0.3, 0.4)];
-        let xt = ss.apply_ct(&w);
-        let xtd = cd.transpose().matvec(&w);
-        for (a, b) in xt.iter().zip(&xtd) {
-            assert!((*a - *b).abs() < 1e-14);
-        }
-    }
-
-    #[test]
-    fn split_applies_match_interleaved() {
+    fn split_applies_match_dense() {
         let ss = small_ss();
         let (n, p) = (ss.order(), ss.ports());
+        let bd = ss.b_dense().to_c64();
+        let cd = ss.c().to_c64();
         let x: Vec<C64> = (0..n)
             .map(|i| C64::new((i as f64 * 0.9).cos(), (i as f64 * 0.4).sin()))
             .collect();
@@ -513,27 +354,28 @@ mod tests {
         let (xr, xi) = split(&x);
         let (ur, ui) = split(&u);
 
-        let (mut br, mut bi) = (vec![0.0; n], vec![0.0; n]);
+        let (mut br, mut bi) = (vec![1.0; n], vec![1.0; n]); // stale values overwritten
         ss.apply_b_split(&ur, &ui, &mut br, &mut bi);
-        check(&br, &bi, &ss.apply_b(&u), "B u");
+        let bu = bd.matvec(&u);
+        check(&br, &bi, &bu, "B u");
 
-        // Fused x -= B u against the two-step reference.
+        // Fused x -= B u.
         let (mut sr, mut si) = (xr.clone(), xi.clone());
         ss.sub_apply_b_split(&ur, &ui, &mut sr, &mut si);
-        let want: Vec<C64> = x.iter().zip(ss.apply_b(&u)).map(|(a, b)| *a - b).collect();
+        let want: Vec<C64> = x.iter().zip(&bu).map(|(a, b)| *a - *b).collect();
         check(&sr, &si, &want, "x - B u");
 
         let (mut btr, mut bti) = (vec![0.0; p], vec![0.0; p]);
         ss.apply_bt_split(&xr, &xi, &mut btr, &mut bti);
-        check(&btr, &bti, &ss.apply_bt(&x), "B^T x");
+        check(&btr, &bti, &bd.transpose().matvec(&x), "B^T x");
 
         let (mut cr, mut ci) = (vec![0.0; p], vec![0.0; p]);
         ss.apply_c_split(&xr, &xi, &mut cr, &mut ci);
-        check(&cr, &ci, &ss.apply_c(&x), "C x");
+        check(&cr, &ci, &cd.matvec(&x), "C x");
 
         let (mut ctr, mut cti) = (vec![1.0; n], vec![1.0; n]); // stale values overwritten
         ss.apply_ct_split(&ur, &ui, &mut ctr, &mut cti);
-        check(&ctr, &cti, &ss.apply_ct(&u), "C^T u");
+        check(&ctr, &cti, &cd.transpose().matvec(&u), "C^T u");
     }
 
     #[test]

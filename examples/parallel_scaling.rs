@@ -10,7 +10,9 @@
 //!
 //! Run with `cargo run --release --example parallel_scaling -- [order] [ports]`
 //! (defaults to a laptop-friendly n = 280, p = 7 slice of Case 5's shape;
-//! pass `2240 56` for the full Case 5 dimensions).
+//! pass `2240 56` for the full Case 5 dimensions). It exits with an error
+//! when no worker thread was spawned, which is what an order with
+//! `2n <= SolverOptions::dense_max` (every sweep dense) gives.
 
 use pheig::core::exec::{self, Executor};
 use pheig::core::simulate::{simulate_parallel, ScheduleMode};
@@ -81,15 +83,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Executor telemetry: pools persist, so re-running any of the sweeps
     // above would add tasks but no threads.
-    println!(
-        "\nexecutor: {} worker thread(s) spawned in total for this process",
-        exec::threads_spawned_total()
-    );
+    let spawned = exec::threads_spawned_total();
+    println!("\nexecutor: {spawned} worker thread(s) spawned in total for this process");
     for width in [1usize, 3, 7, 15] {
         let stats = Executor::pool(width).stats();
         if stats.tasks_executed > 0 {
             println!("  pool({width}): {} task(s) executed", stats.tasks_executed);
         }
+    }
+    // A model with 2n <= dense_max takes the dense path, which opens no
+    // cohort: the threaded section above would then have run serially.
+    if spawned == 0 {
+        return Err(format!(
+            "the threaded sweeps spawned no worker thread (2n = {}, dense_max = {})",
+            2 * order,
+            SolverOptions::default().dense_max
+        )
+        .into());
     }
     Ok(())
 }
