@@ -31,7 +31,7 @@ pub mod recycle;
 pub mod ritz;
 pub mod single_shift;
 
-pub use control::{CancelToken, CorruptKind, FirePoint, SweepBudget, SweepControl};
+pub use control::{CancelToken, FaultPlan, SweepControl};
 pub use error::ArnoldiError;
 pub use options::SingleShiftOptions;
 pub use recycle::{RecyclePool, RecycledPair};

@@ -20,11 +20,15 @@ pub struct SingleShiftOptions {
     /// Maximum number of explicit restarts before giving up.
     pub max_restarts: usize,
     /// Seed for the random start vectors (the paper draws them randomly;
-    /// statistics over seeds reproduce its Fig. 6 error bars).
+    /// statistics over seeds reproduce its Fig. 6 error bars). A multi-shift
+    /// sweep replaces it per shift and retry with a seed derived from its
+    /// own base seed; there this value seeds only the band estimate
+    /// ([`crate::single_shift::largest_eigenvalue_magnitude`]).
     pub seed: u64,
     /// Cooperative control plane: cancellation, shared work budget, and
-    /// fault fire-points. Inert by default (zero overhead; see
-    /// [`crate::control`]).
+    /// fault countdowns. Inert by default (zero overhead; see
+    /// [`crate::control`]). A multi-shift sweep replaces it with the one
+    /// control its shifts share ([`crate::FaultPlan::activate`]).
     pub control: SweepControl,
 }
 
@@ -37,7 +41,7 @@ impl SingleShiftOptions {
             tol: 1e-9,
             max_restarts: 24,
             seed: 0,
-            control: SweepControl::none(),
+            control: SweepControl::default(),
         }
     }
 

@@ -450,7 +450,7 @@ impl<'a> ShiftCore<'a> {
     /// Builds one round's Arnoldi factorization: sizes it, prepares the
     /// start vector and runs the build, one operator application per
     /// Krylov step. The fault hook corrupts an operator output before its
-    /// orthogonalization when the control's corruption fire-point
+    /// orthogonalization when the control's corruption countdown
     /// triggers (a no-op for an inert control). A degenerate round (start
     /// fully inside the locked span) applies nothing and leaves 0 steps,
     /// which [`Self::finish_round`] reports as exhaustion.

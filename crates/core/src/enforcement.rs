@@ -23,7 +23,7 @@
 //! Only `C` is perturbed: poles (stability) and `D` (asymptotic passivity)
 //! are untouched.
 
-use crate::characterization::{characterize, PassivityReport};
+use crate::characterization::{characterize, PassivityReport, ViolationBand};
 use crate::error::SolverError;
 use crate::solver::{
     find_imaginary_eigenvalues_with, SolverOptions, SolverOutcome, SolverWorkspace,
@@ -397,16 +397,12 @@ fn enforce_once(
     // harder push), reset on success.
     let mut boost = 1.0f64;
 
-    for iteration in 0..MAX_ITERATIONS {
-        if report.is_passive() {
-            let delta = (&current.c().clone() - &c0).frobenius_norm();
-            return Ok(EnforcementOutcome {
-                state_space: current,
-                iterations: iteration,
-                initial_report,
-                final_report: report,
-                delta_c_norm: delta,
-                recycle,
+    let mut iteration = 0;
+    while !report.is_passive() {
+        if iteration == MAX_ITERATIONS {
+            return Err(SolverError::EnforcementStalled {
+                iterations: MAX_ITERATIONS,
+                residual_violation: report.total_severity(),
             });
         }
         let match_tol = 1e-6 * outcome.band.1.max(1.0);
@@ -422,16 +418,7 @@ fn enforce_once(
         wide_bands.bands.retain(|b| {
             let wide = b.hi.is_finite() && b.width() > narrow_tol;
             if !wide && b.peak_omega.is_finite() {
-                // Constrain the whole band, not just the peak: a single
-                // peak constraint merely shifts the maximum sideways.
-                narrow_probe_points.push(b.peak_omega);
-                if b.hi.is_finite() {
-                    let probes = 7;
-                    for k in 0..probes {
-                        let w = b.lo + (b.hi - b.lo) * (k as f64 + 0.5) / probes as f64;
-                        narrow_probe_points.push(w);
-                    }
-                }
+                push_probe_points(b, &mut narrow_probe_points);
             }
             wide
         });
@@ -458,14 +445,7 @@ fn enforce_once(
                 .collect();
             let parallel = rows.len() == 2 && row_cosine(&rows[0].0, &rows[1].0).abs() > 0.9;
             if parallel || rows.is_empty() {
-                narrow_probe_points.push(band.peak_omega);
-                if band.hi.is_finite() {
-                    let probes = 7;
-                    for k in 0..probes {
-                        let w = band.lo + (band.hi - band.lo) * (k as f64 + 0.5) / probes as f64;
-                        narrow_probe_points.push(w);
-                    }
-                }
+                push_probe_points(band, &mut narrow_probe_points);
             } else {
                 targets.extend(rows);
             }
@@ -584,22 +564,32 @@ fn enforce_once(
                 }
             }
         }
+        iteration += 1;
     }
-    if report.is_passive() {
-        let delta = (&current.c().clone() - &c0).frobenius_norm();
-        return Ok(EnforcementOutcome {
-            state_space: current,
-            iterations: MAX_ITERATIONS,
-            initial_report,
-            final_report: report,
-            delta_c_norm: delta,
-            recycle,
-        });
-    }
-    Err(SolverError::EnforcementStalled {
-        iterations: MAX_ITERATIONS,
-        residual_violation: report.total_severity(),
+    let delta = (&current.c().clone() - &c0).frobenius_norm();
+    Ok(EnforcementOutcome {
+        state_space: current,
+        iterations: iteration,
+        initial_report,
+        final_report: report,
+        delta_c_norm: delta,
+        recycle,
     })
+}
+
+/// Pushes the sigma-descent probe points of one band: its peak and, when
+/// the band is bounded, 7 evenly spaced interior points. Constraining the
+/// whole band, not just the peak, matters: a single peak constraint merely
+/// shifts the maximum sideways.
+fn push_probe_points(band: &ViolationBand, points: &mut Vec<f64>) {
+    points.push(band.peak_omega);
+    if band.hi.is_finite() {
+        let probes = 7;
+        for k in 0..probes {
+            let w = band.lo + (band.hi - band.lo) * (k as f64 + 0.5) / probes as f64;
+            points.push(w);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -49,8 +49,6 @@ pub enum SolverError {
         /// verbatim; anything else a placeholder).
         message: String,
     },
-    /// A `PHEIG_FAULT_PLAN` specification could not be parsed.
-    InvalidFaultPlan(String),
     /// A downstream Arnoldi failure.
     Arnoldi(pheig_arnoldi::ArnoldiError),
     /// A downstream Hamiltonian-operator failure.
@@ -109,9 +107,6 @@ impl fmt::Display for SolverError {
             ),
             SolverError::TaskPanicked { message } => {
                 write!(f, "a solver task panicked (contained): {message}")
-            }
-            SolverError::InvalidFaultPlan(m) => {
-                write!(f, "invalid PHEIG_FAULT_PLAN specification: {m}")
             }
             SolverError::Arnoldi(e) => write!(f, "arnoldi failure: {e}"),
             SolverError::Hamiltonian(e) => write!(f, "hamiltonian failure: {e}"),

@@ -46,7 +46,6 @@ mod dense;
 pub mod enforcement;
 pub mod error;
 pub mod exec;
-pub mod fault;
 pub mod pipeline;
 pub mod scheduler;
 pub mod simulate;
@@ -55,8 +54,7 @@ pub mod spectrum;
 
 pub use error::SolverError;
 pub use exec::Executor;
-pub use fault::FaultPlan;
-pub use pheig_arnoldi::CancelToken;
+pub use pheig_arnoldi::{CancelToken, FaultPlan};
 pub use pipeline::{run_batch, PassiveModel, Pipeline, PipelineOptions, PipelineReport};
 pub use solver::{
     find_imaginary_eigenvalues, find_imaginary_eigenvalues_with, Certificate, QuarantinedShift,

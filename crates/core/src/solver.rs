@@ -13,14 +13,13 @@ use crate::band::estimate_band;
 use crate::dense;
 use crate::error::SolverError;
 use crate::exec::Executor;
-use crate::fault::{self, FaultPlan};
 use crate::scheduler::{Scheduler, SchedulerStats, ShiftTask, GATHER_FACTOR};
 use crate::simulate::ScheduleMode;
 use crate::spectrum::{self, ImaginaryEigenpair};
 use parking_lot::{Condvar, Mutex};
 use pheig_arnoldi::{
     single_shift_iteration_recycled_with, ArnoldiWorkspace, CancelToken, ConvergedEigenpair,
-    RecyclePool, RecycledPair, SingleShiftOptions, SingleShiftOutcome, SweepControl,
+    FaultPlan, RecyclePool, RecycledPair, SingleShiftOptions, SingleShiftOutcome, SweepControl,
 };
 use pheig_linalg::C64;
 use pheig_model::StateSpace;
@@ -58,7 +57,11 @@ pub struct SolverOptions {
     pub alpha: f64,
     /// Single-shift Arnoldi tuning of a shift's first attempt; the
     /// degradation ladder's retries derive theirs from it (DESIGN.md "The
-    /// degradation ladder").
+    /// degradation ladder"). Every rung replaces two of its fields: `seed`,
+    /// derived per shift and rung from [`Self::seed`], and `control`, the
+    /// sweep's [`Self::fault_plan`] armed with [`Self::cancel`]. So
+    /// `arnoldi.seed` seeds only the band estimate (when [`Self::band`] is
+    /// `None`), and a sweep never reads `arnoldi.control`.
     pub arnoldi: SingleShiftOptions,
     /// Search band override; `None` estimates `[0, omega_max]` from the
     /// largest Hamiltonian eigenvalue (Sec. IV.A).
@@ -76,17 +79,16 @@ pub struct SolverOptions {
     /// Fault-injection plan for chaos testing, and the per-sweep work
     /// budgets (`FaultPlan::{budget_matvecs, budget_restarts}`: on
     /// exhaustion the sweep degrades to a partial result exactly like a
-    /// cancellation). `None` consults the `PHEIG_FAULT_PLAN` environment
-    /// hook; an empty plan (and an unset variable) arms nothing and costs
+    /// cancellation). The default, empty plan arms nothing and costs
     /// nothing on the hot path.
-    pub fault_plan: Option<FaultPlan>,
+    pub fault_plan: FaultPlan,
     /// Largest Hamiltonian order `2n` solved densely instead of swept: at
     /// or below it a sweep is one `O(n^3)` eigensolve of the whole dense
     /// Hamiltonian, eigenvectors for the crossings only, certified by
     /// [`Certificate::DenseWholeBand`] instead of disks. `0` never takes
     /// the dense path. It applies no operator, so `fault_plan` (budgets
-    /// included, and `PHEIG_FAULT_PLAN`), `recycling` and `threads` do not
-    /// apply to it; `cancel` does. The simulator
+    /// included), `recycling` and `threads` do not apply to it; `cancel`
+    /// does. The simulator
     /// ([`crate::simulate::simulate_parallel`]) always sweeps. The default,
     /// [`DEFAULT_DENSE_MAX`], is the measured crossover.
     pub dense_max: usize,
@@ -110,7 +112,7 @@ impl SolverOptions {
             seed: 0,
             recycling: true,
             cancel: None,
-            fault_plan: None,
+            fault_plan: FaultPlan::default(),
             dense_max: DEFAULT_DENSE_MAX,
         }
     }
@@ -147,7 +149,7 @@ impl SolverOptions {
 
     /// Arms a fault-injection plan (chaos testing) or a work budget.
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.fault_plan = Some(plan);
+        self.fault_plan = plan;
         self
     }
 
@@ -549,10 +551,9 @@ pub(crate) struct SweepShare<'a> {
 }
 
 impl<'a> SweepShare<'a> {
-    /// The setup both clocks share: the armed fault plan (the options'
-    /// own, else `PHEIG_FAULT_PLAN`) with the caller's cancel token, the
-    /// band, the pole scale, and the scheduler `mode` builds for `threads`
-    /// members beside an empty recycle pool.
+    /// The setup both clocks share: the options' fault plan armed with the
+    /// caller's cancel token, the band, the pole scale, and the scheduler
+    /// `mode` builds for `threads` members beside an empty recycle pool.
     pub(crate) fn new(
         ss: &'a StateSpace,
         opts: &'a SolverOptions,
@@ -561,13 +562,7 @@ impl<'a> SweepShare<'a> {
     ) -> Result<Self, SolverError> {
         validate_options(opts)?;
         let started = Instant::now();
-        let mut control = match &opts.fault_plan {
-            Some(plan) => plan.activate(),
-            None => fault::plan_from_env()?.unwrap_or_default().activate(),
-        };
-        if let Some(token) = &opts.cancel {
-            control.cancel = Some(token.clone());
-        }
+        let control = opts.fault_plan.activate(opts.cancel.clone());
         let band = match opts.band {
             Some(b) => b,
             None => estimate_band(ss, &opts.arnoldi)?,

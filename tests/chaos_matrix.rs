@@ -12,10 +12,9 @@
 
 use pheig::core::solver::{find_imaginary_eigenvalues, SolverOptions, SolverOutcome};
 use pheig::core::{CancelToken, FaultPlan, SolverError};
-use pheig::hamiltonian::dense_hamiltonian;
-use pheig::linalg::eig::eig_real;
 use pheig::model::generator::{generate_case, CaseSpec};
 use pheig::model::StateSpace;
+use pheig_fuzz::oracle::oracle_crossings;
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -34,20 +33,6 @@ fn model() -> StateSpace {
 /// cell sweeps unless it says otherwise.
 fn sweep() -> SolverOptions {
     SolverOptions::default().with_dense_max(0)
-}
-
-/// Oracle crossings from the dense Hamiltonian spectrum.
-fn oracle_crossings(ss: &StateSpace) -> Vec<f64> {
-    let m = dense_hamiltonian(ss).unwrap();
-    let scale = m.max_abs();
-    let mut out: Vec<f64> = eig_real(&m)
-        .unwrap()
-        .into_iter()
-        .filter(|z| z.re.abs() <= 1e-8 * scale && z.im > 0.0)
-        .map(|z| z.im)
-        .collect();
-    out.sort_by(|a, b| a.total_cmp(b));
-    out
 }
 
 /// Runs `f` on a helper thread and panics if it neither returns nor
